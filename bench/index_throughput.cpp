@@ -339,10 +339,10 @@ int main(int argc, char** argv) {
       }
 
       run.ram_hw = sampled.ram_high_water();
-      run.hook_table_bytes = sampled.ram_bytes() - sampled.entry_count() *
-                                                       MemIndex::kEntryRamBytes;
-      run.hook_entries = sampled.hook_entries();
-      run.champion_loads = sampled.champion_loads();
+      const SampledStats stats = sampled.sampled_stats();
+      run.hook_table_bytes = stats.hook_table_bytes;
+      run.hook_entries = stats.hook_entries;
+      run.champion_loads = stats.champion_loads;
       if (const auto it = disk_at_scale.find(scale);
           it != disk_at_scale.end()) {
         run.disk_ram = it->second;

@@ -18,8 +18,6 @@
 //   ./dedup_cli serve <repo_dir>                 run the dedup daemon
 //       --listen=unix:<path>|tcp:<port>  (default unix:<repo>/daemon.sock)
 //       --max-sessions=8 --retry-after-ms=100
-//       --session-queue-depth=16  (accepted; inert since the engine
-//                                  reads the socket directly)
 //       --tenant-quota-mb=N --tenant-quota-files=N   per-tenant limits
 //       --serve-seconds=N                stop after N seconds (tests)
 //       --idle-timeout-ms=N              reap sessions idle for N ms
@@ -49,6 +47,9 @@
 // Mutating commands (store/verify/delete/gc/serve) take the repository's
 // store.lock: two writers on one repo fail fast with a typed error
 // instead of corrupting each other (see store/store_lock.h).
+//
+// Exit codes: 0 success, 1 failure, 2 usage or flag mistake, 3 daemon
+// busy, 4 repository locked by another writer.
 //
 // Options: --ecs=4096 --sd=64 --chunker=rabin|tttd|gear
 //          --chunker-impl=auto|scalar|simd
@@ -241,7 +242,8 @@ EngineConfig config_from(const Flags& flags, const StorageBackend& backend) {
       flags.get_uint("index-bloom-bits-per-key", 10, 1, 64));
   cfg.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 4096));
   cfg.sd = static_cast<std::uint32_t>(flags.get_int("sd", 64));
-  cfg.chunker = chunker_kind_from_string(flags.get("chunker", "rabin"));
+  cfg.chunker = chunker_kind_from_string(
+      flags.get_choice("chunker", {"rabin", "tttd", "gear", "fixed"}, "rabin"));
   cfg.chunker_impl = chunker_impl_from_string(
       flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
   cfg.hash_impl = sha1_impl_from_string(flags.get_choice(
@@ -308,15 +310,15 @@ int cmd_store(const Flags& flags, bool verify_after) {
                 engine.index_impl_name(),
                 static_cast<unsigned long long>(fp->entry_count()),
                 engine.index_ram_bytes() / 1024.0);
-    if (const auto* sampled = dynamic_cast<const SampledIndex*>(fp)) {
+    if (engine.config().index_impl == IndexImpl::kSampled) {
+      const SampledStats s = fp->sampled_stats();
       std::printf("sampled: %u sample bits, %llu hook entries, %llu champion "
                   "loads, missed-dup %.2f MB (%llu chunks)\n",
-                  sampled->sample_bits(),
-                  static_cast<unsigned long long>(sampled->hook_entries()),
-                  static_cast<unsigned long long>(sampled->champion_loads()),
-                  sampled->missed_dup_bytes() / 1048576.0,
-                  static_cast<unsigned long long>(
-                      sampled->missed_dup_chunks()));
+                  s.sample_bits,
+                  static_cast<unsigned long long>(s.hook_entries),
+                  static_cast<unsigned long long>(s.champion_loads),
+                  s.missed_dup_bytes / 1048576.0,
+                  static_cast<unsigned long long>(s.missed_dup_chunks));
     }
   }
   for (const auto& s : engine.pipeline_stats().stages) {
@@ -539,8 +541,6 @@ int cmd_serve(const Flags& flags) {
   dc.listen = flags.get("listen", "unix:" + args[1] + "/daemon.sock");
   dc.max_sessions = static_cast<std::uint32_t>(
       flags.get_uint("max-sessions", 8, 1, 1024));
-  dc.session_queue_depth = static_cast<std::uint32_t>(
-      flags.get_uint("session-queue-depth", 16, 1, 4096));
   dc.retry_after_ms = static_cast<std::uint32_t>(
       flags.get_uint("retry-after-ms", 100, 1, 60000));
   dc.quota.max_logical_bytes = flags.get_size(
@@ -713,14 +713,14 @@ int cmd_client_simple(const Flags& flags, const char* what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const mhd::Flags flags(argc, argv);
-  const auto& args = flags.positional();
-  if (args.empty()) {
-    std::fprintf(stderr,
-                 "usage: dedup_cli <store|restore|verify|stats> ...\n");
-    return 2;
-  }
   try {
+    const mhd::Flags flags(argc, argv);
+    const auto& args = flags.positional();
+    if (args.empty()) {
+      std::fprintf(stderr,
+                   "usage: dedup_cli <store|restore|verify|stats> ...\n");
+      return 2;
+    }
     if (args[0] == "store") return cmd_store(flags, /*verify_after=*/false);
     if (args[0] == "verify") return cmd_store(flags, /*verify_after=*/true);
     if (args[0] == "restore") return cmd_restore(flags);
@@ -734,6 +734,11 @@ int main(int argc, char** argv) {
     if (args[0] == "ls") return cmd_client_simple(flags, "ls");
     if (args[0] == "dstats") return cmd_client_simple(flags, "dstats");
     if (args[0] == "maintain") return cmd_client_simple(flags, "maintain");
+    std::fprintf(stderr, "unknown command: %s\n", args[0].c_str());
+    return 2;
+  } catch (const mhd::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const mhd::StoreLockedError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 4;
@@ -745,6 +750,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown command: %s\n", args[0].c_str());
-  return 2;
 }

@@ -15,9 +15,10 @@
 //                                           chunk tail (--index=0 --cut=5)
 //
 // check exits 0 on a clean repository, 1 otherwise (orphans are
-// informational and do not dirty the result). The corrupt/tear fixtures
-// write through the raw files, bypassing the backend — exactly the bit
-// rot and torn writes the framing exists to catch.
+// informational and do not dirty the result); a usage or flag mistake
+// exits 2. The corrupt/tear fixtures write through the raw files,
+// bypassing the backend — exactly the bit rot and torn writes the framing
+// exists to catch.
 //
 // Container repositories (dedup_cli --container-mb) need no extra flags:
 // fsck truncates torn container tails back to the last intact record,
@@ -150,16 +151,22 @@ int cmd_tear(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const mhd::Flags flags(argc, argv);
-  const auto& args = flags.positional();
-  if (args.empty()) {
-    std::fprintf(stderr, "usage: fsck_cli <check|repair|corrupt|tear> ...\n");
+  try {
+    const mhd::Flags flags(argc, argv);
+    const auto& args = flags.positional();
+    if (args.empty()) {
+      std::fprintf(stderr,
+                   "usage: fsck_cli <check|repair|corrupt|tear> ...\n");
+      return 2;
+    }
+    if (args[0] == "check") return cmd_check(flags, /*repair=*/false);
+    if (args[0] == "repair") return cmd_check(flags, /*repair=*/true);
+    if (args[0] == "corrupt") return cmd_corrupt(flags);
+    if (args[0] == "tear") return cmd_tear(flags);
+    std::fprintf(stderr, "unknown command: %s\n", args[0].c_str());
+    return 2;
+  } catch (const mhd::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  if (args[0] == "check") return cmd_check(flags, /*repair=*/false);
-  if (args[0] == "repair") return cmd_check(flags, /*repair=*/true);
-  if (args[0] == "corrupt") return cmd_corrupt(flags);
-  if (args[0] == "tear") return cmd_tear(flags);
-  std::fprintf(stderr, "unknown command: %s\n", args[0].c_str());
-  return 2;
 }

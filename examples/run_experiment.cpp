@@ -42,6 +42,7 @@
 // --restore-cache-mb budgets the restore path's whole-container LRU;
 // --measure-restore times a full streaming restore of the corpus after
 // ingest and reports restore MB/s, containers-read-per-MB and CFL.
+// A flag mistake exits 2; a failed experiment exits 1.
 #include <cstdio>
 
 #include "mhd/metrics/json_export.h"
@@ -50,7 +51,9 @@
 #include "mhd/util/table.h"
 #include "mhd/workload/presets.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mhd;
   const Flags flags(argc, argv);
 
@@ -58,8 +61,8 @@ int main(int argc, char** argv) {
   spec.algorithm = flags.get("algo", "bf-mhd");
   spec.engine.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 1024));
   spec.engine.sd = static_cast<std::uint32_t>(flags.get_int("sd", 32));
-  spec.engine.chunker =
-      chunker_kind_from_string(flags.get("chunker", "rabin"));
+  spec.engine.chunker = chunker_kind_from_string(flags.get_choice(
+      "chunker", {"rabin", "tttd", "gear", "fixed"}, "rabin"));
   spec.engine.chunker_impl = chunker_impl_from_string(
       flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
   spec.engine.hash_impl = sha1_impl_from_string(flags.get_choice(
@@ -202,4 +205,15 @@ int main(int argc, char** argv) {
     std::printf("%s", p.to_string().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const mhd::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

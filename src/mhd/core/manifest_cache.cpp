@@ -1,7 +1,6 @@
 #include "mhd/core/manifest_cache.h"
 
 #include "mhd/index/mem_index.h"
-#include "mhd/index/sampled_index.h"
 #include "mhd/store/container_store.h"
 #include "mhd/store/store_errors.h"
 
@@ -12,7 +11,6 @@ ManifestCache::ManifestCache(ObjectStore& store, std::size_t capacity,
                              FingerprintIndex* index)
     : store_(store),
       containers_(dynamic_cast<const ContainerBackend*>(&store.backend())),
-      sampled_(dynamic_cast<SampledIndex*>(index)),
       hook_flags_(hook_flags),
       lru_(
           capacity,
@@ -124,13 +122,11 @@ Manifest* ManifestCache::cached(const Digest& name) {
 
 Manifest* ManifestCache::insert(const Digest& name, Manifest manifest,
                                 bool dirty) {
-  if (sampled_ != nullptr) {
-    // A freshly built manifest is the stream of chunks just STORED (loads
-    // and warm reloads never come through insert): exactly what the
-    // sampled tier's loss meter must watch for re-stored duplicates.
-    for (const auto& entry : manifest.entries()) {
-      sampled_->note_fresh_chunk(entry.hash, entry.size);
-    }
+  // A freshly built manifest is the stream of chunks just STORED (loads
+  // and warm reloads never come through insert): exactly what the sampled
+  // tier's loss meter must watch for re-stored duplicates.
+  for (const auto& entry : manifest.entries()) {
+    index_->note_fresh_chunk(entry.hash, entry.size);
   }
   Slot slot;
   slot.manifest = std::move(manifest);

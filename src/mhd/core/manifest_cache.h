@@ -34,7 +34,6 @@
 namespace mhd {
 
 class ContainerBackend;
-class SampledIndex;
 
 class ManifestCache {
  public:
@@ -125,10 +124,6 @@ class ManifestCache {
   /// Non-null when the store packs containers: index entries then carry
   /// the chunk's container id as a location record (advisory hint).
   const ContainerBackend* containers_ = nullptr;
-  /// Non-null when the injected index is the sampled similarity tier:
-  /// insert() then feeds every freshly stored chunk to its loss meter
-  /// (sampled_missed_dup_bytes — measured, not hidden).
-  SampledIndex* sampled_ = nullptr;
   bool hook_flags_;
   LruCache<Digest, Slot, DigestHasher> lru_;
   std::unique_ptr<FingerprintIndex> owned_index_;  ///< when none injected

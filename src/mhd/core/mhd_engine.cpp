@@ -12,35 +12,8 @@ MhdEngine::MhdEngine(ObjectStore& store, const EngineConfig& config)
     : DedupEngine(store, config),
       cache_(store, config.manifest_cache_capacity, /*hook_flags=*/true,
              config.manifest_cache_bytes, &fp_index()),
-      bloom_(config.bloom_bytes),
       extender_(store, cache_, cfg_, counters_) {
-  if (cfg_.use_bloom) seed_bloom_from_hooks(bloom_, store.backend());
-  restore_warm_state(cache_);
-}
-
-std::optional<ManifestCache::Located> MhdEngine::find_anchor(
-    const Digest& hash) {
-  if (auto loc = cache_.lookup_hash(hash)) return loc;
-  if (sampled_mode()) {
-    // Similarity path only: the bloom + get_hook fallback below assumes
-    // every stored fingerprint is findable; the sampled tier deliberately
-    // forgets, and a miss here is stored fresh (the loss meter counts it).
-    if (load_champions(cache_, hash)) return cache_.lookup_hash(hash);
-    return std::nullopt;
-  }
-  if (cfg_.use_bloom && !bloom_.maybe_contains(hash.prefix64())) {
-    return std::nullopt;
-  }
-  const auto hook = degrade_on_corruption(
-      [&] { return store_.get_hook(hash, AccessKind::kSmallChunkQuery); });
-  if (!hook || hook->size() != Digest::kSize) return std::nullopt;
-  Digest manifest_name;
-  std::copy(hook->begin(), hook->end(), manifest_name.bytes.begin());
-  if (degrade_on_corruption([&] { return cache_.load(manifest_name); }) ==
-      nullptr) {
-    return std::nullopt;
-  }
-  return cache_.lookup_hash(hash);
+  open_anchor_path(cache_);
 }
 
 void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
@@ -73,8 +46,7 @@ void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
       ctx.manifest.add({first.hash, ctx.chunk_off,
                         static_cast<std::uint32_t>(first.bytes.size()), 1,
                         true});
-      store_.put_hook(first.hash, ctx.dig.span());
-      if (cfg_.use_bloom) bloom_.insert(first.hash.prefix64());
+      write_hook(first.hash, ctx.dig);
       ctx.writer->write(first.bytes);
       ctx.log.push_back({first.file_offset, ctx.dig, ctx.chunk_off,
                          first.bytes.size()});
@@ -170,7 +142,7 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
   };
 
   while (auto chunk = pull_chunk()) {
-    auto loc = find_anchor(chunk->hash);
+    auto loc = find_anchor(cache_, chunk->hash, AccessKind::kSmallChunkQuery);
     if (loc) {
       const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
       if (e.size == chunk->bytes.size() &&

@@ -36,7 +36,7 @@ class MhdEngine final : public DedupEngine {
   /// Warm-session flush (see DedupEngine::flush_session). Reuse after the
   /// flush is bit-identical to a fresh engine because each piece of state
   /// either equals what a fresh construction would rebuild or is reset:
-  ///  * bloom: flush_pending inserted every written hook's prefix64, so
+  ///  * bloom: write_hook inserted every written hook's prefix64, so
   ///    the warm filter bit-equals seed_bloom_from_hooks over the on-disk
   ///    hook set (a bloom is an order-independent OR-set);
   ///  * mem index: the cache is reset — eviction write-back empties the
@@ -81,11 +81,7 @@ class MhdEngine final : public DedupEngine {
   /// Flushes the first `count` pending chunks through SHM.
   void flush_pending(FileCtx& ctx, std::size_t count);
 
-  /// Anchor detection for one incoming chunk hash (cache, bloom, hooks).
-  std::optional<ManifestCache::Located> find_anchor(const Digest& hash);
-
   ManifestCache cache_;
-  BloomFilter bloom_;
   MatchExtender extender_;
 };
 

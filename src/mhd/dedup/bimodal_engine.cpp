@@ -8,10 +8,8 @@ namespace mhd {
 BimodalEngine::BimodalEngine(ObjectStore& store, const EngineConfig& config)
     : DedupEngine(store, config),
       cache_(store, config.manifest_cache_capacity, /*hook_flags=*/false,
-             config.manifest_cache_bytes, &fp_index()),
-      bloom_(config.bloom_bytes) {
-  if (cfg_.use_bloom) seed_bloom_from_hooks(bloom_, store.backend());
-  restore_warm_state(cache_);
+             config.manifest_cache_bytes, &fp_index()) {
+  open_anchor_path(cache_);
 }
 
 std::optional<BimodalEngine::DupRef> BimodalEngine::find_duplicate(
@@ -19,37 +17,10 @@ std::optional<BimodalEngine::DupRef> BimodalEngine::find_duplicate(
   if (const auto it = ctx.current.find(hash); it != ctx.current.end()) {
     return it->second;
   }
-  if (auto loc = cache_.lookup_hash(hash)) {
-    const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-    return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-  }
-  if (sampled_mode()) {
-    // Similarity path only — no exact fallback (see CdcEngine).
-    if (load_champions(cache_, hash)) {
-      if (auto loc = cache_.lookup_hash(hash)) {
-        const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-        return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-      }
-    }
-    return std::nullopt;
-  }
-  if (cfg_.use_bloom && !bloom_.maybe_contains(hash.prefix64())) {
-    return std::nullopt;
-  }
-  const auto hook = degrade_on_corruption(
-      [&] { return store_.get_hook(hash, query_kind); });
-  if (!hook || hook->size() != Digest::kSize) return std::nullopt;
-  Digest manifest_name;
-  std::copy(hook->begin(), hook->end(), manifest_name.bytes.begin());
-  if (degrade_on_corruption([&] { return cache_.load(manifest_name); }) ==
-      nullptr) {
-    return std::nullopt;
-  }
-  if (auto loc = cache_.lookup_hash(hash)) {
-    const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-    return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-  }
-  return std::nullopt;
+  const auto loc = find_anchor(cache_, hash, query_kind);
+  if (!loc) return std::nullopt;
+  const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
+  return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
 }
 
 void BimodalEngine::store_small(FileCtx& ctx, ByteSpan bytes,
@@ -59,8 +30,7 @@ void BimodalEngine::store_small(FileCtx& ctx, ByteSpan bytes,
   ctx.writer->write(bytes);
   ctx.manifest.add({hash, ctx.chunk_off, static_cast<std::uint32_t>(bytes.size()),
                     chunk_count, false});
-  store_.put_hook(hash, ctx.dig.span());
-  if (cfg_.use_bloom) bloom_.insert(hash.prefix64());
+  write_hook(hash, ctx.dig);
   ctx.current.emplace(hash, DupRef{ctx.dig, ctx.chunk_off,
                                    static_cast<std::uint32_t>(bytes.size())});
   ctx.fm.add_range(ctx.dig, ctx.chunk_off, bytes.size(), /*coalesce=*/false);

@@ -63,7 +63,6 @@ class BimodalEngine final : public DedupEngine {
                    std::uint32_t chunk_count);
 
   ManifestCache cache_;
-  BloomFilter bloom_;
 };
 
 }  // namespace mhd

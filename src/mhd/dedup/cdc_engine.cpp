@@ -9,49 +9,18 @@ namespace mhd {
 CdcEngine::CdcEngine(ObjectStore& store, const EngineConfig& config)
     : DedupEngine(store, config),
       cache_(store, config.manifest_cache_capacity, /*hook_flags=*/false,
-             config.manifest_cache_bytes, &fp_index()),
-      bloom_(config.bloom_bytes) {
-  if (cfg_.use_bloom) seed_bloom_from_hooks(bloom_, store.backend());
-  restore_warm_state(cache_);
+             config.manifest_cache_bytes, &fp_index()) {
+  open_anchor_path(cache_);
 }
 
 std::optional<CdcEngine::DupRef> CdcEngine::find_duplicate(const Digest& hash) {
   if (const auto it = current_file_.find(hash); it != current_file_.end()) {
     return it->second;
   }
-  if (auto loc = cache_.lookup_hash(hash)) {
-    const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-    return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-  }
-  if (sampled_mode()) {
-    // Similarity path only: the bloom + get_hook fallback below assumes
-    // every stored fingerprint is findable; the sampled tier deliberately
-    // forgets, and a miss here is stored fresh (the loss meter counts it).
-    if (load_champions(cache_, hash)) {
-      if (auto loc = cache_.lookup_hash(hash)) {
-        const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-        return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-      }
-    }
-    return std::nullopt;
-  }
-  if (cfg_.use_bloom && !bloom_.maybe_contains(hash.prefix64())) {
-    return std::nullopt;
-  }
-  const auto hook = degrade_on_corruption(
-      [&] { return store_.get_hook(hash, AccessKind::kSmallChunkQuery); });
-  if (!hook || hook->size() != Digest::kSize) return std::nullopt;
-  Digest manifest_name;
-  std::copy(hook->begin(), hook->end(), manifest_name.bytes.begin());
-  if (degrade_on_corruption([&] { return cache_.load(manifest_name); }) ==
-      nullptr) {
-    return std::nullopt;
-  }
-  if (auto loc = cache_.lookup_hash(hash)) {
-    const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-    return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-  }
-  return std::nullopt;
+  const auto loc = find_anchor(cache_, hash, AccessKind::kSmallChunkQuery);
+  if (!loc) return std::nullopt;
+  const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
+  return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
 }
 
 void CdcEngine::process_file(const std::string& file_name, ByteSource& data) {
@@ -82,8 +51,7 @@ void CdcEngine::process_file(const std::string& file_name, ByteSource& data) {
     writer->write(bytes);
     manifest.add({hash, chunk_off, static_cast<std::uint32_t>(bytes.size()), 1,
                   false});
-    store_.put_hook(hash, dig.span());
-    if (cfg_.use_bloom) bloom_.insert(hash.prefix64());
+    write_hook(hash, dig);
     current_file_.emplace(
         hash, DupRef{dig, chunk_off, static_cast<std::uint32_t>(bytes.size())});
     fm.add_range(dig, chunk_off, bytes.size(), /*coalesce=*/false);

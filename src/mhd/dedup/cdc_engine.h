@@ -36,7 +36,6 @@ class CdcEngine final : public DedupEngine {
   std::optional<DupRef> find_duplicate(const Digest& hash);
 
   ManifestCache cache_;
-  BloomFilter bloom_;
   /// Chunks of the file currently being processed (its Manifest enters the
   /// cache only at file end): enables intra-file deduplication.
   std::unordered_map<Digest, DupRef, DigestHasher> current_file_;

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 
-#include "mhd/core/manifest_cache.h"
-#include "mhd/format/file_manifest.h"
 #include "mhd/index/mem_index.h"
 #include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
 #include "mhd/pipeline/ingest_pipeline.h"
+#include "mhd/store/restore_reader.h"
 #include "mhd/util/buffer_pool.h"
 #include "mhd/util/hex.h"
 #include "mhd/util/timer.h"
@@ -54,37 +53,61 @@ FingerprintIndex& DedupEngine::fp_index() {
   return *fp_index_;
 }
 
-void DedupEngine::restore_warm_state(ManifestCache& cache) {
-  if (!index_was_present_) return;
-  if (auto* disk = dynamic_cast<PersistentIndex*>(fp_index_.get())) {
-    cache.warm_load(disk->load_warm_list());
-  } else if (auto* sampled = dynamic_cast<SampledIndex*>(fp_index_.get())) {
-    cache.warm_load(sampled->load_warm_list());
+void DedupEngine::open_anchor_path(ManifestCache& cache) {
+  if (cfg_.use_bloom) {
+    hook_bloom_.emplace(cfg_.bloom_bytes);
+    seed_bloom_from_hooks(*hook_bloom_, store_.backend());
   }
+  restore_warm_state(cache);
+}
+
+void DedupEngine::restore_warm_state(ManifestCache& cache) {
+  if (index_was_present_) cache.warm_load(fp_index_->load_warm_list());
 }
 
 void DedupEngine::persist_index_state(ManifestCache& cache) {
   if (!fp_index_) return;
-  if (auto* disk = dynamic_cast<PersistentIndex*>(fp_index_.get())) {
-    disk->save_warm_list(cache.resident_names());
-  } else if (auto* sampled = dynamic_cast<SampledIndex*>(fp_index_.get())) {
-    sampled->save_warm_list(cache.resident_names());
-  }
+  fp_index_->save_warm_list(cache.resident_names());
   fp_index_->flush();
 }
 
+std::optional<ManifestCache::Located> DedupEngine::find_anchor(
+    ManifestCache& cache, const Digest& hash, AccessKind kind) {
+  if (auto loc = cache.lookup_hash(hash)) return loc;
+  if (sampled_mode()) {
+    if (!load_champions(cache, hash)) return std::nullopt;
+  } else {
+    if (hook_bloom_ && !hook_bloom_->maybe_contains(hash.prefix64())) {
+      return std::nullopt;
+    }
+    const auto hook =
+        degrade_on_corruption([&] { return store_.get_hook(hash, kind); });
+    if (!hook || hook->size() != Digest::kSize) return std::nullopt;
+    Digest manifest_name;
+    std::copy(hook->begin(), hook->end(), manifest_name.bytes.begin());
+    if (degrade_on_corruption([&] { return cache.load(manifest_name); }) ==
+        nullptr) {
+      return std::nullopt;
+    }
+  }
+  return cache.lookup_hash(hash);
+}
+
 bool DedupEngine::load_champions(ManifestCache& cache, const Digest& hash) {
-  auto* sampled = dynamic_cast<SampledIndex*>(&fp_index());
-  if (sampled == nullptr) return false;
   bool loaded = false;
-  for (const Digest& name : sampled->champions_for(hash)) {
+  for (const Digest& name : fp_index().champions_for(hash)) {
     if (cache.cached(name) != nullptr) continue;
     Manifest* m = degrade_on_corruption([&] { return cache.load(name); });
     if (m == nullptr) continue;
-    sampled->note_champion_load();
+    fp_index().note_champion_load();
     loaded = true;
   }
   return loaded;
+}
+
+void DedupEngine::write_hook(const Digest& hash, const Digest& manifest) {
+  store_.put_hook(hash, manifest.span());
+  if (hook_bloom_) hook_bloom_->insert(hash.prefix64());
 }
 
 Digest DedupEngine::unique_store_digest(const Digest& base) const {
@@ -119,28 +142,15 @@ void DedupEngine::add_file(const std::string& file_name, ByteSource& data) {
 
 std::optional<ByteVec> DedupEngine::reconstruct(
     const std::string& file_name) const {
-  // Restore never degrades: a corrupt object makes the restore fail
-  // (nullopt) instead of silently returning wrong bytes.
-  try {
-    const StorageBackend& backend = store_.backend();
-    const auto raw =
-        backend.get(Ns::kFileManifest, file_digest(file_name).hex());
-    if (!raw) return std::nullopt;
-    const auto fm = FileManifest::deserialize(*raw);
-    if (!fm) return std::nullopt;
-
-    ByteVec out;
-    out.reserve(static_cast<std::size_t>(fm->total_length()));
-    for (const auto& entry : fm->entries()) {
-      auto piece = backend.get_range(Ns::kDiskChunk, entry.chunk_name.hex(),
-                                     entry.offset, entry.length);
-      if (!piece) return std::nullopt;
-      append(out, *piece);
-    }
-    return out;
-  } catch (const CorruptObjectError&) {
-    return std::nullopt;
-  }
+  // Restore never degrades: a corrupt object stops the reader short and the
+  // restore fails (nullopt) instead of returning wrong bytes. One read the
+  // size of the file drains the reader with one range read per recipe
+  // entry.
+  auto reader = RestoreReader::open(store_.backend(), file_name);
+  if (!reader) return std::nullopt;
+  ByteVec out(static_cast<std::size_t>(reader->total_length()));
+  if (reader->read(out) != out.size() || !reader->ok()) return std::nullopt;
+  return out;
 }
 
 }  // namespace mhd

@@ -8,6 +8,12 @@
 // data slices), F (files not completely duplicate), duplicate bytes, HHR
 // statistics and CPU time. reconstruct() restores any file byte-exactly
 // from the store — the correctness invariant every test suite leans on.
+//
+// Engines that keep a manifest cache (MHD, CDC, Bimodal, FBC) detect a
+// duplicate the same way (§III, BME): a small-chunk hash hit, on a Hook or
+// on a cached manifest entry, anchors the match. That lookup is written
+// once, here (find_anchor); the engines differ only in what they do with
+// the anchor.
 #pragma once
 
 #include <memory>
@@ -17,6 +23,7 @@
 #include "mhd/chunk/byte_source.h"
 #include "mhd/chunk/make_chunker.h"
 #include "mhd/container/bloom_filter.h"
+#include "mhd/core/manifest_cache.h"
 #include "mhd/dedup/rewrite.h"
 #include "mhd/hash/sha1.h"
 #include "mhd/index/fingerprint_index.h"
@@ -26,8 +33,6 @@
 #include "mhd/store/store_errors.h"
 
 namespace mhd {
-
-class ManifestCache;
 
 struct EngineConfig {
   std::uint32_t ecs = 4096;  ///< expected (small) chunk size, bytes
@@ -208,8 +213,12 @@ class DedupEngine {
     return false;
   }
 
-  /// Restores a previously added file byte-exactly from the store.
-  /// Reads bypass access accounting (restore is not deduplication work).
+  /// Restores a previously added file byte-exactly from the store by
+  /// draining a RestoreReader into one buffer — the same path as streaming
+  /// restores, including its bounded retry of transient read errors.
+  /// nullopt when the file is unknown or a corrupt object stops the
+  /// restore short. Reads bypass access accounting (restore is not
+  /// deduplication work).
   std::optional<ByteVec> reconstruct(const std::string& file_name) const;
 
   /// Closes a snapshot generation for the rewrite controller (HAR folds
@@ -243,18 +252,13 @@ class DedupEngine {
   }
 
   /// The engine's fingerprint index, if it routes through one (nullptr
-  /// for engines with private similarity indexes, e.g. SparseIndexing).
+  /// for engines with private similarity indexes: SparseIndexing, SubChunk,
+  /// ExtremeBinning). Callers read tier state through its interface.
   const FingerprintIndex* fingerprint_index() const { return fp_index_.get(); }
-  /// Resolved index implementation name for reports
-  /// ("mem" | "disk" | "sampled").
+  /// Index implementation name for reports: "mem" | "disk" | "sampled",
+  /// or "none" for engines that never build a FingerprintIndex.
   const char* index_impl_name() const {
-    if (fp_index_) return fp_index_->impl_name();
-    switch (cfg_.index_impl) {
-      case IndexImpl::kDisk: return "disk";
-      case IndexImpl::kSampled: return "sampled";
-      case IndexImpl::kMem: break;
-    }
-    return "mem";
+    return fp_index_ ? fp_index_->impl_name() : "none";
   }
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }
@@ -282,37 +286,40 @@ class DedupEngine {
   std::unique_ptr<HashedChunkStream> open_ingest(
       ByteSource& data, std::uint64_t expected_chunk_bytes);
 
-  /// Lazily creates the configured FingerprintIndex (MemIndex or
-  /// PersistentIndex over the store's backend). Callable from derived
-  /// constructors' member-init lists so the index can be handed to a
-  /// ManifestCache. Whether an on-disk index already existed (a reopen)
-  /// is captured at creation for restore_warm_state().
+  /// Lazily creates the configured FingerprintIndex (MemIndex,
+  /// PersistentIndex or SampledIndex over the store's backend) — the one
+  /// place an engine names a concrete tier. Callable from derived constructors'
+  /// member-init lists so the index can be handed to a ManifestCache.
+  /// Whether a persisted index already existed (a reopen) is captured at
+  /// creation for restore_warm_state().
   FingerprintIndex& fp_index();
 
-  /// Warm restart: when the disk index was reopened, reload the manifest
-  /// cache's previous residency (saved by persist_index_state) so the
-  /// reopened engine resumes with the exact working set it closed with.
-  /// No-op for MemIndex or a freshly created disk index.
-  void restore_warm_state(ManifestCache& cache);
+  /// Opens the anchor path over the engine's manifest cache: seeds the
+  /// Hook bloom from the Hooks already in the repository (so an engine
+  /// opened on an existing repository still detects duplicates), then
+  /// reloads the warm residency (restore_warm_state). MHD, CDC, Bimodal
+  /// and FBC call it once from their constructors, after the cache exists.
+  void open_anchor_path(ManifestCache& cache);
 
-  /// End-of-run persistence: saves the cache residency list into the disk
+  /// End-of-run persistence: saves the cache residency list into the
   /// index and flushes it (journal tail, bloom snapshot, meta). Call from
-  /// finish() after the cache flush. No-op for MemIndex.
+  /// finish() after the cache flush. MemIndex keeps nothing.
   void persist_index_state(ManifestCache& cache);
 
-  /// True when this engine routes through the sampled similarity tier —
-  /// anchor lookups must then use similarity_anchor() instead of the
-  /// exact bloom + get_hook fallback (which assumes every stored
-  /// fingerprint is findable; the sampled tier deliberately forgets).
-  bool sampled_mode() const { return cfg_.index_impl == IndexImpl::kSampled; }
+  /// The anchor lookup for one incoming small-chunk hash (§III, BME):
+  ///  1. the cached manifests (through the fingerprint index);
+  ///  2. sampled tier: load the hash's champion manifests, retry the cache;
+  ///     a miss is stored fresh and the loss meter counts it;
+  ///  3. exact tiers: bloom gate, then the on-disk Hook (read as `kind`),
+  ///     then its manifest, then retry the cache.
+  /// Hook and manifest reads degrade_on_corruption: a damaged object costs
+  /// a missed duplicate, never a failed ingest.
+  std::optional<ManifestCache::Located> find_anchor(ManifestCache& cache,
+                                                    const Digest& hash,
+                                                    AccessKind kind);
 
-  /// Sampled-tier anchor path: when `hash` is a sampled hook, loads its
-  /// champion manifests (up to cfg_.max_champions, skipping already-cached
-  /// ones) into `cache`. Returns true when at least one new champion was
-  /// loaded — the caller then retries its cache lookup. When nothing
-  /// loads, the chunk is stored fresh; if it actually was a duplicate the
-  /// loss meter counts it (sampled_missed_dup_bytes), never hides it.
-  bool load_champions(ManifestCache& cache, const Digest& hash);
+  /// Writes the Hook `hash` → `manifest` and adds it to the bloom gate.
+  void write_hook(const Digest& hash, const Digest& manifest);
 
   /// Returns `base`, salted until no DiskChunk/Manifest with that name
   /// exists. DiskChunks are immutable and may be referenced by other
@@ -383,11 +390,31 @@ class DedupEngine {
   EngineCounters counters_;
 
  private:
+  /// Warm restart: when a persisted index was reopened, reloads the
+  /// manifest cache's previous residency (saved by persist_index_state)
+  /// so the engine resumes with the exact working set it closed with.
+  /// Reads FingerprintIndex::load_warm_list, so it does nothing for
+  /// MemIndex or a freshly created index.
+  void restore_warm_state(ManifestCache& cache);
+
+  /// True when this engine routes through the sampled similarity tier:
+  /// find_anchor then loads champions instead of taking the exact bloom +
+  /// get_hook path, which assumes every stored fingerprint is findable
+  /// (the sampled tier deliberately forgets).
+  bool sampled_mode() const { return cfg_.index_impl == IndexImpl::kSampled; }
+
+  /// Loads the hash's champion manifests that are not cached yet; true
+  /// when at least one loaded.
+  bool load_champions(ManifestCache& cache, const Digest& hash);
+
   bool in_dup_run_ = false;
   PipelineStats pipeline_stats_;
   std::unique_ptr<FingerprintIndex> fp_index_;
   std::unique_ptr<RewriteController> rewrite_;
-  bool index_was_present_ = false;  ///< disk index existed before open
+  bool index_was_present_ = false;  ///< persisted index existed before open
+  /// Negative gate in front of the Hook lookup; engaged by
+  /// open_anchor_path when cfg_.use_bloom.
+  std::optional<BloomFilter> hook_bloom_;
 };
 
 }  // namespace mhd

@@ -1,8 +1,5 @@
 #include "mhd/dedup/fbc_engine.h"
 
-#include "mhd/index/persistent_index.h"
-#include "mhd/index/sampled_index.h"
-
 #include "mhd/chunk/chunk_stream.h"
 #include "mhd/chunk/rabin_chunker.h"
 
@@ -11,10 +8,8 @@ namespace mhd {
 FbcEngine::FbcEngine(ObjectStore& store, const EngineConfig& config)
     : DedupEngine(store, config),
       cache_(store, config.manifest_cache_capacity, /*hook_flags=*/false,
-             config.manifest_cache_bytes, &fp_index()),
-      bloom_(config.bloom_bytes) {
-  if (cfg_.use_bloom) seed_bloom_from_hooks(bloom_, store.backend());
-  restore_warm_state(cache_);
+             config.manifest_cache_bytes, &fp_index()) {
+  open_anchor_path(cache_);
   load_frequency_sketch();
 }
 
@@ -23,37 +18,10 @@ std::optional<FbcEngine::DupRef> FbcEngine::find_duplicate(
   if (const auto it = ctx.current.find(hash); it != ctx.current.end()) {
     return it->second;
   }
-  if (auto loc = cache_.lookup_hash(hash)) {
-    const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-    return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-  }
-  if (sampled_mode()) {
-    // Similarity path only — no exact fallback (see CdcEngine).
-    if (load_champions(cache_, hash)) {
-      if (auto loc = cache_.lookup_hash(hash)) {
-        const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-        return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-      }
-    }
-    return std::nullopt;
-  }
-  if (cfg_.use_bloom && !bloom_.maybe_contains(hash.prefix64())) {
-    return std::nullopt;
-  }
-  const auto hook = degrade_on_corruption(
-      [&] { return store_.get_hook(hash, query_kind); });
-  if (!hook || hook->size() != Digest::kSize) return std::nullopt;
-  Digest manifest_name;
-  std::copy(hook->begin(), hook->end(), manifest_name.bytes.begin());
-  if (degrade_on_corruption([&] { return cache_.load(manifest_name); }) ==
-      nullptr) {
-    return std::nullopt;
-  }
-  if (auto loc = cache_.lookup_hash(hash)) {
-    const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-    return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-  }
-  return std::nullopt;
+  const auto loc = find_anchor(cache_, hash, query_kind);
+  if (!loc) return std::nullopt;
+  const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
+  return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
 }
 
 void FbcEngine::store_region(FileCtx& ctx, ByteSpan bytes, const Digest& hash,
@@ -62,8 +30,7 @@ void FbcEngine::store_region(FileCtx& ctx, ByteSpan bytes, const Digest& hash,
   ctx.writer->write(bytes);
   ctx.manifest.add({hash, ctx.chunk_off, static_cast<std::uint32_t>(bytes.size()),
                     chunk_count, false});
-  store_.put_hook(hash, ctx.dig.span());
-  if (cfg_.use_bloom) bloom_.insert(hash.prefix64());
+  write_hook(hash, ctx.dig);
   ctx.current.emplace(hash, DupRef{ctx.dig, ctx.chunk_off,
                                    static_cast<std::uint32_t>(bytes.size())});
   ctx.fm.add_range(ctx.dig, ctx.chunk_off, bytes.size(), /*coalesce=*/false);
@@ -159,13 +126,10 @@ void FbcEngine::finish() {
 // The frequency sketch is FBC's second piece of cross-restart state: the
 // re-chunking decision depends on how often sampled fingerprints were seen
 // in *prior* data, so a warm-restarted run must resume with the sketch the
-// uninterrupted run would have. Persisted as an aux blob of whichever
-// persistent index tier is active — disk or sampled — as count-prefixed
-// u64 key / u32 count pairs; mem runs keep it in RAM only.
+// uninterrupted run would have. Persisted as an aux blob of the
+// fingerprint index — count-prefixed u64 key / u32 count pairs; MemIndex
+// keeps no aux blobs, so mem runs hold it in RAM only.
 void FbcEngine::save_frequency_sketch() {
-  auto* disk = dynamic_cast<PersistentIndex*>(&fp_index());
-  auto* sampled = dynamic_cast<SampledIndex*>(&fp_index());
-  if (disk == nullptr && sampled == nullptr) return;
   ByteVec payload;
   payload.reserve(8 + frequency_.size() * 12);
   append_le(payload, static_cast<std::uint64_t>(frequency_.size()));
@@ -173,20 +137,11 @@ void FbcEngine::save_frequency_sketch() {
     append_le(payload, key);
     append_le(payload, seen);
   }
-  if (disk != nullptr) {
-    disk->save_aux(kSketchAuxName, payload);
-  } else {
-    sampled->save_aux(kSketchAuxName, payload);
-  }
+  fp_index().save_aux(kSketchAuxName, payload);
 }
 
 void FbcEngine::load_frequency_sketch() {
-  std::optional<ByteVec> payload;
-  if (auto* disk = dynamic_cast<PersistentIndex*>(&fp_index())) {
-    payload = disk->load_aux(kSketchAuxName);
-  } else if (auto* sampled = dynamic_cast<SampledIndex*>(&fp_index())) {
-    payload = sampled->load_aux(kSketchAuxName);
-  }
+  const std::optional<ByteVec> payload = fp_index().load_aux(kSketchAuxName);
   if (!payload || payload->size() < 8) return;
   const auto count = load_le<std::uint64_t>(payload->data());
   if (payload->size() != 8 + count * 12) return;

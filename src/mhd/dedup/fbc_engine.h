@@ -37,7 +37,7 @@ class FbcEngine final : public DedupEngine {
   static constexpr std::uint32_t kFrequencyThreshold = 2;
   /// Sample 1-in-kSampleMod small fingerprints into the sketch.
   static constexpr std::uint64_t kSampleMod = 4;
-  /// Aux-blob name the sketch persists under in the disk index.
+  /// Aux-blob name the sketch persists under in the fingerprint index.
   static constexpr const char* kSketchAuxName = "fbc-frequency";
 
  private:
@@ -69,7 +69,6 @@ class FbcEngine final : public DedupEngine {
   void load_frequency_sketch();
 
   ManifestCache cache_;
-  BloomFilter bloom_;
   /// Sampled small-chunk fingerprint -> times seen.
   std::unordered_map<std::uint64_t, std::uint32_t> frequency_;
 };

@@ -142,15 +142,12 @@ class PersistentIndex final : public FingerprintIndex {
   std::uint64_t journal_records_appended() const;
   std::uint64_t journal_segments_written() const;
 
-  /// Warm-restart residency snapshot: manifest names MRU-first.
-  void save_warm_list(const std::vector<Digest>& names);
-  std::vector<Digest> load_warm_list() const;
-
-  /// Engine-private sidecar blobs stored alongside the index (e.g. FBC's
-  /// frequency sketch), sealed like every other index object. A missing or
-  /// corrupt blob simply reads back as nullopt — aux state is advisory.
-  void save_aux(const std::string& name, ByteSpan payload);
-  std::optional<ByteVec> load_aux(const std::string& name) const;
+  /// Warm list under "warm", aux blobs under "aux-<name>" (see
+  /// FingerprintIndex for the contracts).
+  void save_warm_list(const std::vector<Digest>& names) override;
+  std::vector<Digest> load_warm_list() const override;
+  void save_aux(const std::string& name, ByteSpan payload) override;
+  std::optional<ByteVec> load_aux(const std::string& name) const override;
 
   /// Bucket pages that failed their CRC and were treated as empty (lost
   /// entries degrade to missed duplicates, never wrong data).

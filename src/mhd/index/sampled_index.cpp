@@ -227,6 +227,17 @@ std::vector<Digest> SampledIndex::champions_for(const Digest& fp) const {
   return hooks_.champions(fp.prefix64(), cfg_.max_champions);
 }
 
+SampledStats SampledIndex::sampled_stats() const {
+  SampledStats st;
+  st.sample_bits = cfg_.sample_bits;
+  st.hook_entries = hooks_.hook_count();
+  st.hook_table_bytes = hooks_.ram_bytes();
+  st.champion_loads = champion_loads_;
+  st.missed_dup_bytes = meter_.missed_dup_bytes();
+  st.missed_dup_chunks = meter_.missed_dup_chunks();
+  return st;
+}
+
 void SampledIndex::save_aux(const std::string& name, ByteSpan payload) {
   backend_.put(Ns::kIndex, kAuxPrefix + name, framing::seal_object(payload));
 }

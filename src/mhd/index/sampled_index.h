@@ -85,44 +85,29 @@ class SampledIndex final : public FingerprintIndex {
   /// Shadow-paged persistence of hook table + loss meter + counters.
   void flush() override;
   /// Resident-map entries (the exact, cache-mirroring part). The sparse
-  /// part is hook_entries().
+  /// part is sampled_stats().hook_entries.
   std::uint64_t entry_count() const override;
-  /// Resident map + hook table. The loss meter is measurement apparatus,
-  /// reported separately (loss_meter_ram_bytes()).
+  /// Resident map + hook table. The loss meter is measurement apparatus
+  /// and is not counted.
   std::uint64_t ram_bytes() const override;
   std::uint64_t ram_high_water() const override;
 
-  /// The champion manifests to load for `fp`, newest first, capped at
-  /// max_champions. Empty when fp is not a hook or the hook is unknown.
-  std::vector<Digest> champions_for(const Digest& fp) const;
-
-  /// Counts one champion manifest actually loaded on a hook hit.
-  void note_champion_load() { ++champion_loads_; }
-
-  /// Loss metering: every chunk of a freshly BUILT manifest (stored data,
-  /// not reloads) flows through here from ManifestCache::insert.
-  void note_fresh_chunk(const Digest& hash, std::uint64_t bytes) {
+  /// Capped at max_champions; empty when fp is not a hook or the hook is
+  /// unknown.
+  std::vector<Digest> champions_for(const Digest& fp) const override;
+  void note_champion_load() override { ++champion_loads_; }
+  void note_fresh_chunk(const Digest& hash, std::uint64_t bytes) override {
     meter_.note_stored(hash.prefix64(), bytes);
   }
-
-  std::uint32_t sample_bits() const { return cfg_.sample_bits; }
-  std::uint64_t hook_entries() const { return hooks_.hook_count(); }
-  std::uint64_t champion_loads() const { return champion_loads_; }
+  SampledStats sampled_stats() const override;
   std::uint64_t missed_dup_bytes() const { return meter_.missed_dup_bytes(); }
-  std::uint64_t missed_dup_chunks() const {
-    return meter_.missed_dup_chunks();
-  }
-  std::uint64_t loss_meter_ram_bytes() const { return meter_.ram_bytes(); }
 
-  /// Engine-private sidecar blobs (same contract as PersistentIndex's
-  /// aux objects; e.g. FBC's frequency sketch), CRC-sealed under
-  /// "sampled-aux-<name>" so a rebuild of this tier clears them too.
-  void save_aux(const std::string& name, ByteSpan payload);
-  std::optional<ByteVec> load_aux(const std::string& name) const;
-
-  /// Warm-restart residency snapshot (same contract as PersistentIndex).
-  void save_warm_list(const std::vector<Digest>& names);
-  std::vector<Digest> load_warm_list() const;
+  /// Aux blobs live under "sampled-aux-<name>", so a rebuild of this tier
+  /// clears them too; the warm list under "sampled-warm".
+  void save_aux(const std::string& name, ByteSpan payload) override;
+  std::optional<ByteVec> load_aux(const std::string& name) const override;
+  void save_warm_list(const std::vector<Digest>& names) override;
+  std::vector<Digest> load_warm_list() const override;
 
   /// Re-derives hook table + loss-meter seed from the hooks namespace (the
   /// authoritative fingerprint source) and persists the result. The ctor's

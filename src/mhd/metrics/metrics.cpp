@@ -1,8 +1,6 @@
 #include "mhd/metrics/metrics.h"
 
 #include "mhd/dedup/rewrite.h"
-#include "mhd/index/mem_index.h"
-#include "mhd/index/sampled_index.h"
 #include "mhd/store/container_store.h"
 #include "mhd/store/framed_backend.h"
 
@@ -108,16 +106,13 @@ ExperimentResult summarize(const std::string& algorithm,
   r.index_impl = engine.index_impl_name();
   if (const FingerprintIndex* fp = engine.fingerprint_index()) {
     r.index_entries = fp->entry_count();
-    if (const auto* sampled = dynamic_cast<const SampledIndex*>(fp)) {
-      r.sample_bits = sampled->sample_bits();
-      r.sampled_hook_entries = sampled->hook_entries();
-      r.sampled_hook_table_bytes =
-          sampled->ram_bytes() -
-          sampled->entry_count() * MemIndex::kEntryRamBytes;
-      r.champion_loads = sampled->champion_loads();
-      r.sampled_missed_dup_bytes = sampled->missed_dup_bytes();
-      r.sampled_missed_dup_chunks = sampled->missed_dup_chunks();
-    }
+    const SampledStats sampled = fp->sampled_stats();
+    r.sample_bits = sampled.sample_bits;
+    r.sampled_hook_entries = sampled.hook_entries;
+    r.sampled_hook_table_bytes = sampled.hook_table_bytes;
+    r.champion_loads = sampled.champion_loads;
+    r.sampled_missed_dup_bytes = sampled.missed_dup_bytes;
+    r.sampled_missed_dup_chunks = sampled.missed_dup_chunks;
   }
   r.ingest_threads = engine.config().ingest_threads;
   r.pipeline = engine.pipeline_stats();

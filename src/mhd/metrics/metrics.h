@@ -93,7 +93,7 @@ struct ExperimentResult {
   StorageStats stats;
   std::uint64_t manifest_loads = 0;   ///< TABLE V
   std::uint64_t index_ram_bytes = 0;  ///< TABLE III (RAM high-water)
-  std::string index_impl = "mem";   ///< "mem" | "disk" | "sampled"
+  std::string index_impl = "mem";   ///< "mem" | "disk" | "sampled" | "none"
   std::uint64_t index_entries = 0;  ///< fingerprints the index knows
   /// Sampled similarity tier (zero unless index_impl == "sampled").
   std::uint32_t sample_bits = 0;           ///< hook sampling rate (1/2^bits)

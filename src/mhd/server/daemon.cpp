@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "mhd/core/mhd_engine.h"
-#include "mhd/index/sampled_index.h"
 #include "mhd/metrics/json_export.h"
 #include "mhd/server/protocol.h"
 #include "mhd/store/maintenance.h"
@@ -152,18 +151,12 @@ struct DedupDaemon::EngineSession {
   EngineSession(SyncBackend& sync, const std::string& tenant,
                 const EngineConfig& cfg)
       : view(sync, tenant), store(view), engine(store, cfg) {}
-
-  /// Non-null when this tenant's engine runs the sampled similarity tier.
-  const SampledIndex* sampled() const {
-    return dynamic_cast<const SampledIndex*>(engine.fingerprint_index());
-  }
 };
 
 DedupDaemon::DedupDaemon(StorageBackend& active, StorageBackend& raw,
                          DaemonConfig cfg)
     : sync_(active), raw_(raw), cfg_(std::move(cfg)) {
   if (cfg_.max_sessions == 0) cfg_.max_sessions = 1;
-  if (cfg_.session_queue_depth == 0) cfg_.session_queue_depth = 1;
   if (!cfg_.net_fault_plan.empty()) {
     net_fault_plan_ = NetFaultPlan::parse(cfg_.net_fault_plan);
   }
@@ -442,7 +435,6 @@ void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
   EngineCounters before, after;
   std::uint64_t retries_before = 0;
   std::uint64_t put_transient_retries = 0;
-  bool sampled_tier = false;
   std::uint64_t sampled_champs = 0, sampled_missed = 0, sampled_hooks = 0;
   try {
     if (!ts.session) {
@@ -453,23 +445,21 @@ void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
     before = sess.engine.counters();
     retries_before = sess.store.stats().transient_retries;
     // The sampled tier's counters are cumulative (persisted across engine
-    // rebuilds), so the per-PUT contribution is a delta like the engine's.
-    std::uint64_t champs_before = 0, missed_before = 0;
-    if (const SampledIndex* s = sess.sampled()) {
-      champs_before = s->champion_loads();
-      missed_before = s->missed_dup_bytes();
-    }
+    // rebuilds), so the per-PUT contribution is a delta like the engine's;
+    // mem/disk indexes report zeros.
+    const FingerprintIndex& fp = *sess.engine.fingerprint_index();
+    const SampledStats sampled_before = fp.sampled_stats();
     sess.engine.add_file(*file_name, src);
     sess.engine.end_snapshot();
     after = sess.engine.counters();
     put_transient_retries =
         sess.store.stats().transient_retries - retries_before;
-    if (const SampledIndex* s = sess.sampled()) {
-      sampled_tier = true;
-      sampled_champs = s->champion_loads() - champs_before;
-      sampled_missed = s->missed_dup_bytes() - missed_before;
-      sampled_hooks = s->hook_entries();
-    }
+    const SampledStats sampled_after = fp.sampled_stats();
+    sampled_champs =
+        sampled_after.champion_loads - sampled_before.champion_loads;
+    sampled_missed =
+        sampled_after.missed_dup_bytes - sampled_before.missed_dup_bytes;
+    sampled_hooks = sampled_after.hook_entries;
     if (!sess.engine.flush_session()) ts.session.reset();
   } catch (const QuotaExceededError&) {
     ts.session.reset();
@@ -555,11 +545,9 @@ void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
     ts.counters.queue_high_water = std::max<std::uint64_t>(
         ts.counters.queue_high_water, reader.buffer_high_water());
     ts.counters.transient_retries += put_transient_retries;
-    if (sampled_tier) {
-      ts.counters.champion_loads += sampled_champs;
-      ts.counters.sampled_missed_dup_bytes += sampled_missed;
-      ts.counters.sampled_hook_entries = sampled_hooks;
-    }
+    ts.counters.champion_loads += sampled_champs;
+    ts.counters.sampled_missed_dup_bytes += sampled_missed;
+    ts.counters.sampled_hook_entries = sampled_hooks;
     ts.put_us.record(us);
   }
   if (put_transient_retries != 0) {
@@ -792,8 +780,6 @@ std::string DedupDaemon::build_stats_json(bool reset_histograms) const {
   json += ",\"busy_rejections\":" + std::to_string(busy_rejections_.load());
   json += ",\"maintenance_runs\":" + std::to_string(maintenance_runs_.load());
   json += ",\"max_sessions\":" + std::to_string(cfg_.max_sessions);
-  json += ",\"session_queue_depth\":" +
-          std::to_string(cfg_.session_queue_depth);
   // Resolved per-tenant engine routing (stickiness already applied by the
   // caller's config), so clients can see which index tier serves them.
   json += std::string(",\"index_impl\":\"") +

@@ -75,10 +75,6 @@ struct DaemonConfig {
   /// "unix:<path>" or "tcp:<port>" (loopback; 0 = ephemeral, see port()).
   std::string listen = "tcp:0";
   std::uint32_t max_sessions = 8;
-  /// Legacy knob from the queue-based data path. Ingest now pulls frames
-  /// inline (transport flow control IS the backpressure), so this only
-  /// survives for CLI/config compatibility and the stats report.
-  std::uint32_t session_queue_depth = 16;
   /// Suggested client back-off returned with Busy and Retry responses.
   std::uint32_t retry_after_ms = 100;
   /// SO_RCVTIMEO applied to every admitted connection: a peer that stalls

@@ -1,12 +1,12 @@
-// RestoreReader — streaming file reconstruction.
+// RestoreReader — the one restore path.
 //
-// DedupEngine::reconstruct() materializes the whole file; that is fine for
-// tests but not for multi-gigabyte disk images. RestoreReader is a
-// ByteSource over a FileManifest: it resolves one recipe entry at a time
-// and streams the bytes out with a small read buffer, so a restore runs in
-// O(buffer) memory. It also exposes the total length up front (for
-// progress reporting) and fails with a poisoned state rather than
-// returning wrong bytes if the repository is damaged mid-stream.
+// A ByteSource over a FileManifest: it resolves one recipe entry at a time
+// and streams the bytes out through the caller's buffer, so a restore of a
+// multi-gigabyte disk image runs in O(buffer) memory. It exposes the total
+// length up front (for progress reporting), retries transient read errors
+// in place, and fails with a poisoned state rather than returning wrong
+// bytes if the repository is damaged mid-stream. DedupEngine::reconstruct()
+// is this reader drained into one file-sized buffer.
 #pragma once
 
 #include <optional>

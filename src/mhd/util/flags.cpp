@@ -1,7 +1,6 @@
 #include "mhd/util/flags.h"
 
 #include <cstdlib>
-#include <stdexcept>
 
 namespace mhd {
 
@@ -19,7 +18,7 @@ Flags::Flags(int argc, char** argv) {
     const std::string value =
         eq == std::string::npos ? "true" : body.substr(eq + 1);
     if (!values_.emplace(key, value).second) {
-      throw std::invalid_argument("duplicate flag: --" + key);
+      throw FlagError("duplicate flag: --" + key);
     }
   }
 }
@@ -68,11 +67,10 @@ std::uint64_t Flags::get_uint(const std::string& key, std::uint64_t def,
     value = value * 10 + digit;
   }
   if (!ok) {
-    throw std::invalid_argument("--" + key + "=" + s +
-                                " (expected a non-negative integer)");
+    throw FlagError("--" + key + "=" + s + " (expected a non-negative integer)");
   }
   if (value < min_value || value > max_value) {
-    throw std::invalid_argument(
+    throw FlagError(
         "--" + key + "=" + s + " (allowed range: " +
         std::to_string(min_value) + ".." + std::to_string(max_value) + ")");
   }
@@ -113,13 +111,13 @@ std::uint64_t Flags::get_size(const std::string& key, std::uint64_t def,
   }
   if (ok && value != 0 && multiplier > UINT64_MAX / value) ok = false;
   if (!ok) {
-    throw std::invalid_argument(
+    throw FlagError(
         "--" + key + "=" + it->second +
         " (expected a non-negative size, optionally suffixed K/M/G)");
   }
   value *= multiplier;
   if (value < min_value || value > max_value) {
-    throw std::invalid_argument(
+    throw FlagError(
         "--" + key + "=" + it->second + " (allowed range: " +
         std::to_string(min_value) + ".." + std::to_string(max_value) +
         " bytes)");
@@ -138,7 +136,7 @@ std::string Flags::get_choice(const std::string& key,
   std::string msg = "--" + key + "=" + value + " (allowed:";
   for (const auto& a : allowed) msg += " " + a;
   msg += ")";
-  throw std::invalid_argument(msg);
+  throw FlagError(msg);
 }
 
 std::vector<std::int64_t> Flags::get_int_list(

@@ -2,21 +2,31 @@
 //
 // Every table/figure harness accepts overrides such as --size_mb=64 or
 // --sd=500 so the paper sweeps can be rescaled without recompiling.
+//
+// Every flag mistake throws FlagError; the CLIs map it to exit code 2.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace mhd {
 
+/// A malformed, out-of-range, unknown-choice or repeated flag. Derives from
+/// std::invalid_argument so generic handlers keep working.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 class Flags {
  public:
   /// Parses argv entries of the form --key=value or --key (value "true").
   /// Non-flag arguments are collected into positional(). Defining the same
-  /// flag twice (e.g. "--ecs=512 --ecs=1024") throws std::invalid_argument:
-  /// silently keeping one of the two has burned enough benchmark runs.
+  /// flag twice (e.g. "--ecs=512 --ecs=1024") throws FlagError: silently
+  /// keeping one of the two has burned enough benchmark runs.
   Flags(int argc, char** argv);
 
   std::string get(const std::string& key, const std::string& def) const;
@@ -25,7 +35,7 @@ class Flags {
   bool get_bool(const std::string& key, bool def) const;
 
   /// Unsigned integer flag with range validation: returns `def` when
-  /// absent; throws std::invalid_argument when the value is not a plain
+  /// absent; throws FlagError when the value is not a plain
   /// non-negative integer (rejecting "-1", "4x", "") or falls outside
   /// [min_value, max_value]. The go-to helper for thread/size knobs where
   /// a silently-truncated negative would mean "4 billion workers".
@@ -37,7 +47,7 @@ class Flags {
   /// "--x=128K", "--x=1G". A plain number is multiplied by `unit` (1 for
   /// flags taking bytes; 1<<20 for flags whose bare number means MB, like
   /// --index-cache-mb). Returns `def` (already in bytes) when absent;
-  /// throws std::invalid_argument — get_uint conventions — on malformed
+  /// throws FlagError — get_uint conventions — on malformed
   /// values, overflow, or a scaled result outside [min_value, max_value].
   std::uint64_t get_size(const std::string& key, std::uint64_t def,
                          std::uint64_t min_value = 0,
@@ -45,8 +55,8 @@ class Flags {
                          std::uint64_t unit = 1) const;
 
   /// Value of an enumerated flag, e.g. --chunker-impl={auto,scalar,simd}:
-  /// returns `def` when absent, and throws std::invalid_argument naming the
-  /// allowed values when the given value is not one of `allowed`.
+  /// returns `def` when absent, and throws FlagError naming the allowed
+  /// values when the given value is not one of `allowed`.
   std::string get_choice(const std::string& key,
                          const std::vector<std::string>& allowed,
                          const std::string& def) const;

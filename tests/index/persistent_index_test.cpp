@@ -4,6 +4,8 @@
 #include "mhd/index/persistent_index.h"
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 
 #include "mhd/hash/sha1.h"
 #include "mhd/index/mem_index.h"
+#include "mhd/index/sampled_index.h"
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/util/random.h"
@@ -278,20 +281,49 @@ TEST(PersistentIndex, ReopenAdoptsPersistedGeometry) {
 }
 
 TEST(PersistentIndex, WarmListAndAuxBlobsRoundTrip) {
-  MemoryBackend backend;
-  std::vector<Digest> names = {digest_of(1), digest_of(2), digest_of(3)};
-  ByteVec sketch = to_vec(as_bytes("frequency-sketch-payload"));
-  {
-    PersistentIndex index(backend, small_config());
-    index.save_warm_list(names);
-    index.save_aux("fbc-frequency", sketch);
+  // Every tier through the FingerprintIndex interface: the persistent
+  // tiers round-trip the warm list and aux blobs across a reopen, MemIndex
+  // keeps nothing, and only the sampled tier names champions.
+  const std::vector<Digest> names = {digest_of(1), digest_of(2), digest_of(3)};
+  const ByteVec sketch = to_vec(as_bytes("frequency-sketch-payload"));
+  const Digest hook = digest_of(9);
+  SampledIndexConfig every_fp_is_a_hook;
+  every_fp_is_a_hook.sample_bits = 0;
+  using Open = std::function<std::unique_ptr<FingerprintIndex>(StorageBackend&)>;
+  const std::vector<Open> tiers = {
+      [](StorageBackend&) { return std::make_unique<MemIndex>(); },
+      [](StorageBackend& b) {
+        return std::make_unique<PersistentIndex>(b, small_config());
+      },
+      [&](StorageBackend& b) {
+        return std::make_unique<SampledIndex>(b, every_fp_is_a_hook);
+      },
+  };
+  for (const Open& open : tiers) {
+    MemoryBackend backend;
+    std::unique_ptr<FingerprintIndex> index = open(backend);
+    const std::string tier = index->impl_name();
+    SCOPED_TRACE(tier);
+    const bool keeps = tier != "mem";
+    index->put(hook, IndexEntry{names[0]});
+    index->save_warm_list(names);
+    index->save_aux("fbc-frequency", sketch);
+    index->flush();
+    if (keeps) {  // prove persistence on a reopened index
+      index.reset();
+      index = open(backend);
+    }
+    EXPECT_EQ(index->load_warm_list(), keeps ? names : std::vector<Digest>{});
+    const auto aux = index->load_aux("fbc-frequency");
+    ASSERT_EQ(aux.has_value(), keeps);
+    if (aux) {
+      EXPECT_TRUE(equal(*aux, sketch));
+    }
+    EXPECT_FALSE(index->load_aux("never-written").has_value());
+    EXPECT_EQ(index->champions_for(hook),
+              tier == "sampled" ? std::vector<Digest>{names[0]}
+                                : std::vector<Digest>{});
   }
-  PersistentIndex reopened(backend, small_config());
-  EXPECT_EQ(reopened.load_warm_list(), names);
-  const auto aux = reopened.load_aux("fbc-frequency");
-  ASSERT_TRUE(aux.has_value());
-  EXPECT_TRUE(equal(*aux, sketch));
-  EXPECT_FALSE(reopened.load_aux("never-written").has_value());
 }
 
 TEST(PersistentIndex, WorksIdenticallyUnderFramedBackend) {

@@ -89,6 +89,18 @@ TEST_F(RestoreReaderTest, TransientReadErrorIsRetriedInPlace) {
   EXPECT_EQ(reader->transient_retries(), 1u);  // open's retry not counted
 }
 
+TEST_F(RestoreReaderTest, ReconstructRetriesTransientRangeRead) {
+  // DedupEngine::reconstruct drains a RestoreReader, so it inherits the
+  // bounded retry: read #1 is the FileManifest get, #2 the first DiskChunk
+  // range read, which fails once and is retried in place.
+  FaultInjectingBackend flaky(backend_, FaultPlan::parse("readerr@2"));
+  ObjectStore store(flaky);
+  const MhdEngine engine(store, small_config());
+  const auto restored = engine.reconstruct("a");
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_TRUE(equal(*restored, a_));
+}
+
 TEST_F(RestoreReaderTest, PersistentTransientErrorsExhaustRetryBudget) {
   // A persistently failing device must surface after the bounded retries
   // (never spin forever, never fabricate bytes).
