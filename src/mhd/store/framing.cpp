@@ -55,7 +55,8 @@ ByteVec seal_record(std::uint64_t logical_length) {
   return out;
 }
 
-RecordScan scan_records(ByteSpan framed) {
+RecordScan scan_records(ByteSpan framed,
+                        std::vector<std::uint64_t>* record_offsets) {
   RecordScan scan;
   std::size_t pos = 0;
   while (pos + kHeaderBytes <= framed.size()) {
@@ -88,6 +89,7 @@ RecordScan scan_records(ByteSpan framed) {
       if (pos != framed.size()) scan.corrupt = true;  // bytes after the seal
       return scan;
     }
+    if (record_offsets != nullptr) record_offsets->push_back(pos);
     pos += kHeaderBytes + len;
     scan.logical_bytes += len;
     scan.valid_prefix = pos;
@@ -99,21 +101,35 @@ RecordScan scan_records(ByteSpan framed) {
   return scan;
 }
 
-std::optional<ByteVec> extract_stream(ByteSpan framed) {
-  const RecordScan scan = scan_records(framed);
-  if (!scan.sealed || scan.corrupt || scan.torn) return std::nullopt;
-  ByteVec out;
-  out.reserve(scan.logical_bytes);
-  std::size_t pos = 0;
-  while (pos + kHeaderBytes <= framed.size()) {
-    const Byte* h = framed.data() + pos;
-    const std::uint32_t magic = load_le<std::uint32_t>(h);
-    const std::uint32_t len = load_le<std::uint32_t>(h + 4);
-    if (magic == kSealMagic) break;
-    append(out, framed.subspan(pos + kHeaderBytes, len));
-    pos += kHeaderBytes + len;
+StreamRead read_stream(ByteSpan framed) {
+  StreamRead read;
+  read.scan = scan_records(framed, &read.record_offsets);
+  if (!read.scan.sealed || read.scan.corrupt || read.scan.torn) {
+    read.record_offsets.clear();
+    return read;
   }
-  return out;
+  read.record_offsets.push_back(read.scan.valid_prefix - kSealBytes);
+  // Copy out by the offsets just verified: no header is parsed twice and
+  // the payload is allocated at its exact size.
+  ByteVec payload;
+  payload.reserve(read.scan.logical_bytes);
+  for (std::size_t i = 0; i + 1 < read.record_offsets.size(); ++i) {
+    const std::uint64_t at = read.record_offsets[i] + kHeaderBytes;
+    append(payload, framed.subspan(at, read.record_offsets[i + 1] - at));
+  }
+  read.payload = std::move(payload);
+  return read;
+}
+
+std::optional<ByteSpan> record_payload(ByteSpan record) {
+  if (record.size() < kHeaderBytes) return std::nullopt;
+  const ByteSpan payload = record.subspan(kHeaderBytes);
+  if (load_le<std::uint32_t>(record.data()) != kRecordMagic ||
+      load_le<std::uint32_t>(record.data() + 4) != payload.size() ||
+      load_le<std::uint32_t>(record.data() + 8) != crc32c(0, payload)) {
+    return std::nullopt;
+  }
+  return payload;
 }
 
 }  // namespace mhd::framing

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "mhd/util/bytes.h"
 
@@ -70,10 +71,28 @@ struct RecordScan {
 /// Walks `framed`, stopping at the first defect. A clean stream has
 /// sealed && !corrupt && !torn. `valid_prefix`/`logical_bytes` describe
 /// the salvageable prefix even when the tail is torn — fsck truncates to
-/// valid_prefix and appends seal_record(logical_bytes) to repair.
-RecordScan scan_records(ByteSpan framed);
+/// valid_prefix and appends seal_record(logical_bytes) to repair. When
+/// `record_offsets` is given, the header offset of every valid data
+/// record is appended to it.
+RecordScan scan_records(ByteSpan framed,
+                        std::vector<std::uint64_t>* record_offsets = nullptr);
 
-/// Concatenated payload of a clean, sealed stream; nullopt otherwise.
-std::optional<ByteVec> extract_stream(ByteSpan framed);
+/// A whole-stream read that checks every CRC once: the scan, and for a
+/// clean stream its payload and record layout.
+struct StreamRead {
+  RecordScan scan;
+  /// Concatenated payload; set only for a clean, sealed stream.
+  std::optional<ByteVec> payload;
+  /// With `payload`: the physical offset of each data record's header,
+  /// then of the seal. Record i starts at logical offset
+  /// record_offsets[i] - i * kHeaderBytes. Empty otherwise.
+  std::vector<std::uint64_t> record_offsets;
+};
+
+StreamRead read_stream(ByteSpan framed);
+
+/// Payload of one data record, `record` being exactly its header and
+/// payload; nullopt when the magic, the length or the CRC do not match.
+std::optional<ByteSpan> record_payload(ByteSpan record);
 
 }  // namespace mhd::framing

@@ -5,9 +5,10 @@
 // daemon runs many sessions over one stack, so it interposes this
 // decorator at the top of the *shared* portion: every call forwards to
 // the inner backend under one mutex, turning the stack below into a
-// linearizable object store. CPU-heavy work (chunking, hashing, CRC of
-// payloads the caller prepares) happens above this layer, outside the
-// lock; only the actual store operations serialize.
+// linearizable object store. Chunking and hashing happen above this
+// layer, outside the lock. Everything below it runs under the lock: in
+// the daemon that includes FramedBackend, so framing on writes and CRC
+// verification on reads serialize with the store operations.
 //
 // Layering in the daemon (outermost first):
 //

@@ -7,8 +7,11 @@
 //   * CFL of the rewrite modes never falls below the no-rewrite baseline
 //     (that is the entire point of CBR/HAR);
 //   * CBR's container reads stay within the capping bound;
-//   * concurrent restores through the shared bounded cache are safe
-//     (exercised under TSan via the `restore` ctest label).
+//   * concurrent restores through the shared bounded cache, and through
+//     one FramedBackend's record tables, are safe (exercised under TSan via
+//     the `restore` ctest label);
+//   * a framed restore of a fragmented file reads each stored byte about
+//     once, not once per recipe entry.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,11 +19,16 @@
 #include <thread>
 #include <vector>
 
+#include "../store/counting_backend.h"
 #include "mhd/dedup/rewrite.h"
+#include "mhd/format/file_manifest.h"
+#include "mhd/hash/sha1.h"
 #include "mhd/sim/runner.h"
 #include "mhd/store/container_store.h"
+#include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/store/restore_reader.h"
+#include "mhd/util/random.h"
 #include "mhd/workload/presets.h"
 
 namespace mhd {
@@ -146,6 +154,57 @@ TEST(RestoreFragmentation, CbrContainerReadsStayWithinCappingBound) {
   EXPECT_GT(r.restore.container_reads, 0u);
 }
 
+/// Drains a restore of `name`; nullopt if it cannot be opened or fails.
+std::optional<ByteVec> restore_all(const StorageBackend& backend,
+                                   const std::string& name) {
+  auto reader = RestoreReader::open(backend, name);
+  if (!reader) return std::nullopt;
+  ByteVec out;
+  ByteVec buf(64 << 10);
+  std::size_t n;
+  while ((n = reader->read({buf.data(), buf.size()})) > 0) {
+    out.insert(out.end(), buf.begin(),
+               buf.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  if (!reader->ok()) return std::nullopt;
+  return out;
+}
+
+/// Ingests every corpus file into `backend` with `engine_name`.
+void ingest_corpus(StorageBackend& backend, const Corpus& corpus,
+                   const std::string& engine_name) {
+  ObjectStore store(backend);
+  auto engine =
+      make_engine(engine_name, store, container_config(RewriteMode::kNone));
+  for (std::size_t i = 0; i < corpus.files().size(); ++i) {
+    auto src = corpus.open(i);
+    engine->add_file(corpus.files()[i].name, *src);
+  }
+  engine->finish();
+}
+
+/// Restores the corpus from four threads at once (strided subsets that
+/// share objects) and expects every file byte-exact.
+void expect_concurrent_restores_byte_exact(const StorageBackend& backend,
+                                           const Corpus& corpus) {
+  const std::size_t kThreads = 4;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = t; i < corpus.files().size(); i += 2) {
+        auto src = corpus.open(i);
+        const auto out = restore_all(backend, corpus.files()[i].name);
+        if (!out || !equal(*out, read_all(*src))) ++failures[t];
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "worker " << t;
+  }
+}
+
 TEST(RestoreFragmentation, ConcurrentRestoresThroughSharedCacheAreByteExact) {
   const Corpus corpus(generations_corpus(/*snapshots=*/5));
 
@@ -155,47 +214,59 @@ TEST(RestoreFragmentation, ConcurrentRestoresThroughSharedCacheAreByteExact) {
   // Tight cache: concurrent readers constantly hit/evict the same LRU.
   cc.cache_bytes = 2 * kContainerBytes;
   ContainerBackend containers(mem, cc);
+  ingest_corpus(containers, corpus, "cdc");
+  containers.flush();
+  expect_concurrent_restores_byte_exact(containers, corpus);
+}
+
+TEST(RestoreFragmentation, ConcurrentRestoresThroughFramedBackendAreByteExact) {
+  const Corpus corpus(generations_corpus(/*snapshots=*/5));
+
+  // No SyncBackend: the readers share FramedBackend's record-table cache
+  // through concurrent const get_range calls. MHD keeps one many-record
+  // DiskChunk per file, so most reads cover a few records of a table.
+  MemoryBackend mem;
+  FramedBackend framed(mem);
+  ingest_corpus(framed, corpus, "mhd");
+  expect_concurrent_restores_byte_exact(framed, corpus);
+}
+
+TEST(RestoreFragmentation, FramedRestoreReadsEachStoredByteAboutOnce) {
+  // ~8 MiB whose second half repeats its first with a small edit every
+  // 64 KiB: dozens of duplicate slices against the file's own DiskChunk.
+  constexpr std::size_t kHalf = 4 << 20;
+  ByteVec image(2 * kHalf);
+  Xoshiro256 rng(2013);
+  for (std::size_t i = 0; i < kHalf; ++i) image[i] = static_cast<Byte>(rng());
+  std::copy(image.begin(), image.begin() + kHalf, image.begin() + kHalf);
+  for (std::size_t at = kHalf + 1000; at < image.size(); at += 64 << 10) {
+    image[at] ^= 0xFF;
+  }
+
+  CountingBackend mem;
+  FramedBackend framed(mem);
   {
-    ObjectStore store(containers);
-    auto engine =
-        make_engine("cdc", store, container_config(RewriteMode::kNone));
-    for (std::size_t i = 0; i < corpus.files().size(); ++i) {
-      auto src = corpus.open(i);
-      engine->add_file(corpus.files()[i].name, *src);
-    }
+    EngineConfig cfg;
+    cfg.sd = 64;  // the dedup_cli default
+    ObjectStore store(framed);
+    auto engine = make_engine("mhd", store, cfg);
+    MemorySource src(image);
+    engine->add_file("image", src);
     engine->finish();
   }
-  containers.flush();
+  const auto fm = FileManifest::deserialize(
+      *framed.get(Ns::kFileManifest, Sha1::hash(as_bytes("image")).hex()));
+  ASSERT_TRUE(fm.has_value());
+  ASSERT_GE(fm->entries().size(), 24u) << "too few slices to guard anything";
 
-  const std::size_t kThreads = 4;
-  std::vector<int> failures(kThreads, 0);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      // Each worker restores a strided subset; subsets overlap containers.
-      for (std::size_t i = t; i < corpus.files().size(); i += 2) {
-        auto src = corpus.open(i);
-        const ByteVec original = read_all(*src);
-        auto reader = RestoreReader::open(containers, corpus.files()[i].name);
-        if (!reader) {
-          ++failures[t];
-          continue;
-        }
-        ByteVec out;
-        ByteVec buf(64 << 10);
-        std::size_t n;
-        while ((n = reader->read({buf.data(), buf.size()})) > 0) {
-          out.insert(out.end(), buf.begin(),
-                     buf.begin() + static_cast<std::ptrdiff_t>(n));
-        }
-        if (!reader->ok() || !equal(out, original)) ++failures[t];
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(failures[t], 0) << "worker " << t;
-  }
+  mem.reset_read_bytes();
+  const auto out = restore_all(framed, "image");
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(equal(*out, image));
+  // The first read of the DiskChunk loads it whole; every later entry
+  // should cost only the records it covers.
+  EXPECT_LE(static_cast<double>(mem.read_bytes()), 2.2 * image.size())
+      << fm->entries().size() << " recipe entries";
 }
 
 }  // namespace

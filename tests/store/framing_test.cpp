@@ -1,10 +1,12 @@
 // Framing formats and the FramedBackend decorator: sealed objects, record
-// streams, torn/corrupt classification, logical accounting, and the
-// absent-vs-corrupt error split the whole recovery path depends on.
+// streams, torn/corrupt classification, logical accounting, the
+// absent-vs-corrupt error split the whole recovery path depends on, and
+// the range-read contract of the record table.
 #include "mhd/store/framing.h"
 
 #include <gtest/gtest.h>
 
+#include "counting_backend.h"
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/store/store_errors.h"
@@ -52,10 +54,13 @@ TEST(Framing, SealedObjectDetectsTruncationAndGarbage) {
 TEST(Framing, RecordStreamRoundTrip) {
   ByteVec stream;
   ByteVec logical;
+  std::vector<std::uint64_t> offsets;
   for (const std::string part : {"first", "", "second-longer-part", "x"}) {
+    offsets.push_back(stream.size());
     mhd::append(stream, framing::frame_record(as_bytes(part)));
     mhd::append(logical, as_bytes(part));
   }
+  offsets.push_back(stream.size());  // the seal
   mhd::append(stream, framing::seal_record(logical.size()));
 
   const auto scan = framing::scan_records(stream);
@@ -66,9 +71,10 @@ TEST(Framing, RecordStreamRoundTrip) {
   EXPECT_EQ(scan.logical_bytes, logical.size());
   EXPECT_EQ(scan.valid_prefix, stream.size());
 
-  const auto payload = framing::extract_stream(stream);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(*payload, logical);
+  const framing::StreamRead read = framing::read_stream(stream);
+  ASSERT_TRUE(read.payload.has_value());
+  EXPECT_EQ(*read.payload, logical);
+  EXPECT_EQ(read.record_offsets, offsets);
 }
 
 TEST(Framing, UnsealedStreamIsTorn) {
@@ -81,7 +87,7 @@ TEST(Framing, UnsealedStreamIsTorn) {
   EXPECT_FALSE(scan.corrupt);
   EXPECT_EQ(scan.logical_bytes, 15u);
   EXPECT_EQ(scan.valid_prefix, stream.size());
-  EXPECT_FALSE(framing::extract_stream(stream).has_value());
+  EXPECT_FALSE(framing::read_stream(stream).payload.has_value());
 }
 
 TEST(Framing, TornTailKeepsValidPrefix) {
@@ -262,6 +268,130 @@ TEST(FramedBackend, PutReplaceAndRemoveKeepAccountingExact) {
   EXPECT_EQ(framed.content_bytes(Ns::kManifest), 0u);
   EXPECT_EQ(framed.physical_bytes(Ns::kManifest), 0u);
   EXPECT_FALSE(framed.remove(Ns::kManifest, "m"));
+}
+
+// --- Range reads through the record table ---------------------------------
+//
+// Every case starts after a first read of a 64-record stream, so the
+// backend holds that stream's record table and later range reads fetch
+// only the records they cover.
+
+class FramedRangeRead : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kRecords = 64;
+
+  void SetUp() override {
+    Xoshiro256 rng(64);
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      ByteVec part(700 + 37 * i);  // distinct lengths: offsets can't alias
+      for (auto& b : part) b = static_cast<Byte>(rng());
+      starts_.push_back(logical_.size());
+      mhd::append(logical_, part);
+      framed_.append(Ns::kDiskChunk, "c0", part);
+    }
+    starts_.push_back(logical_.size());
+    framed_.seal(Ns::kDiskChunk, "c0");
+    ASSERT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", 0, 1),
+              slice(0, 1));  // the first read builds the table
+    mem_.reset_read_bytes();
+  }
+
+  ByteVec slice(std::uint64_t offset, std::uint64_t length) const {
+    return ByteVec(logical_.begin() + static_cast<std::ptrdiff_t>(offset),
+                   logical_.begin() +
+                       static_cast<std::ptrdiff_t>(offset + length));
+  }
+  std::uint64_t record_bytes(std::size_t i) const {
+    return starts_[i + 1] - starts_[i];
+  }
+  /// Physical offset of record i's first payload byte.
+  std::uint64_t physical_payload(std::size_t i) const {
+    return starts_[i] + (i + 1) * framing::kHeaderBytes;
+  }
+  /// Flips one payload byte of record i underneath the framing.
+  void flip_in_record(std::size_t i) {
+    ByteVec raw = *mem_.raw().get(Ns::kDiskChunk, "c0");
+    raw[physical_payload(i) + record_bytes(i) / 2] ^= 0x20;
+    mem_.raw().put(Ns::kDiskChunk, "c0", raw);
+  }
+
+  CountingBackend mem_;
+  FramedBackend framed_{mem_};
+  ByteVec logical_;
+  std::vector<std::uint64_t> starts_;  ///< logical start of each record
+};
+
+TEST_F(FramedRangeRead, OneRecordRangePullsOnlyThatRecord) {
+  const std::size_t r = 40;
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", starts_[r],
+                              record_bytes(r)),
+            slice(starts_[r], record_bytes(r)));
+  EXPECT_LE(mem_.read_bytes(), framing::kHeaderBytes + record_bytes(r));
+
+  // A few bytes inside the record cost the same whole-record check.
+  mem_.reset_read_bytes();
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", starts_[r] + 5, 9),
+            slice(starts_[r] + 5, 9));
+  EXPECT_LE(mem_.read_bytes(), framing::kHeaderBytes + record_bytes(r));
+
+  // A range straddling a boundary pulls exactly the two records it covers.
+  mem_.reset_read_bytes();
+  const std::uint64_t across = starts_[r + 1] - 3;
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", across, 6),
+            slice(across, 6));
+  EXPECT_EQ(mem_.read_bytes(),
+            2 * framing::kHeaderBytes + record_bytes(r) + record_bytes(r + 1));
+
+  // An empty range at the end of the stream reads no record at all.
+  mem_.reset_read_bytes();
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", logical_.size(), 0),
+            ByteVec{});
+  EXPECT_EQ(mem_.read_bytes(), 0u);
+}
+
+TEST_F(FramedRangeRead, BitFlipInCoveringRecordThrows) {
+  flip_in_record(10);
+  EXPECT_THROW(framed_.get_range(Ns::kDiskChunk, "c0", starts_[10] + 1, 4),
+               CorruptObjectError);
+  EXPECT_THROW(framed_.get_range(Ns::kDiskChunk, "c0", starts_[9],
+                                 record_bytes(9) + record_bytes(10)),
+               CorruptObjectError);
+}
+
+TEST_F(FramedRangeRead, BitFlipOutsideRangeServesRangeButGetThrows) {
+  flip_in_record(50);
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", starts_[20], 100),
+            slice(starts_[20], 100));
+  EXPECT_THROW(framed_.get(Ns::kDiskChunk, "c0"), CorruptObjectError);
+}
+
+TEST_F(FramedRangeRead, ObjectRemovedUnderneathReadsAsNullopt) {
+  ASSERT_TRUE(mem_.raw().remove(Ns::kDiskChunk, "c0"));
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", starts_[5], 10),
+            std::nullopt);
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", 0, 0), std::nullopt);
+}
+
+TEST_F(FramedRangeRead, ObjectTornUnderneathThrowsInLostTail) {
+  // Keep the first 48 records and half of the 49th: the seal is gone.
+  ByteVec raw = *mem_.raw().get(Ns::kDiskChunk, "c0");
+  raw.resize(physical_payload(48) + record_bytes(48) / 2);
+  mem_.raw().put(Ns::kDiskChunk, "c0", raw);
+  EXPECT_THROW(framed_.get_range(Ns::kDiskChunk, "c0", starts_[60], 10),
+               CorruptObjectError);
+  EXPECT_THROW(framed_.get_range(Ns::kDiskChunk, "c0", starts_[48] + 1,
+                                 record_bytes(48) - 1),
+               CorruptObjectError);
+}
+
+TEST_F(FramedRangeRead, PutReplacingObjectServesNewBytes) {
+  const ByteVec fresh = bytes_of("a replacement written through the backend");
+  framed_.put(Ns::kDiskChunk, "c0", fresh);
+  const auto range = framed_.get_range(Ns::kDiskChunk, "c0", 2, 11);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(*range, ByteVec(fresh.begin() + 2, fresh.begin() + 13));
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", starts_[30], 10),
+            std::nullopt);  // beyond the new object's end
 }
 
 }  // namespace
