@@ -8,8 +8,6 @@
 //   --cache_kb=N    equal manifest-cache RAM budget per algorithm (256)
 //   --chunker=K     rabin (default) | tttd | gear
 //   --chunker-impl=I  auto (default) | scalar | simd scan kernel
-//   --pipeline      staged concurrent ingest with 4 hash workers
-//   --ingest-threads=N  hash-pool size for the ingest pipeline (0 = serial)
 //   --verify        byte-exact reconstruction check after every run (slow)
 //
 // Scaling note (EXPERIMENTS.md discusses this in detail): the paper used a
@@ -44,8 +42,6 @@ struct BenchOptions {
   ChunkerKind chunker = ChunkerKind::kRabin;
   /// Scan kernel (--chunker-impl=auto|scalar|simd); cut points identical.
   ChunkerImpl chunker_impl = ChunkerImpl::kAuto;
-  /// Hash workers for the staged ingest pipeline (0 = serial ingest).
-  std::uint32_t ingest_threads = 0;
 
   static BenchOptions parse(int argc, char** argv) {
     const Flags flags(argc, argv);
@@ -59,8 +55,6 @@ struct BenchOptions {
     o.chunker = chunker_kind_from_string(flags.get("chunker", "rabin"));
     o.chunker_impl = chunker_impl_from_string(
         flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
-    o.ingest_threads = static_cast<std::uint32_t>(flags.get_uint(
-        "ingest-threads", flags.get_bool("pipeline", false) ? 4 : 0, 0, 256));
     return o;
   }
 
@@ -77,7 +71,6 @@ struct BenchOptions {
     cfg.manifest_cache_capacity = 4096;
     cfg.chunker = chunker;
     cfg.chunker_impl = chunker_impl;
-    cfg.ingest_threads = ingest_threads;
     return cfg;
   }
 

@@ -1,27 +1,20 @@
-// pipeline_throughput — end-to-end ingest MB/s, serial vs. the staged
-// concurrent pipeline, across hash-pool sizes:
+// ingest_throughput — end-to-end serial ingest MB/s, bare and framed:
 //
-//   ./pipeline_throughput [--size_mb=96] [--ecs=4096] [--reps=3]
-//                         [--workers=0,1,2,4,8] [--engine=cdc]
-//                         [--chunker=gear] [--chunker-impl=auto]
-//                         [--hash-impl=auto] [--seed=1]
-//                         [--json=BENCH_pipeline.json]
+//   ./ingest_throughput [--size_mb=96] [--ecs=4096] [--reps=3]
+//                       [--engine=cdc] [--chunker=gear]
+//                       [--chunker-impl=auto] [--hash-impl=auto] [--seed=1]
+//                       [--json=BENCH_ingest.json]
 //
-// Each row drives the full corpus through a fresh engine + in-memory
-// store with the given hash-pool size (0 = the serial reference path) and
-// reports best-of-reps throughput. The determinism contract is enforced
-// on every run: any divergence from the serial counters or stored bytes
-// aborts the bench with a non-zero exit — a pipeline that is fast but
-// wrong never produces a number. Per-stage busy/idle/queue stats for the
-// largest pool are printed so a regression is attributable to a stage.
+// The serial run drives the full corpus through a fresh engine + in-memory
+// store and reports best-of-reps throughput.
 //
 // A final serial run repeats the ingest through the CRC32C FramedBackend:
 // its dedup counters must match the bare serial reference bit for bit
-// (framing is invisible to the engine), and the physical − logical byte
-// delta is reported as the framing overhead — in the table and in the
-// JSON baseline.
+// (framing is invisible to the engine) or the bench aborts with a non-zero
+// exit, and the physical − logical byte delta is reported as the framing
+// overhead — in the output and in the JSON baseline.
 //
-// BENCH_pipeline.json at the repo root is the recorded baseline from this
+// BENCH_ingest.json at the repo root is the recorded baseline from this
 // harness (see --json).
 #include <cstdio>
 #include <optional>
@@ -33,7 +26,6 @@
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/util/flags.h"
-#include "mhd/util/table.h"
 #include "mhd/util/timer.h"
 #include "mhd/workload/presets.h"
 
@@ -42,13 +34,10 @@ namespace {
 using namespace mhd;
 
 struct Row {
-  std::uint32_t workers = 0;
   double mb_per_s = 0;
   EngineCounters counters;
   std::uint64_t stored_bytes = 0;    // logical chunk payload bytes
   std::uint64_t physical_bytes = 0;  // framed runs: bytes on the raw store
-  bool framed = false;
-  PipelineStats stats;
 };
 
 struct RunConfig {
@@ -59,7 +48,7 @@ struct RunConfig {
 
 /// The corpus pre-materialized in RAM: ingest throughput is measured in
 /// the page-cache regime (bytes already resident), so the number reflects
-/// the dedup pipeline itself, not the synthetic generator's speed.
+/// the dedup engine itself, not the synthetic generator's speed.
 struct ResidentCorpus {
   std::vector<std::string> names;
   std::vector<ByteVec> data;
@@ -85,10 +74,8 @@ struct ResidentCorpus {
 };
 
 Row measure(const RunConfig& rc, const ResidentCorpus& corpus,
-            std::uint32_t workers, bool framed = false) {
+            bool framed = false) {
   Row row;
-  row.workers = workers;
-  row.framed = framed;
   double best = 0;
   for (int rep = 0; rep < rc.reps; ++rep) {
     MemoryBackend backend;
@@ -97,9 +84,7 @@ Row measure(const RunConfig& rc, const ResidentCorpus& corpus,
     StorageBackend& active = framed ? static_cast<StorageBackend&>(*framing)
                                     : backend;
     ObjectStore store(active);
-    EngineConfig cfg = rc.engine;
-    cfg.ingest_threads = workers;
-    auto engine = make_engine(rc.engine_name, store, cfg);
+    auto engine = make_engine(rc.engine_name, store, rc.engine);
     Stopwatch watch;
     for (std::size_t i = 0; i < corpus.data.size(); ++i) {
       MemorySource src(corpus.data[i]);
@@ -111,7 +96,6 @@ Row measure(const RunConfig& rc, const ResidentCorpus& corpus,
     row.stored_bytes = active.content_bytes(Ns::kDiskChunk);
     row.physical_bytes =
         framed ? framing->physical_bytes(Ns::kDiskChunk) : row.stored_bytes;
-    row.stats = engine->pipeline_stats();
   }
   row.mb_per_s = best;
   return row;
@@ -123,8 +107,7 @@ bool diverges(const Row& serial, const Row& row, std::string& why) {
   const auto& b = row.counters;
   auto check = [&](const char* name, std::uint64_t x, std::uint64_t y) {
     if (x == y) return false;
-    why = std::string(name) + ": serial=" + std::to_string(x) +
-          " workers=" + std::to_string(row.workers) + " -> " +
+    why = std::string(name) + ": serial=" + std::to_string(x) + " -> " +
           std::to_string(y);
     return true;
   };
@@ -136,34 +119,26 @@ bool diverges(const Row& serial, const Row& row, std::string& why) {
 }
 
 void write_json(const std::string& path, const RunConfig& rc,
-                const ResidentCorpus& corpus, const std::vector<Row>& rows,
-                double serial_mb_s, const Row& framed) {
+                const ResidentCorpus& corpus, double serial_mb_s,
+                const Row& framed) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"pipeline_throughput\",\n"
-               "  \"engine\": \"%s\",\n  \"ecs\": %u,\n"
-               "  \"hash_impl\": \"%s\",\n"
+               "{\n  \"bench\": \"ingest_throughput\",\n"
+               "  \"engine\": \"%s\",\n  \"chunker\": \"%s\",\n"
+               "  \"ecs\": %u,\n  \"hash_impl\": \"%s\",\n"
                "  \"corpus_mb\": %.1f,\n  \"host_cpus\": %u,\n"
-               "  \"rows\": [\n",
-               rc.engine_name.c_str(), rc.engine.ecs,
-               resolved_sha1_impl_name(rc.engine.hash_impl),
+               "  \"serial\": {\"mb_per_s\": %.1f},\n",
+               rc.engine_name.c_str(), chunker_kind_name(rc.engine.chunker),
+               rc.engine.ecs, resolved_sha1_impl_name(rc.engine.hash_impl),
                corpus.total_bytes / 1048576.0,
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"workers\": %u, \"mb_per_s\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.workers, r.mb_per_s, r.mb_per_s / serial_mb_s,
-                 i + 1 < rows.size() ? "," : "");
-  }
+               std::thread::hardware_concurrency(), serial_mb_s);
   const std::uint64_t overhead = framed.physical_bytes - framed.stored_bytes;
   std::fprintf(f,
-               "  ],\n  \"framed\": {\n"
+               "  \"framed\": {\n"
                "    \"mb_per_s\": %.1f,\n    \"vs_serial\": %.2f,\n"
                "    \"stored_data_bytes\": %llu,\n"
                "    \"physical_data_bytes\": %llu,\n"
@@ -190,30 +165,20 @@ int main(int argc, char** argv) {
   rc.engine.ecs =
       static_cast<std::uint32_t>(flags.get_uint("ecs", 4096, 64, 1 << 20));
   rc.engine.sd = 32;
-  // Gear (SIMD scan) by default so chunking is cheap and SHA-1 dominates —
-  // the regime the hash pool is built for; override to study others.
+  // Gear (SIMD scan) by default so chunking is cheap and the rest of the
+  // ingest path shows; --chunker=rabin gives the paper's default config.
   rc.engine.chunker = chunker_kind_from_string(flags.get("chunker", "gear"));
   rc.engine.chunker_impl = chunker_impl_from_string(
       flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
   rc.engine.hash_impl = sha1_impl_from_string(flags.get_choice(
       "hash-impl", {"auto", "shani", "simd", "portable"}, "auto"));
-  rc.engine.pipeline_queue_depth = static_cast<std::uint32_t>(
-      flags.get_uint("pipeline-queue-depth", 64, 1, 65536));
-
-  std::vector<std::uint32_t> workers;
-  for (const auto w : flags.get_int_list("workers", {0, 1, 2, 4, 8})) {
-    workers.push_back(static_cast<std::uint32_t>(w));
-  }
-  if (workers.empty() || workers.front() != 0) {
-    workers.insert(workers.begin(), 0);  // the serial reference is mandatory
-  }
 
   const auto size_mb = flags.get_uint("size_mb", 96, 1, 1 << 20);
   const auto seed = flags.get_uint("seed", 1);
   const ResidentCorpus corpus{Corpus(icpp13_preset(size_mb, seed))};
 
   const unsigned cpus = std::thread::hardware_concurrency();
-  std::printf("=== ingest pipeline throughput ===\n");
+  std::printf("=== serial ingest throughput ===\n");
   std::printf(
       "engine=%s ecs=%u chunker=%s sha1=%s corpus=%lluMB (%zu files, in "
       "RAM), best of %d, host cpus=%u\n\n",
@@ -222,39 +187,18 @@ int main(int argc, char** argv) {
       resolved_sha1_impl_name(rc.engine.hash_impl),
       static_cast<unsigned long long>(size_mb), corpus.data.size(), rc.reps,
       cpus);
-  if (cpus <= 1) {
-    std::printf(
-        "NOTE: single-CPU host — hash workers time-slice one core, so no\n"
-        "speedup is possible here; the table measures pipeline overhead\n"
-        "(and the divergence check still proves determinism).\n\n");
-  }
 
-  std::vector<Row> rows;
-  for (const auto w : workers) rows.push_back(measure(rc, corpus, w));
-
-  const double serial_mb_s = rows.front().mb_per_s;
-  TextTable t({"hash workers", "MB/s", "speedup"});
-  for (const auto& row : rows) {
-    std::string why;
-    if (diverges(rows.front(), row, why)) {
-      std::fprintf(stderr,
-                   "FATAL: pipelined result diverges from serial — %s\n",
-                   why.c_str());
-      return 1;
-    }
-    t.add_row({row.workers == 0 ? "serial" : std::to_string(row.workers),
-               TextTable::num(row.mb_per_s, 1),
-               TextTable::num(row.mb_per_s / serial_mb_s, 2) + "x"});
-  }
-  std::printf("%s", t.to_string().c_str());
+  const Row serial = measure(rc, corpus);
+  const double serial_mb_s = serial.mb_per_s;
+  std::printf("serial: %.1f MB/s\n", serial_mb_s);
 
   // Framed reference run: the CRC32C framing must be invisible to the
   // dedup engine (identical counters and logical bytes) and costs only
   // the header/trailer bytes it adds on the raw store.
-  const Row framed = measure(rc, corpus, 0, /*framed=*/true);
+  const Row framed = measure(rc, corpus, /*framed=*/true);
   {
     std::string why;
-    if (diverges(rows.front(), framed, why)) {
+    if (diverges(serial, framed, why)) {
       std::fprintf(stderr,
                    "FATAL: framed result diverges from bare serial — %s\n",
                    why.c_str());
@@ -271,22 +215,9 @@ int main(int argc, char** argv) {
                                : 100.0 * overhead / framed.stored_bytes,
       framed.stored_bytes / 1048576.0);
 
-  const auto& widest = rows.back();
-  if (!widest.stats.empty()) {
-    std::printf("\nstage breakdown at %u workers:\n", widest.workers);
-    TextTable p({"Stage", "Busy s", "Idle s", "Util", "Queue HWM"});
-    for (const auto& s : widest.stats.stages) {
-      p.add_row({s.stage, TextTable::num(s.busy_seconds, 3),
-                 TextTable::num(s.idle_seconds, 3),
-                 TextTable::num(s.utilization() * 100, 1) + "%",
-                 TextTable::num(s.queue_high_water)});
-    }
-    std::printf("%s", p.to_string().c_str());
-  }
-
   const std::string json = flags.get("json", "");
   if (!json.empty()) {
-    write_json(json, rc, corpus, rows, serial_mb_s, framed);
+    write_json(json, rc, corpus, serial_mb_s, framed);
   }
   return 0;
 }

@@ -25,7 +25,8 @@
 //       --fsck-on-start                  repair crash residue (offline
 //                                        fsck with repair) before
 //                                        accepting traffic; refuses to
-//                                        serve a still-damaged repo
+//                                        serve a still-damaged repo;
+//                                        exits 2 on an unframed repo
 //       --net-fault-plan=SPEC            deterministic network chaos on
 //                                        accepted connections, e.g.
 //                                        torn@3,reset@7,seed:42 (see
@@ -66,12 +67,9 @@
 //          or sampled index and keep using it without the flag.
 //          --index-cache-mb=8   hot bucket-page cache budget (K/M/G
 //          suffixes accepted; bare number means MB)
-//          --index-bloom-bits-per-key=10   negative-lookup bloom sizing
 //          --sample-bits=6 --champions=10   sampled-tier geometry (the
 //          sample rate is fixed at repo creation; the meta object wins
 //          over a conflicting flag on reopen)
-//          --pipeline | --ingest-threads=N   staged concurrent ingest
-//          (N SHA-1 workers; 0 = serial; stored bytes are bit-identical)
 //          --framed    store with CRC32C self-verification framing.
 //          A framed repository is self-describing (a `framed` marker in
 //          the repo root): later commands detect it and read through the
@@ -154,15 +152,11 @@ class BackendStack {
     // `store --framed` drops a marker file so every later command reads
     // through the verifying layer without the flag. Otherwise a restore
     // that forgot --framed would return the framed bytes as payload.
-    const std::string marker = root + "/framed";
     bool framed = flags.get_bool("framed", false);
-    if (!framed) {
-      if (std::FILE* f = std::fopen(marker.c_str(), "rb")) {
-        framed = true;
-        std::fclose(f);
-      }
-    } else if (std::FILE* f = std::fopen(marker.c_str(), "wb")) {
-      std::fclose(f);
+    if (framed) {
+      write_framed_marker(root);
+    } else {
+      framed = has_framed_marker(root);
     }
     if (framed) {
       framed_.emplace(*top);
@@ -238,8 +232,6 @@ EngineConfig config_from(const Flags& flags, const StorageBackend& backend) {
   cfg.index_cache_bytes =
       flags.get_size("index-cache-mb", cfg.index_cache_bytes, 64ull << 10,
                      1ull << 40, /*unit=*/1ull << 20);
-  cfg.index_bloom_bits_per_key = static_cast<std::uint32_t>(
-      flags.get_uint("index-bloom-bits-per-key", 10, 1, 64));
   cfg.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 4096));
   cfg.sd = static_cast<std::uint32_t>(flags.get_int("sd", 64));
   cfg.chunker = chunker_kind_from_string(
@@ -248,10 +240,6 @@ EngineConfig config_from(const Flags& flags, const StorageBackend& backend) {
       flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
   cfg.hash_impl = sha1_impl_from_string(flags.get_choice(
       "hash-impl", {"auto", "shani", "simd", "portable"}, "auto"));
-  cfg.ingest_threads = static_cast<std::uint32_t>(flags.get_uint(
-      "ingest-threads", flags.get_bool("pipeline", false) ? 4 : 0, 0, 256));
-  cfg.pipeline_queue_depth = static_cast<std::uint32_t>(
-      flags.get_uint("pipeline-queue-depth", 64, 1, 65536));
   cfg.rewrite = *parse_rewrite_mode(
       flags.get_choice("rewrite", {"none", "cbr", "capping", "har"}, "none"));
   return cfg;
@@ -320,14 +308,6 @@ int cmd_store(const Flags& flags, bool verify_after) {
                   s.missed_dup_bytes / 1048576.0,
                   static_cast<unsigned long long>(s.missed_dup_chunks));
     }
-  }
-  for (const auto& s : engine.pipeline_stats().stages) {
-    std::printf("  stage %-5s: %2u thread(s), %8llu items, %8.2f MB, "
-                "busy %.3fs, idle %.3fs, queue max %llu\n",
-                s.stage.c_str(), s.threads,
-                static_cast<unsigned long long>(s.items),
-                s.bytes / 1048576.0, s.busy_seconds, s.idle_seconds,
-                static_cast<unsigned long long>(s.queue_high_water));
   }
 
   if (verify_after) {
@@ -535,6 +515,16 @@ int cmd_serve(const Flags& flags) {
   }
   // The daemon is THE single writer of the repository for its lifetime.
   const StoreLock lock = StoreLock::acquire(args[1]);
+  // fsck checks CRC framing: on an unframed repository it would flag and
+  // quarantine every healthy object. Checked before the stack exists, so
+  // a --framed flag cannot declare an existing unframed repo framed.
+  const bool fsck_on_start = flags.get_bool("fsck-on-start", false);
+  if (fsck_on_start && !has_framed_marker(args[1])) {
+    std::fprintf(stderr, "fsck-on-start: %s is not a framed repository; "
+                         "check it with 'dedup_cli scrub %s'\n",
+                 args[1].c_str(), args[1].c_str());
+    return 2;
+  }
   BackendStack stack(args[1], flags);
 
   server::DaemonConfig dc;
@@ -554,7 +544,7 @@ int cmd_serve(const Flags& flags) {
   // A daemon that may be restarted over a kill -9'd repository: repair
   // crash residue before accepting traffic, on the raw layer the offline
   // fsck_cli would use.
-  if (flags.get_bool("fsck-on-start", false)) {
+  if (fsck_on_start) {
     // The repair pass reports what it FOUND (and fixed); a read-only
     // second pass proves what is LEFT.
     const FsckReport rep = fsck_repository(stack.file(), /*repair=*/true);

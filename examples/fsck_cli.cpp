@@ -16,9 +16,12 @@
 //
 // check exits 0 on a clean repository, 1 otherwise (orphans are
 // informational and do not dirty the result); a usage or flag mistake
-// exits 2. The corrupt/tear fixtures write through the raw files,
-// bypassing the backend — exactly the bit rot and torn writes the framing
-// exists to catch.
+// exits 2. check and repair also exit 2, touching nothing, on a repository
+// stored without --framed: fsck verifies CRC framing and would quarantine
+// every healthy object there (`dedup_cli scrub` checks such repositories).
+// The corrupt/tear fixtures write through the raw files, bypassing the
+// backend — exactly the bit rot and torn writes the framing exists to
+// catch.
 //
 // Container repositories (dedup_cli --container-mb) need no extra flags:
 // fsck truncates torn container tails back to the last intact record,
@@ -49,6 +52,12 @@ int cmd_check(const Flags& flags, bool repair) {
   if (args.size() != 2) {
     std::fprintf(stderr, "usage: fsck_cli %s <repo>\n",
                  repair ? "repair" : "check");
+    return 2;
+  }
+  if (!has_framed_marker(args[1])) {
+    std::fprintf(stderr, "fsck_cli: %s is not a framed repository; check it "
+                         "with 'dedup_cli scrub %s'\n",
+                 args[1].c_str(), args[1].c_str());
     return 2;
   }
   FileBackend backend(args[1]);

@@ -7,23 +7,17 @@
 //                    [--chunker-impl=auto|scalar|simd]
 //                    [--hash-impl=auto|shani|simd|portable] [--cache_kb=256]
 //                    [--index-impl=mem|disk|sampled] [--index-cache-mb=8]
-//                    [--index-bloom-bits-per-key=10]
 //                    [--sample-bits=6] [--champions=10]
-//                    [--pipeline] [--ingest-threads=N]
 //                    [--framed] [--fault-plan=SPEC]
 //                    [--container-mb=N] [--rewrite=none|cbr|har]
 //                    [--cbr-segment-mb=4] [--cbr-cap=16] [--har-util=0.5]
 //                    [--restore-cache-mb=32] [--measure-restore]
 //                    [--verify] [--json]
 //
-// --pipeline enables the staged concurrent ingest (4 hash workers);
-// --ingest-threads=N picks the pool size explicitly (0 = serial). Results
-// are bit-identical either way; pipelined runs additionally report
-// per-stage busy/idle/queue-depth counters.
 // --index-impl=disk routes the fingerprint index through the persistent
 // sharded on-disk index (bounded RAM, warm restart); --index-cache-mb
 // bounds its hot bucket-page cache (accepts K/M/G suffixes, bare number =
-// MB) and --index-bloom-bits-per-key sizes its negative-lookup bloom.
+// MB).
 // --index-impl=sampled keeps only a sparse similarity hook table resident
 // (fingerprints whose low --sample-bits bits are zero); a hook hit loads
 // up to --champions similar segments for full-segment dedup, and
@@ -82,12 +76,6 @@ int run(int argc, char** argv) {
   spec.engine.index_cache_bytes =
       flags.get_size("index-cache-mb", spec.engine.index_cache_bytes,
                      64ull << 10, 1ull << 40, /*unit=*/1ull << 20);
-  spec.engine.index_bloom_bits_per_key = static_cast<std::uint32_t>(
-      flags.get_uint("index-bloom-bits-per-key", 10, 1, 64));
-  spec.engine.ingest_threads = static_cast<std::uint32_t>(flags.get_uint(
-      "ingest-threads", flags.get_bool("pipeline", false) ? 4 : 0, 0, 256));
-  spec.engine.pipeline_queue_depth = static_cast<std::uint32_t>(
-      flags.get_uint("pipeline-queue-depth", 64, 1, 65536));
   spec.engine.framed = flags.get_bool("framed", false);
   spec.engine.fault_plan = flags.get("fault-plan", "");
   spec.engine.container_bytes =
@@ -185,25 +173,6 @@ int run(int argc, char** argv) {
                TextTable::num(r.counters.corruption_fallbacks)});
   }
   std::printf("%s", t.to_string().c_str());
-
-  if (!r.pipeline.empty()) {
-    std::printf("\ningest pipeline (%u hash workers, %llu files)\n",
-                r.ingest_threads,
-                static_cast<unsigned long long>(r.pipeline.files));
-    TextTable p({"Stage", "Threads", "Items", "MB", "Busy s", "Idle s",
-                 "Util", "Queue HWM"});
-    for (const auto& s : r.pipeline.stages) {
-      p.add_row({s.stage,
-                 TextTable::num(static_cast<std::uint64_t>(s.threads)),
-                 TextTable::num(s.items),
-                 TextTable::num(s.bytes / 1048576.0, 1),
-                 TextTable::num(s.busy_seconds, 3),
-                 TextTable::num(s.idle_seconds, 3),
-                 TextTable::num(s.utilization() * 100, 1) + "%",
-                 TextTable::num(s.queue_high_water)});
-    }
-    std::printf("%s", p.to_string().c_str());
-  }
   return 0;
 }
 

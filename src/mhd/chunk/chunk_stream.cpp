@@ -1,5 +1,6 @@
 #include "mhd/chunk/chunk_stream.h"
 
+#include "mhd/hash/sha1.h"
 #include "mhd/util/buffer_pool.h"
 
 namespace mhd {
@@ -78,6 +79,16 @@ bool ChunkStream::next(ByteVec& chunk) {
       return true;
     }
   }
+}
+
+HashedChunkStream::HashedChunkStream(ByteSource& source,
+                                     std::unique_ptr<Chunker> chunker)
+    : chunker_(std::move(chunker)), stream_(source, *chunker_) {}
+
+bool HashedChunkStream::next(ByteVec& bytes, Digest& hash) {
+  if (!stream_.next(bytes)) return false;
+  hash = Sha1::digest_of(bytes);
+  return true;
 }
 
 }  // namespace mhd

@@ -1,12 +1,14 @@
 // ChunkStream — pulls whole chunks (bytes + cut metadata) out of a
 // ByteSource through any Chunker, handling I/O buffering and TTTD
-// carry-over. This is the front end of every deduplication engine.
+// carry-over. HashedChunkStream adds each chunk's SHA-1 and is the front
+// end of every deduplication engine.
 #pragma once
 
 #include <memory>
 
 #include "mhd/chunk/byte_source.h"
 #include "mhd/chunk/chunker.h"
+#include "mhd/hash/digest.h"
 
 namespace mhd {
 
@@ -34,6 +36,22 @@ class ChunkStream {
   ByteVec carry_;  ///< bytes rolled back past a TTTD backup cut
   bool eof_ = false;
   std::uint64_t bytes_emitted_ = 0;
+};
+
+/// Whole chunks plus their SHA-1 fingerprints, in input order, chunked and
+/// hashed on the caller's thread. Owns its chunker (the chunker's state is
+/// private to the stream).
+class HashedChunkStream {
+ public:
+  HashedChunkStream(ByteSource& source, std::unique_ptr<Chunker> chunker);
+
+  /// Fills `bytes` and `hash` with the next chunk. Returns false at end of
+  /// stream. A ByteSource failure propagates as the original exception.
+  bool next(ByteVec& bytes, Digest& hash);
+
+ private:
+  std::unique_ptr<Chunker> chunker_;
+  ChunkStream stream_;
 };
 
 }  // namespace mhd

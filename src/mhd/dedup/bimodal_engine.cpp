@@ -83,7 +83,7 @@ void BimodalEngine::process_file(const std::string& file_name,
 
   const std::uint64_t big_size =
       static_cast<std::uint64_t>(cfg_.ecs) * cfg_.sd;
-  const auto stream = open_ingest(data, big_size);
+  auto stream = open_ingest(data, big_size);
 
   // One-big-chunk delay line so a non-duplicate chunk knows whether its
   // successor is a duplicate (transition-point detection needs both sides).
@@ -92,7 +92,7 @@ void BimodalEngine::process_file(const std::string& file_name,
 
   ByteVec bytes;
   Digest hash;
-  while (stream->next(bytes, hash)) {
+  while (stream.next(bytes, hash)) {
     counters_.input_bytes += bytes.size();
     ++counters_.input_chunks;
     BigChunk incoming;

@@ -31,10 +31,10 @@ void CdcEngine::process_file(const std::string& file_name, ByteSource& data) {
   std::uint64_t chunk_off = 0;
   current_file_.clear();
 
-  const auto stream = open_ingest(data, cfg_.ecs);
+  auto stream = open_ingest(data, cfg_.ecs);
   ByteVec bytes;
   Digest hash;
-  while (stream->next(bytes, hash)) {
+  while (stream.next(bytes, hash)) {
     counters_.input_bytes += bytes.size();
     ++counters_.input_chunks;
 

@@ -5,7 +5,6 @@
 #include "mhd/index/mem_index.h"
 #include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
-#include "mhd/pipeline/ingest_pipeline.h"
 #include "mhd/store/restore_reader.h"
 #include "mhd/util/buffer_pool.h"
 #include "mhd/util/hex.h"
@@ -35,7 +34,6 @@ FingerprintIndex& DedupEngine::fp_index() {
       PersistentIndexConfig pc;
       pc.shards = cfg_.index_shards;
       pc.cache_bytes = cfg_.index_cache_bytes;
-      pc.bloom_bits_per_key = cfg_.index_bloom_bits_per_key;
       pc.journal_batch = cfg_.index_journal_batch;
       pc.compact_threshold = cfg_.index_compact_threshold;
       fp_index_ = std::make_unique<PersistentIndex>(store_.backend(), pc);
@@ -122,12 +120,11 @@ Digest DedupEngine::unique_store_digest(const Digest& base) const {
   return d;
 }
 
-std::unique_ptr<HashedChunkStream> DedupEngine::open_ingest(
+HashedChunkStream DedupEngine::open_ingest(
     ByteSource& data, std::uint64_t expected_chunk_bytes) {
-  auto chunker =
-      make_chunker(cfg_.chunker, cfg_.chunker_config(expected_chunk_bytes));
-  return open_hashed_stream(data, std::move(chunker), cfg_.ingest_threads,
-                            cfg_.pipeline_queue_depth, &pipeline_stats_);
+  return HashedChunkStream(
+      data,
+      make_chunker(cfg_.chunker, cfg_.chunker_config(expected_chunk_bytes)));
 }
 
 void DedupEngine::add_file(const std::string& file_name, ByteSource& data) {

@@ -21,14 +21,13 @@
 #include <string>
 
 #include "mhd/chunk/byte_source.h"
+#include "mhd/chunk/chunk_stream.h"
 #include "mhd/chunk/make_chunker.h"
 #include "mhd/container/bloom_filter.h"
 #include "mhd/core/manifest_cache.h"
 #include "mhd/dedup/rewrite.h"
 #include "mhd/hash/sha1.h"
 #include "mhd/index/fingerprint_index.h"
-#include "mhd/pipeline/hashed_chunk_stream.h"
-#include "mhd/pipeline/stage.h"
 #include "mhd/store/object_store.h"
 #include "mhd/store/store_errors.h"
 
@@ -57,15 +56,10 @@ struct EngineConfig {
     return cc;
   }
 
-  /// Hash-worker pool size for the staged ingest pipeline
-  /// (--ingest-threads). 0 = serial ingest: read, chunk and SHA-1 run
-  /// inline on the caller's thread. N >= 1 runs the pipelined path
-  /// (read → chunk → N hash workers → reorder → dedup); results are
-  /// bit-identical either way — this is purely a throughput knob.
+  /// Inert: nothing in the library reads it, and ingest is always serial.
+  /// It stays only because the benchmark harness still assigns and prints
+  /// it; the next change to the benchmark removes both uses and the field.
   std::uint32_t ingest_threads = 0;
-  /// Bounded capacity of each inter-stage queue, in chunks. Caps the
-  /// memory held by in-flight chunks and the reorder window.
-  std::uint32_t pipeline_queue_depth = 64;
 
   bool use_bloom = true;
   std::size_t bloom_bytes = 4 << 20;  ///< paper: 100 MB; scaled for corpus
@@ -103,9 +97,6 @@ struct EngineConfig {
   /// Weight budget of the disk index's hot bucket-page cache
   /// (--index-cache-mb).
   std::uint64_t index_cache_bytes = 8ull << 20;
-  /// Bloom sizing for the disk index's negative-lookup front
-  /// (--index-bloom-bits-per-key).
-  std::uint32_t index_bloom_bits_per_key = 10;
   // Disk-index geometry knobs (programmatic; tests shrink them to force
   // many journal segments and compactions on tiny corpora).
   std::uint32_t index_shards = 64;
@@ -237,10 +228,6 @@ class DedupEngine {
   const EngineCounters& counters() const { return counters_; }
   const EngineConfig& config() const { return cfg_; }
 
-  /// Per-stage ingest-pipeline counters aggregated over all add_file
-  /// calls. Empty when the engine ran serially (ingest_threads == 0).
-  const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
-
   /// Manifests loaded from disk into the cache (the paper's TABLE V).
   virtual std::uint64_t manifest_loads() const { return 0; }
 
@@ -279,12 +266,12 @@ class DedupEngine {
   virtual void process_file(const std::string& file_name, ByteSource& data) = 0;
 
   /// Opens the top-level ingest stream over `data` with a chunker of the
-  /// engine's configured kind at `expected_chunk_bytes`: serial when
-  /// cfg_.ingest_threads == 0, the staged concurrent pipeline otherwise.
-  /// Chunk boundaries, hashes and delivery order are identical either way,
-  /// so engines use this without caring which path runs underneath.
-  std::unique_ptr<HashedChunkStream> open_ingest(
-      ByteSource& data, std::uint64_t expected_chunk_bytes);
+  /// engine's configured kind at `expected_chunk_bytes`. Reading, chunking
+  /// and SHA-1 run on the calling thread; ingest parallelism comes from
+  /// running streams side by side (DESIGN.md "Where ingest parallelism
+  /// comes from").
+  HashedChunkStream open_ingest(ByteSource& data,
+                                std::uint64_t expected_chunk_bytes);
 
   /// Lazily creates the configured FingerprintIndex (MemIndex,
   /// PersistentIndex or SampledIndex over the store's backend) — the one
@@ -408,7 +395,6 @@ class DedupEngine {
   bool load_champions(ManifestCache& cache, const Digest& hash);
 
   bool in_dup_run_ = false;
-  PipelineStats pipeline_stats_;
   std::unique_ptr<FingerprintIndex> fp_index_;
   std::unique_ptr<RewriteController> rewrite_;
   bool index_was_present_ = false;  ///< persisted index existed before open

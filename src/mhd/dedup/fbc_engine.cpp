@@ -67,11 +67,11 @@ void FbcEngine::process_file(const std::string& file_name, ByteSource& data) {
 
   const std::uint64_t big_size =
       static_cast<std::uint64_t>(cfg_.ecs) * cfg_.sd;
-  const auto stream = open_ingest(data, big_size);
+  auto stream = open_ingest(data, big_size);
 
   ByteVec big_bytes;
   Digest big_hash;
-  while (stream->next(big_bytes, big_hash)) {
+  while (stream.next(big_bytes, big_hash)) {
     counters_.input_bytes += big_bytes.size();
     ++counters_.input_chunks;
 

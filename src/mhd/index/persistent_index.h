@@ -79,7 +79,8 @@ struct PersistentIndexConfig {
   std::uint32_t shards = 64;
   /// Weight budget of the hot-page LruCache (--index-cache-mb).
   std::uint64_t cache_bytes = 8ull << 20;
-  /// Bloom sizing (--index-bloom-bits-per-key) for `expected_keys`.
+  /// Bloom sizing for `expected_keys`. An existing bloom snapshot keeps
+  /// the size it was written with.
   std::uint32_t bloom_bits_per_key = 10;
   std::uint64_t expected_keys = 1u << 20;
   /// Journal records buffered in RAM before a segment object is written —

@@ -114,8 +114,6 @@ ExperimentResult summarize(const std::string& algorithm,
     r.sampled_missed_dup_bytes = sampled.missed_dup_bytes;
     r.sampled_missed_dup_chunks = sampled.missed_dup_chunks;
   }
-  r.ingest_threads = engine.config().ingest_threads;
-  r.pipeline = engine.pipeline_stats();
 
   r.dedup_seconds = r.counters.cpu_seconds + disk.io_seconds(r.stats);
   r.copy_seconds = disk.copy_seconds(r.input_bytes) +

@@ -17,6 +17,8 @@ constexpr const char* kTmpSuffix = ".tmp";
 
 bool is_tmp(const fs::path& p) { return p.extension() == kTmpSuffix; }
 
+fs::path framed_marker_path(const fs::path& root) { return root / "framed"; }
+
 /// Writes `data` and verifies both the write and the close took: a short
 /// write (ENOSPC, quota) must surface as an error, never as a silently
 /// truncated object.
@@ -171,6 +173,15 @@ std::vector<std::string> FileBackend::list(Ns ns) const {
   }
   std::sort(names.begin(), names.end());
   return names;
+}
+
+bool has_framed_marker(const fs::path& root) {
+  std::error_code ec;
+  return fs::exists(framed_marker_path(root), ec);
+}
+
+void write_framed_marker(const fs::path& root) {
+  std::ofstream marker(framed_marker_path(root), std::ios::binary);
 }
 
 }  // namespace mhd

@@ -39,4 +39,11 @@ class FileBackend final : public StorageBackend {
   std::array<std::uint64_t, static_cast<int>(Ns::kCount)> bytes_{};
 };
 
+/// Framing is a property of a FileBackend repository, recorded by a marker
+/// file in its root: `dedup_cli store --framed` writes it, and every later
+/// command that finds it reads through FramedBackend. fsck checks framing,
+/// so it must not run on a repository without the marker.
+bool has_framed_marker(const std::filesystem::path& root);
+void write_framed_marker(const std::filesystem::path& root);
+
 }  // namespace mhd

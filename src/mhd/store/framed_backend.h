@@ -76,7 +76,7 @@ class FramedBackend final : public StorageBackend {
   const StorageBackend& inner() const { return inner_; }
 
   /// Framed bytes actually stored below — physical − logical is the
-  /// framing overhead reported by the pipeline bench.
+  /// framing overhead reported by bench/ingest_throughput.
   std::uint64_t physical_bytes(Ns ns) const { return inner_.content_bytes(ns); }
 
  private:

@@ -1,16 +1,15 @@
 // Recycled chunk-buffer slabs for the ingest hot path.
 //
-// Every chunk that flows through ChunkStream / IngestPipeline lives in a
-// ByteVec. Without pooling, steady-state ingest performs one allocation
-// (and eventually one free) per chunk — pure overhead that also serializes
-// hash workers on the allocator lock. The pool keeps returned slabs (with
+// Every chunk that flows through ChunkStream lives in a ByteVec. Without
+// pooling, steady-state ingest performs one allocation (and eventually one
+// free) per chunk — pure overhead that also serializes concurrent daemon
+// sessions on the allocator lock. The pool keeps returned slabs (with
 // their capacity intact) on a free list, so after warm-up every acquire is
 // a pop and chunk append runs entirely inside recycled capacity: zero heap
 // allocations per chunk.
 //
 // Ownership protocol (see DESIGN.md "Chunk buffer pool"):
-//  * the producer that fills a buffer acquires it (ChunkStream::next for
-//    serial ingest, the pipeline's read stage for I/O blocks);
+//  * the producer that fills a buffer acquires it (ChunkStream::next);
 //  * whoever consumes the bytes releases the slab — moving a ByteVec moves
 //    the obligation with it. Releasing a buffer the pool never saw is fine
 //    (the pool adopts it); dropping a pooled buffer on the floor is also
@@ -19,8 +18,8 @@
 // The free list is bounded two ways: slabs above kMaxSlabBytes are dropped
 // on release (pathological chunk sizes must not pin memory), and a
 // periodic high-water trim shrinks the list toward the observed peak of
-// concurrently outstanding buffers, so a burst (deep reorder buffer, wide
-// hash pool) doesn't leave its footprint behind forever.
+// concurrently outstanding buffers, so a burst (several sessions ingesting
+// at once) doesn't leave its footprint behind forever.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +32,7 @@
 namespace mhd {
 
 /// Thread-safe free list of ByteVec slabs. All methods may be called
-/// concurrently from pipeline stages.
+/// concurrently, e.g. from daemon sessions ingesting side by side.
 class BufferPool {
  public:
   /// Slabs larger than this are freed on release instead of pooled.

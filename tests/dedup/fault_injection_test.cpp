@@ -211,5 +211,43 @@ TEST(FaultInjection, FileOfIdenticalBytes) {
   EXPECT_LT(backend.content_bytes(Ns::kDiskChunk), 300000u);
 }
 
+// A source that fails mid-file: add_file must surface the original
+// exception to its caller, not swallow it, hang or crash.
+struct DiskOnFire : std::runtime_error {
+  DiskOnFire() : std::runtime_error("disk on fire") {}
+};
+
+class ExplodingSource final : public ByteSource {
+ public:
+  std::size_t read(MutByteSpan out) override {
+    if (calls_++ >= 2) throw DiskOnFire();
+    std::fill(out.begin(), out.end(), Byte{0x5a});
+    return out.size();
+  }
+
+ private:
+  int calls_ = 0;
+};
+
+class FaultInjectionEngineTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(FaultInjectionEngineTest, SourceFailurePropagatesToCaller) {
+  MemoryBackend backend;
+  ObjectStore store(backend);
+  const auto engine = make_engine(GetParam(), store, EngineConfig{});
+  ExplodingSource src;
+  EXPECT_THROW(engine->add_file("doomed.img", src), DiskOnFire);
+}
+
+std::vector<std::string> all_engines() {
+  std::vector<std::string> names = engine_names();
+  for (const auto& n : extension_engine_names()) names.push_back(n);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, FaultInjectionEngineTest,
+                         ::testing::ValuesIn(all_engines()));
+
 }  // namespace
 }  // namespace mhd
