@@ -6,7 +6,7 @@
 //   --ecs=a,b,c     ECS sweep (default 512,1024,2048,4096,8192)
 //   --seed=N        corpus seed
 //   --cache_kb=N    equal manifest-cache RAM budget per algorithm (256)
-//   --chunker=K     rabin (default) | tttd | gear
+//   --chunker=K     rabin (default) | tttd | gear | fixed
 //   --chunker-impl=I  auto (default) | scalar | simd scan kernel
 //   --verify        byte-exact reconstruction check after every run (slow)
 //
@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -38,24 +39,28 @@ struct BenchOptions {
   bool verify = false;
   /// Equal manifest-cache RAM budget for every algorithm (--cache_kb).
   std::uint64_t cache_kb = 256;
-  /// Cut-point algorithm for every engine (--chunker=rabin|tttd|gear).
+  /// Cut-point algorithm for every engine (--chunker=rabin|tttd|gear|fixed).
   ChunkerKind chunker = ChunkerKind::kRabin;
   /// Scan kernel (--chunker-impl=auto|scalar|simd); cut points identical.
   ChunkerImpl chunker_impl = ChunkerImpl::kAuto;
 
-  static BenchOptions parse(int argc, char** argv) {
+  static BenchOptions parse(int argc, char** argv) try {
     const Flags flags(argc, argv);
     BenchOptions o;
     o.total_mb = static_cast<std::uint64_t>(flags.get_int("size_mb", 96));
-    o.sd = static_cast<std::uint32_t>(flags.get_int("sd", 32));
+    o.sd = static_cast<std::uint32_t>(flags.get_uint("sd", 32, 1, UINT32_MAX));
     o.ecs_list = flags.get_int_list("ecs", o.ecs_list);
     o.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     o.verify = flags.get_bool("verify", false);
     o.cache_kb = static_cast<std::uint64_t>(flags.get_int("cache_kb", 256));
-    o.chunker = chunker_kind_from_string(flags.get("chunker", "rabin"));
+    o.chunker = chunker_kind_from_string(flags.get_choice(
+        "chunker", {"rabin", "tttd", "gear", "fixed"}, "rabin"));
     o.chunker_impl = chunker_impl_from_string(
         flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
     return o;
+  } catch (const FlagError& e) {  // a flag mistake exits 2, as in the CLIs
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
   }
 
   Corpus make_corpus() const { return Corpus(icpp13_preset(total_mb, seed)); }

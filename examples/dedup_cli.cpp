@@ -49,70 +49,47 @@
 // store.lock: two writers on one repo fail fast with a typed error
 // instead of corrupting each other (see store/store_lock.h).
 //
-// Exit codes: 0 success, 1 failure, 2 usage or flag mistake, 3 daemon
-// busy, 4 repository locked by another writer.
+// A repository owns its config (src/mhd/repo/): --framed, --container-mb,
+// --index-impl, --chunker, --ecs and --sd are fixed when store, verify or
+// serve creates it, recorded in its `descriptor` file, and refused later
+// when they differ from it. Older repositories are adopted.
 //
-// Options: --ecs=4096 --sd=64 --chunker=rabin|tttd|gear
-//          --chunker-impl=auto|scalar|simd
-//          --hash-impl=auto|shani|simd|portable   SHA-1 kernel selection
-//          --index-impl=mem|disk|sampled   fingerprint-index routing.
-//          `disk` persists the index under the repo's index/ namespace
-//          with a bounded page cache, so a reopened repo deduplicates
-//          against its history without rebuilding an in-RAM map.
-//          `sampled` keeps only a sparse similarity hook table resident
-//          (fingerprints with --sample-bits low zero bits); hook hits
-//          load up to --champions similar segments, and the dedup loss
-//          from sampling is counted, never hidden. Like --framed, the
-//          choice is sticky: later commands detect an existing on-disk
-//          or sampled index and keep using it without the flag.
-//          --index-cache-mb=8   hot bucket-page cache budget (K/M/G
-//          suffixes accepted; bare number means MB)
-//          --sample-bits=6 --champions=10   sampled-tier geometry (the
-//          sample rate is fixed at repo creation; the meta object wins
-//          over a conflicting flag on reopen)
-//          --framed    store with CRC32C self-verification framing.
-//          A framed repository is self-describing (a `framed` marker in
-//          the repo root): later commands detect it and read through the
-//          verifying layer without the flag — a framed repo can never be
-//          misread as raw bytes. examples/fsck_cli checks and repairs
-//          such repositories.
-//          --fault-plan=SPEC   inject deterministic storage faults below
-//          the framing, e.g. --fault-plan=torn@120:0.5,readerr@3x2,seed:7
-//          (see store/fault_backend.h for the mini-language)
-//          --container-mb=N   pack chunk data into fixed-size containers
-//          (the fragmentation-aware layout). Sticky like --framed: store
-//          drops a `container-size` marker recording the size and
-//          every later command reads through the container layer without
-//          the flag. --restore-cache-mb budgets the restore path's
-//          whole-container LRU cache.
-//          --rewrite=none|cbr|har   dedup-time fragmentation control on
-//          container repos: cbr caps distinct old containers per segment,
-//          har rewrites duplicates out of containers that went sparse.
+// Exit codes: 0 success; 1 failure (also a damaged descriptor); 2 usage
+// or flag mistake, a flag conflicting with the repository, or no
+// repository at the path; 3 daemon busy; 4 repository locked.
+//
+// Options: --ecs=4096 --sd=64 --chunker=rabin|tttd|gear|fixed
+//          --chunker-impl=auto|scalar|simd --hash-impl=auto|shani|simd|portable
+//          --index-impl=mem|disk|sampled: `disk` persists the index under
+//          index/ behind a --index-cache-mb=8 page cache; `sampled` keeps a
+//          hook table of fingerprints with --sample-bits=6 low zero bits,
+//          loads up to --champions=10 similar segments per hit and counts
+//          the duplicates it misses (its meta object keeps the sample rate)
+//          --framed   CRC32C self-verification framing (fsck_cli checks it)
+//          --fault-plan=SPEC   deterministic storage faults below the
+//          framing, e.g. torn@120:0.5,readerr@3x2,seed:7 (grammar in
+//          store/fault_backend.h)
+//          --container-mb=N   pack chunk data into containers, restored
+//          through a --restore-cache-mb=32 cache; --rewrite=none|cbr|har
+//          controls fragmentation (cbr caps old containers per segment,
+//          har rewrites duplicates out of containers that went sparse)
+//          Sizes take K/M/G suffixes; a bare number means MB.
 #include <unistd.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <thread>
 
 #include "mhd/core/mhd_engine.h"
-#include "mhd/dedup/rewrite.h"
-#include "mhd/index/persistent_index.h"
-#include "mhd/index/sampled_index.h"
 #include "mhd/metrics/metrics.h"
+#include "mhd/repo/repository.h"
 #include "mhd/server/client.h"
 #include "mhd/server/daemon.h"
-#include "mhd/store/container_store.h"
-#include "mhd/store/fault_backend.h"
-#include "mhd/store/file_backend.h"
-#include "mhd/store/framed_backend.h"
 #include "mhd/store/maintenance.h"
 #include "mhd/store/restore_reader.h"
 #include "mhd/store/scrub.h"
-#include "mhd/store/store_lock.h"
-#include "mhd/util/flags.h"
 
 namespace {
 
@@ -135,126 +112,15 @@ class FileSource final : public ByteSource {
   std::ifstream in_;
 };
 
-/// The durability stack every command talks to:
-///   FileBackend -> [FaultInjectingBackend] -> [FramedBackend]
-/// Faults are injected on the physical layer, below the framing that
-/// exists to detect them. `active()` is the top of whatever was enabled.
-class BackendStack {
- public:
-  BackendStack(const std::string& root, const Flags& flags) : file_(root) {
-    StorageBackend* top = &file_;
-    const auto plan = flags.get("fault-plan", "");
-    if (!plan.empty()) {
-      faulty_.emplace(*top, FaultPlan::parse(plan));
-      top = &*faulty_;
-    }
-    // Framing is a property of the repository, not of the invocation:
-    // `store --framed` drops a marker file so every later command reads
-    // through the verifying layer without the flag. Otherwise a restore
-    // that forgot --framed would return the framed bytes as payload.
-    bool framed = flags.get_bool("framed", false);
-    if (framed) {
-      write_framed_marker(root);
-    } else {
-      framed = has_framed_marker(root);
-    }
-    if (framed) {
-      framed_.emplace(*top);
-      top = &*framed_;
-    }
-    // The container layout is likewise a repository property: the
-    // `container-size` marker records the container size chosen at store
-    // time, so restores/gc/scrub always resolve chunk names through the
-    // extent maps instead of expecting per-chunk objects. (It cannot be
-    // named `containers` — FileBackend owns a directory of that name.)
-    const std::string cmarker = root + "/container-size";
-    std::uint64_t container_bytes =
-        flags.get_size("container-mb", 0, 0, 1ull << 40, /*unit=*/1ull << 20);
-    if (container_bytes == 0) {
-      if (std::FILE* f = std::fopen(cmarker.c_str(), "rb")) {
-        unsigned long long v = 0;
-        if (std::fscanf(f, "%llu", &v) == 1) container_bytes = v;
-        std::fclose(f);
-      }
-    } else if (std::FILE* f = std::fopen(cmarker.c_str(), "wb")) {
-      std::fprintf(f, "%llu\n",
-                   static_cast<unsigned long long>(container_bytes));
-      std::fclose(f);
-    }
-    if (container_bytes != 0) {
-      ContainerConfig cc;
-      cc.container_bytes = container_bytes;
-      cc.cache_bytes =
-          flags.get_size("restore-cache-mb", cc.cache_bytes, 64ull << 10,
-                         1ull << 40, /*unit=*/1ull << 20);
-      containers_.emplace(*top, cc);
-      top = &*containers_;
-    }
-    active_ = top;
-  }
-
-  StorageBackend& active() { return *active_; }
-  FileBackend& file() { return file_; }
-  ContainerBackend* containers() {
-    return containers_ ? &*containers_ : nullptr;
-  }
-
- private:
-  FileBackend file_;
-  std::optional<FaultInjectingBackend> faulty_;
-  std::optional<FramedBackend> framed_;
-  std::optional<ContainerBackend> containers_;
-  StorageBackend* active_ = nullptr;
-};
-
-EngineConfig config_from(const Flags& flags, const StorageBackend& backend) {
-  EngineConfig cfg;
-  // The index implementation is a property of the repository: once a
-  // persistent (disk or sampled) index exists, keep maintaining it even
-  // without the flag (an ignored on-disk index would silently go stale).
-  if (flags.has("index-impl")) {
-    const std::string impl =
-        flags.get_choice("index-impl", {"mem", "disk", "sampled"}, "mem");
-    cfg.index_impl = impl == "disk"      ? IndexImpl::kDisk
-                     : impl == "sampled" ? IndexImpl::kSampled
-                                         : IndexImpl::kMem;
-  } else if (index_present(backend)) {
-    cfg.index_impl = IndexImpl::kDisk;
-  } else if (sampled_index_present(backend)) {
-    cfg.index_impl = IndexImpl::kSampled;
-  } else {
-    cfg.index_impl = IndexImpl::kMem;
-  }
-  cfg.sample_bits = static_cast<std::uint32_t>(
-      flags.get_uint("sample-bits", cfg.sample_bits, 0, 64));
-  cfg.max_champions = static_cast<std::uint32_t>(
-      flags.get_uint("champions", cfg.max_champions, 1, 1024));
-  cfg.index_cache_bytes =
-      flags.get_size("index-cache-mb", cfg.index_cache_bytes, 64ull << 10,
-                     1ull << 40, /*unit=*/1ull << 20);
-  cfg.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 4096));
-  cfg.sd = static_cast<std::uint32_t>(flags.get_int("sd", 64));
-  cfg.chunker = chunker_kind_from_string(
-      flags.get_choice("chunker", {"rabin", "tttd", "gear", "fixed"}, "rabin"));
-  cfg.chunker_impl = chunker_impl_from_string(
-      flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
-  cfg.hash_impl = sha1_impl_from_string(flags.get_choice(
-      "hash-impl", {"auto", "shani", "simd", "portable"}, "auto"));
-  cfg.rewrite = *parse_rewrite_mode(
-      flags.get_choice("rewrite", {"none", "cbr", "capping", "har"}, "none"));
-  return cfg;
-}
-
 int cmd_store(const Flags& flags, bool verify_after) {
   const auto& args = flags.positional();
   if (args.size() < 3) {
     std::fprintf(stderr, "usage: dedup_cli store <repo> <file...>\n");
     return 2;
   }
-  const StoreLock lock = StoreLock::acquire(args[1]);
-  BackendStack stack(args[1], flags);
-  ObjectStore store(stack.active());
-  MhdEngine engine(store, config_from(flags, stack.active()));
+  Repository repo = open_repository(args[1], flags, OpenMode::kCreate);
+  ObjectStore store(repo.stack().top());
+  MhdEngine engine(store, repo.config());
 
   for (std::size_t i = 2; i < args.size(); ++i) {
     FileSource src(args[i]);
@@ -270,7 +136,7 @@ int cmd_store(const Flags& flags, bool verify_after) {
   // container so the repo on disk is all clean streams.
   engine.end_snapshot();
   engine.finish();
-  if (auto* containers = stack.containers()) {
+  if (auto* containers = repo.stack().containers()) {
     containers->flush();
     const auto s = containers->stats();
     const auto& rs = engine.counters();
@@ -335,9 +201,9 @@ int cmd_restore(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli restore <repo> <name> <out>\n");
     return 2;
   }
-  BackendStack stack(args[1], flags);
+  Repository repo = open_repository(args[1], flags, OpenMode::kRead);
   // Streaming restore: O(buffer) memory regardless of image size.
-  auto reader = RestoreReader::open(stack.active(), args[2]);
+  auto reader = RestoreReader::open(repo.stack().top(), args[2]);
   if (!reader) {
     std::fprintf(stderr, "no such file in repo: %s\n", args[2].c_str());
     return 1;
@@ -357,7 +223,7 @@ int cmd_restore(const Flags& flags) {
   std::printf("restored %s -> %s (%llu bytes)\n", args[2].c_str(),
               args[3].c_str(),
               static_cast<unsigned long long>(reader->produced()));
-  if (auto* containers = stack.containers()) {
+  if (auto* containers = repo.stack().containers()) {
     const auto s = containers->stats();
     const double mb = reader->produced() / 1048576.0;
     std::printf("  container reads %llu (%.3f per MB), cache hits %llu, "
@@ -376,11 +242,10 @@ int cmd_delete(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli delete <repo> <name...>\n");
     return 2;
   }
-  const StoreLock lock = StoreLock::acquire(args[1]);
-  BackendStack stack(args[1], flags);
+  Repository repo = open_repository(args[1], flags, OpenMode::kWrite);
   int missing = 0;
   for (std::size_t i = 2; i < args.size(); ++i) {
-    if (delete_file(stack.active(), args[i])) {
+    if (delete_file(repo.stack().top(), args[i])) {
       std::printf("deleted %s (run 'gc' to reclaim space)\n", args[i].c_str());
     } else {
       std::fprintf(stderr, "not in repo: %s\n", args[i].c_str());
@@ -396,9 +261,8 @@ int cmd_gc(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli gc <repo>\n");
     return 2;
   }
-  const StoreLock lock = StoreLock::acquire(args[1]);
-  BackendStack stack(args[1], flags);
-  const auto r = collect_garbage(stack.active());
+  Repository repo = open_repository(args[1], flags, OpenMode::kWrite);
+  const auto r = collect_garbage(repo.stack().top());
   std::printf("gc: %llu live chunks kept, %llu chunks deleted (%.2f MB "
               "reclaimed), %llu manifests and %llu hooks removed\n",
               static_cast<unsigned long long>(r.live_chunks),
@@ -433,8 +297,8 @@ int cmd_scrub(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli scrub <repo>\n");
     return 2;
   }
-  BackendStack stack(args[1], flags);
-  const auto r = scrub_repository(stack.active());
+  Repository repo = open_repository(args[1], flags, OpenMode::kRead);
+  const auto r = scrub_repository(repo.stack().top());
   std::printf("scrub: %llu filemanifests, %llu manifests (%llu opaque), "
               "%llu chunks, %llu hooks\n",
               static_cast<unsigned long long>(r.file_manifests),
@@ -482,8 +346,8 @@ int cmd_stats(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli stats <repo>\n");
     return 2;
   }
-  BackendStack stack(args[1], flags);
-  StorageBackend& backend = stack.active();
+  Repository repo = open_repository(args[1], flags, OpenMode::kRead);
+  StorageBackend& backend = repo.stack().top();
   const auto m = MetadataBreakdown::from(backend);
   std::printf("repository %s\n", args[1].c_str());
   std::printf("  diskchunks    : %llu objects, %.2f MB\n",
@@ -514,19 +378,7 @@ int cmd_serve(const Flags& flags) {
     return 2;
   }
   // The daemon is THE single writer of the repository for its lifetime.
-  const StoreLock lock = StoreLock::acquire(args[1]);
-  // fsck checks CRC framing: on an unframed repository it would flag and
-  // quarantine every healthy object. Checked before the stack exists, so
-  // a --framed flag cannot declare an existing unframed repo framed.
-  const bool fsck_on_start = flags.get_bool("fsck-on-start", false);
-  if (fsck_on_start && !has_framed_marker(args[1])) {
-    std::fprintf(stderr, "fsck-on-start: %s is not a framed repository; "
-                         "check it with 'dedup_cli scrub %s'\n",
-                 args[1].c_str(), args[1].c_str());
-    return 2;
-  }
-  BackendStack stack(args[1], flags);
-
+  Repository repo = open_repository(args[1], flags, OpenMode::kCreate);
   server::DaemonConfig dc;
   dc.listen = flags.get("listen", "unix:" + args[1] + "/daemon.sock");
   dc.max_sessions = static_cast<std::uint32_t>(
@@ -539,17 +391,24 @@ int cmd_serve(const Flags& flags) {
   dc.idle_timeout_ms = static_cast<std::uint32_t>(
       flags.get_uint("idle-timeout-ms", 30'000, 0, 3'600'000));
   dc.net_fault_plan = flags.get("net-fault-plan", "");
-  dc.engine = config_from(flags, stack.active());
+  dc.engine = repo.config();
 
   // A daemon that may be restarted over a kill -9'd repository: repair
   // crash residue before accepting traffic, on the raw layer the offline
-  // fsck_cli would use.
-  if (fsck_on_start) {
+  // fsck_cli would use, before the layers above it open.
+  if (flags.get_bool("fsck-on-start", false)) {
+    // fsck checks CRC framing: it would quarantine every unframed object.
+    if (!repo.config().framed) {
+      std::fprintf(stderr, "fsck-on-start: %s is not a framed repository; "
+                           "check it with 'dedup_cli scrub %s'\n",
+                   args[1].c_str(), args[1].c_str());
+      return 2;
+    }
     // The repair pass reports what it FOUND (and fixed); a read-only
     // second pass proves what is LEFT.
-    const FsckReport rep = fsck_repository(stack.file(), /*repair=*/true);
+    const FsckReport rep = fsck_repository(repo.file(), /*repair=*/true);
     const bool clean =
-        rep.clean() || fsck_repository(stack.file(), /*repair=*/false).clean();
+        rep.clean() || fsck_repository(repo.file(), /*repair=*/false).clean();
     std::printf("fsck-on-start: %s (%llu issues found, %llu repaired)\n",
                 clean ? "clean" : "damaged",
                 static_cast<unsigned long long>(rep.issues.size()),
@@ -561,7 +420,7 @@ int cmd_serve(const Flags& flags) {
     }
   }
 
-  server::DedupDaemon daemon(stack.active(), stack.file(), dc);
+  server::DedupDaemon daemon(repo.stack().top(), repo.file(), dc);
   daemon.start();
   std::printf("dedup daemon listening on %s (max %u sessions)\n",
               daemon.listen_spec().c_str(), dc.max_sessions);
@@ -708,7 +567,8 @@ int main(int argc, char** argv) {
     const auto& args = flags.positional();
     if (args.empty()) {
       std::fprintf(stderr,
-                   "usage: dedup_cli <store|restore|verify|stats> ...\n");
+                   "usage: dedup_cli <store|verify|restore|delete|gc|scrub|"
+                   "stats|serve|put|get|ls|dstats|maintain> ...\n");
       return 2;
     }
     if (args[0] == "store") return cmd_store(flags, /*verify_after=*/false);

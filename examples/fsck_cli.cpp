@@ -16,9 +16,10 @@
 //
 // check exits 0 on a clean repository, 1 otherwise (orphans are
 // informational and do not dirty the result); a usage or flag mistake
-// exits 2. check and repair also exit 2, touching nothing, on a repository
-// stored without --framed: fsck verifies CRC framing and would quarantine
-// every healthy object there (`dedup_cli scrub` checks such repositories).
+// exits 2. check and repair take framing from the repository's descriptor
+// (src/mhd/repo/) and exit 2, touching nothing, on a path without one and
+// on a repository stored without --framed: fsck verifies CRC framing and
+// would quarantine every healthy object there (use `dedup_cli scrub`).
 // The corrupt/tear fixtures write through the raw files, bypassing the
 // backend — exactly the bit rot and torn writes the framing exists to
 // catch.
@@ -32,9 +33,8 @@
 #include <filesystem>
 #include <fstream>
 
-#include "mhd/store/file_backend.h"
+#include "mhd/repo/repository.h"
 #include "mhd/store/scrub.h"
-#include "mhd/util/flags.h"
 
 namespace {
 
@@ -54,14 +54,16 @@ int cmd_check(const Flags& flags, bool repair) {
                  repair ? "repair" : "check");
     return 2;
   }
-  if (!has_framed_marker(args[1])) {
+  // fsck takes no engine flags: the descriptor alone gives the layout.
+  Repository repo =
+      open_repository(args[1], Flags(0, nullptr), OpenMode::kRead);
+  if (!repo.config().framed) {
     std::fprintf(stderr, "fsck_cli: %s is not a framed repository; check it "
                          "with 'dedup_cli scrub %s'\n",
                  args[1].c_str(), args[1].c_str());
     return 2;
   }
-  FileBackend backend(args[1]);
-  const auto report = fsck_repository(backend, repair);
+  const auto report = fsck_repository(repo.file(), repair);
   std::printf("%s", report.to_string().c_str());
   if (report.clean()) {
     std::printf("repository is CLEAN%s\n",
@@ -177,5 +179,8 @@ int main(int argc, char** argv) {
   } catch (const mhd::FlagError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 }

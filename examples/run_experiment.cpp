@@ -3,7 +3,7 @@
 // a table and as JSON (for plotting pipelines).
 //
 //   ./run_experiment --algo=bf-mhd --size_mb=48 --ecs=1024 --sd=32
-//                    [--chunker=rabin|tttd|gear]
+//                    [--chunker=rabin|tttd|gear|fixed]
 //                    [--chunker-impl=auto|scalar|simd]
 //                    [--hash-impl=auto|shani|simd|portable] [--cache_kb=256]
 //                    [--index-impl=mem|disk|sampled] [--index-cache-mb=8]
@@ -14,34 +14,19 @@
 //                    [--restore-cache-mb=32] [--measure-restore]
 //                    [--verify] [--json]
 //
-// --index-impl=disk routes the fingerprint index through the persistent
-// sharded on-disk index (bounded RAM, warm restart); --index-cache-mb
-// bounds its hot bucket-page cache (accepts K/M/G suffixes, bare number =
-// MB).
-// --index-impl=sampled keeps only a sparse similarity hook table resident
-// (fingerprints whose low --sample-bits bits are zero); a hook hit loads
-// up to --champions similar segments for full-segment dedup, and
-// duplicates the sample misses are stored again — the loss is reported as
-// sampled missed-dup MB, never hidden.
-// --framed stores every object with CRC32C self-verification framing
-// (dedup results stay bit-identical; the framing overhead is reported);
-// --fault-plan injects deterministic storage faults below the framing,
-// e.g. --fault-plan=torn@120:0.5,readerr@3x2,seed:7 (see
-// store/fault_backend.h for the mini-language).
-// --container-mb packs chunk data into fixed-size containers (the
-// fragmentation-aware layout; 0 = legacy per-chunk objects) and
-// --rewrite selects the dedup-time fragmentation control: cbr caps the
-// distinct old containers a segment may reference, har rewrites
-// duplicates into containers that went sparse across generations.
-// --restore-cache-mb budgets the restore path's whole-container LRU;
+// --algo, --size_mb, --seed, --cache_kb, --cbr-segment-mb, --cbr-cap and
+// --har-util (which tune --rewrite=cbr|har), --measure-restore, --verify
+// and --json are this CLI's own. Every other flag is dedup_cli's, read by
+// the same code (read_engine_flags in src/mhd/repo/) and described in its
+// usage header; each run uses a fresh in-memory repository.
 // --measure-restore times a full streaming restore of the corpus after
 // ingest and reports restore MB/s, containers-read-per-MB and CFL.
 // A flag mistake exits 2; a failed experiment exits 1.
 #include <cstdio>
 
 #include "mhd/metrics/json_export.h"
+#include "mhd/repo/repository.h"
 #include "mhd/sim/runner.h"
-#include "mhd/util/flags.h"
 #include "mhd/util/table.h"
 #include "mhd/workload/presets.h"
 
@@ -53,35 +38,12 @@ int run(int argc, char** argv) {
 
   RunSpec spec;
   spec.algorithm = flags.get("algo", "bf-mhd");
-  spec.engine.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 1024));
-  spec.engine.sd = static_cast<std::uint32_t>(flags.get_int("sd", 32));
-  spec.engine.chunker = chunker_kind_from_string(flags.get_choice(
-      "chunker", {"rabin", "tttd", "gear", "fixed"}, "rabin"));
-  spec.engine.chunker_impl = chunker_impl_from_string(
-      flags.get_choice("chunker-impl", {"auto", "scalar", "simd"}, "auto"));
-  spec.engine.hash_impl = sha1_impl_from_string(flags.get_choice(
-      "hash-impl", {"auto", "shani", "simd", "portable"}, "auto"));
+  spec.engine.ecs = 1024;
+  spec.engine.sd = 32;
   spec.engine.manifest_cache_bytes =
       static_cast<std::uint64_t>(flags.get_int("cache_kb", 256)) << 10;
   spec.engine.manifest_cache_capacity = 4096;
-  const std::string index_impl =
-      flags.get_choice("index-impl", {"mem", "disk", "sampled"}, "mem");
-  spec.engine.index_impl = index_impl == "disk"      ? IndexImpl::kDisk
-                           : index_impl == "sampled" ? IndexImpl::kSampled
-                                                     : IndexImpl::kMem;
-  spec.engine.sample_bits = static_cast<std::uint32_t>(
-      flags.get_uint("sample-bits", spec.engine.sample_bits, 0, 64));
-  spec.engine.max_champions = static_cast<std::uint32_t>(
-      flags.get_uint("champions", spec.engine.max_champions, 1, 1024));
-  spec.engine.index_cache_bytes =
-      flags.get_size("index-cache-mb", spec.engine.index_cache_bytes,
-                     64ull << 10, 1ull << 40, /*unit=*/1ull << 20);
-  spec.engine.framed = flags.get_bool("framed", false);
-  spec.engine.fault_plan = flags.get("fault-plan", "");
-  spec.engine.container_bytes =
-      flags.get_size("container-mb", 0, 0, 1ull << 40, /*unit=*/1ull << 20);
-  spec.engine.rewrite = *parse_rewrite_mode(
-      flags.get_choice("rewrite", {"none", "cbr", "capping", "har"}, "none"));
+  spec.engine = read_engine_flags(flags, spec.engine);
   spec.engine.cbr_segment_bytes =
       flags.get_size("cbr-segment-mb", spec.engine.cbr_segment_bytes,
                      64ull << 10, 1ull << 40, /*unit=*/1ull << 20);
@@ -89,9 +51,6 @@ int run(int argc, char** argv) {
       flags.get_uint("cbr-cap", spec.engine.cbr_cap, 1, 65536));
   spec.engine.har_utilization =
       flags.get_double("har-util", spec.engine.har_utilization);
-  spec.engine.restore_cache_bytes =
-      flags.get_size("restore-cache-mb", spec.engine.restore_cache_bytes,
-                     64ull << 10, 1ull << 40, /*unit=*/1ull << 20);
   spec.verify = flags.get_bool("verify", false);
   spec.measure_restore = flags.get_bool("measure-restore", false);
 

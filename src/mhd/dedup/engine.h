@@ -103,18 +103,18 @@ struct EngineConfig {
   std::uint32_t index_journal_batch = 64;
   std::uint64_t index_compact_threshold = 4096;
 
-  // Durability stack (DESIGN.md "Durability model"). With `framed` the
-  // simulation runner layers FramedBackend (CRC32C self-verifying objects,
-  // typed corrupt-vs-absent errors) over the repository; `fault_plan` adds
-  // a FaultInjectingBackend *below* the framing speaking the plan
-  // mini-language in store/fault_backend.h (--fault-plan). Dedup results
-  // are bit-identical with framing on; only physical bytes differ.
+  // Durability stack (DESIGN.md "Durability model"), built by BackendStack
+  // (repo/repository.h). `framed` layers FramedBackend (CRC32C
+  // self-verifying objects, typed corrupt-vs-absent errors) over the
+  // repository; `fault_plan` adds a FaultInjectingBackend *below* the
+  // framing speaking the plan mini-language in store/fault_backend.h
+  // (--fault-plan). Dedup results are bit-identical with framing on.
   bool framed = false;
   std::string fault_plan;
 
   // Container packing + rewrite (DESIGN.md "Container store and restore
-  // path"). 0 keeps the legacy per-chunk layout; with a size the runner
-  // layers a ContainerBackend of that container size over the stack
+  // path"). 0 keeps the legacy per-chunk layout; with a size the stack
+  // gains a ContainerBackend of that container size on top
   // (--container-mb) and `rewrite` selects the fragmentation-control
   // algorithm applied at dedup time (--rewrite).
   std::uint64_t container_bytes = 0;

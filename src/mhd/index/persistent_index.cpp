@@ -873,10 +873,6 @@ std::optional<ByteVec> PersistentIndex::load_aux(
   return get_unsealed(backend_, "aux-" + name);
 }
 
-bool index_present(const StorageBackend& backend) {
-  return PersistentIndex::present(backend);
-}
-
 IndexCheckReport check_index(const StorageBackend& backend) {
   IndexCheckReport report;
   const auto meta_payload = get_unsealed(backend, kMetaName);

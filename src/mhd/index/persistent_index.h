@@ -229,9 +229,6 @@ class PersistentIndex final : public FingerprintIndex {
   mutable std::mutex journal_mu_;
 };
 
-/// True when the backend holds a persistent fingerprint index.
-bool index_present(const StorageBackend& backend);
-
 /// Read-only cross-check of the persistent index against the live
 /// hooks/manifests (scrub integration; never mutates the backend).
 struct IndexCheckReport {

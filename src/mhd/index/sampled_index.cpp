@@ -299,10 +299,6 @@ void SampledIndex::rebuild_from_hooks() {
   note_ram();
 }
 
-bool sampled_index_present(const StorageBackend& backend) {
-  return SampledIndex::present(backend);
-}
-
 SampledCheckReport check_sampled_index(const StorageBackend& backend) {
   SampledCheckReport report;
   const auto meta_payload = get_unsealed(backend, kMetaName);

@@ -133,9 +133,6 @@ class SampledIndex final : public FingerprintIndex {
   std::uint64_t ram_high_water_ = 0;
 };
 
-/// True when the backend holds a sampled similarity tier.
-bool sampled_index_present(const StorageBackend& backend);
-
 /// Read-only cross-check of the sampled tier against live manifests
 /// (fsck integration; never mutates the backend).
 struct SampledCheckReport {

@@ -153,9 +153,9 @@ struct DedupDaemon::EngineSession {
       : view(sync, tenant), store(view), engine(store, cfg) {}
 };
 
-DedupDaemon::DedupDaemon(StorageBackend& active, StorageBackend& raw,
+DedupDaemon::DedupDaemon(StorageBackend& active, StorageBackend&,
                          DaemonConfig cfg)
-    : sync_(active), raw_(raw), cfg_(std::move(cfg)) {
+    : sync_(active), cfg_(std::move(cfg)) {
   if (cfg_.max_sessions == 0) cfg_.max_sessions = 1;
   if (!cfg_.net_fault_plan.empty()) {
     net_fault_plan_ = NetFaultPlan::parse(cfg_.net_fault_plan);

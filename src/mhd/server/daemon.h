@@ -140,10 +140,10 @@ struct TenantCounters {
 class DedupDaemon {
  public:
   /// `active` is the top of the repository's backend stack (container/
-  /// framed/fault layers applied); `raw` its physical bottom, which fsck
-  /// needs. The daemon interposes its own SyncBackend — the caller's
-  /// stack need not be thread-safe.
-  DedupDaemon(StorageBackend& active, StorageBackend& raw, DaemonConfig cfg);
+  /// framed/fault layers applied); the second parameter is unused (online
+  /// fsck scrubs tenant views of `active`). The daemon interposes its own
+  /// SyncBackend — the caller's stack need not be thread-safe.
+  DedupDaemon(StorageBackend& active, StorageBackend&, DaemonConfig cfg);
   ~DedupDaemon();
 
   DedupDaemon(const DedupDaemon&) = delete;
@@ -222,7 +222,6 @@ class DedupDaemon {
   void reap_finished_sessions();
 
   SyncBackend sync_;       ///< linearizes the shared stack for sessions
-  StorageBackend& raw_;    ///< physical layer (fsck target)
   DaemonConfig cfg_;
   Listener listener_;
   std::thread accept_thread_;

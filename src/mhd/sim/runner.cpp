@@ -1,13 +1,11 @@
 #include "mhd/sim/runner.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 
 #include "mhd/core/mhd_engine.h"
+#include "mhd/repo/repository.h"
 #include "mhd/store/container_store.h"
-#include "mhd/store/fault_backend.h"
-#include "mhd/store/framed_backend.h"
 #include "mhd/store/restore_reader.h"
 #include "mhd/util/timer.h"
 #include "mhd/dedup/bimodal_engine.h"
@@ -101,32 +99,8 @@ ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus,
 
 ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus) {
   MemoryBackend backend;
-  if (!spec.engine.framed && spec.engine.fault_plan.empty() &&
-      spec.engine.container_bytes == 0) {
-    return run_experiment(spec, corpus, backend);
-  }
-  // Durability stack (innermost first): faults are injected on the
-  // *physical* layer, below the framing that exists to detect them; the
-  // container layer packs logical chunks above both.
-  std::optional<FaultInjectingBackend> faulty;
-  StorageBackend* lower = &backend;
-  if (!spec.engine.fault_plan.empty()) {
-    faulty.emplace(backend, FaultPlan::parse(spec.engine.fault_plan));
-    lower = &*faulty;
-  }
-  std::optional<FramedBackend> framed;
-  if (spec.engine.framed) {
-    framed.emplace(*lower);
-    lower = &*framed;
-  }
-  if (spec.engine.container_bytes == 0) {
-    return run_experiment(spec, corpus, *lower);
-  }
-  ContainerConfig cc;
-  cc.container_bytes = spec.engine.container_bytes;
-  cc.cache_bytes = spec.engine.restore_cache_bytes;
-  ContainerBackend containers(*lower, cc);
-  return run_experiment(spec, corpus, containers);
+  BackendStack stack(backend, spec.engine);
+  return run_experiment(spec, corpus, stack.top());
 }
 
 RestoreMetrics measure_restore(StorageBackend& backend,

@@ -42,9 +42,9 @@ struct RunSpec {
   bool measure_restore = false;
 };
 
-/// Runs the full corpus through a fresh engine + in-memory backend.
-/// With spec.engine.container_bytes > 0 the stack gains a ContainerBackend
-/// (above framing/faults): Memory → [Fault] → [Framed] → [Container].
+/// Runs the full corpus through a fresh engine over the BackendStack that
+/// spec.engine asks for (repo/repository.h) on an in-memory backend:
+/// Memory → [Fault] → [Framed] → [Container].
 ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus);
 
 /// Runs against a caller-provided backend (e.g. FileBackend).

@@ -17,8 +17,6 @@ constexpr const char* kTmpSuffix = ".tmp";
 
 bool is_tmp(const fs::path& p) { return p.extension() == kTmpSuffix; }
 
-fs::path framed_marker_path(const fs::path& root) { return root / "framed"; }
-
 /// Writes `data` and verifies both the write and the close took: a short
 /// write (ENOSPC, quota) must surface as an error, never as a silently
 /// truncated object.
@@ -62,14 +60,8 @@ fs::path FileBackend::path_for(Ns ns, const std::string& name) const {
   return root_ / ns_name(ns) / name;
 }
 
-void FileBackend::put(Ns ns, const std::string& name, ByteSpan data) {
-  const fs::path p = path_for(ns, name);
+void write_file_atomically(const fs::path& p, ByteSpan data) {
   const fs::path tmp = p.string() + kTmpSuffix;
-  const bool existed = fs::exists(p);
-  const std::uint64_t old_size = existed ? fs::file_size(p) : 0;
-  // Atomic replace: write the new bytes beside the object, then rename
-  // over it. A crash mid-put leaves either the old object or the new one,
-  // never a half-written mix; the stale .tmp is swept on reopen.
   try {
     write_all_or_throw(tmp, data, std::ios::trunc);
   } catch (...) {
@@ -83,6 +75,13 @@ void FileBackend::put(Ns ns, const std::string& name, ByteSpan data) {
     fs::remove(tmp, ec);
     throw BackendIoError("FileBackend: rename failed for " + p.string());
   }
+}
+
+void FileBackend::put(Ns ns, const std::string& name, ByteSpan data) {
+  const fs::path p = path_for(ns, name);
+  const bool existed = fs::exists(p);
+  const std::uint64_t old_size = existed ? fs::file_size(p) : 0;
+  write_file_atomically(p, data);
   const int i = static_cast<int>(ns);
   if (!existed) ++counts_[i];
   bytes_[i] += data.size();
@@ -173,15 +172,6 @@ std::vector<std::string> FileBackend::list(Ns ns) const {
   }
   std::sort(names.begin(), names.end());
   return names;
-}
-
-bool has_framed_marker(const fs::path& root) {
-  std::error_code ec;
-  return fs::exists(framed_marker_path(root), ec);
-}
-
-void write_framed_marker(const fs::path& root) {
-  std::ofstream marker(framed_marker_path(root), std::ios::binary);
 }
 
 }  // namespace mhd

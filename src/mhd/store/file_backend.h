@@ -39,11 +39,9 @@ class FileBackend final : public StorageBackend {
   std::array<std::uint64_t, static_cast<int>(Ns::kCount)> bytes_{};
 };
 
-/// Framing is a property of a FileBackend repository, recorded by a marker
-/// file in its root: `dedup_cli store --framed` writes it, and every later
-/// command that finds it reads through FramedBackend. fsck checks framing,
-/// so it must not run on a repository without the marker.
-bool has_framed_marker(const std::filesystem::path& root);
-void write_framed_marker(const std::filesystem::path& root);
+/// Atomic replace: writes `<path>.tmp`, then renames it over `path`, so a
+/// crash leaves the old file or the new one, never a mix (FileBackend
+/// sweeps stale .tmp objects on reopen). Throws BackendIoError.
+void write_file_atomically(const std::filesystem::path& path, ByteSpan data);
 
 }  // namespace mhd

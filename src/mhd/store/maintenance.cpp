@@ -129,7 +129,7 @@ ScrubReport scrub_repository(const StorageBackend& backend) {
   // at an existing manifest — a stale entry means a future backup could
   // anchor on deleted data. Unindexed hooks are informational (a lost
   // journal tail; the duplicates are re-learned through the hooks).
-  if (index_present(backend)) {
+  if (PersistentIndex::present(backend)) {
     const IndexCheckReport index = check_index(backend);
     report.index_entries = index.entries;
     report.stale_index_entries = index.stale_entries;
@@ -141,7 +141,7 @@ ScrubReport scrub_repository(const StorageBackend& backend) {
   // Sampled similarity tier (when present): every champion reference must
   // point at an existing manifest — a stale champion could pull a swept
   // segment back into the cache as a dedup target.
-  if (sampled_index_present(backend)) {
+  if (SampledIndex::present(backend)) {
     const SampledCheckReport sampled = check_sampled_index(backend);
     report.sampled_hook_entries = sampled.hook_entries;
     report.stale_sampled_champions = sampled.stale_champions;
@@ -223,7 +223,7 @@ GcReport collect_garbage(StorageBackend& backend) {
   // The persistent fingerprint index (when present) may still map the
   // swept manifests' fingerprints; rebuild it from the surviving hooks so
   // no stale entry can ever resurrect a deleted chunk.
-  if (index_present(backend)) {
+  if (PersistentIndex::present(backend)) {
     const std::uint64_t before = check_index(backend).entries;
     rebuild_index(backend);
     report.index_rebuilt = true;
@@ -234,7 +234,7 @@ GcReport collect_garbage(StorageBackend& backend) {
 
   // Same for the sampled similarity tier: swept champions must drop out
   // of the hook table so no hook hit can reload a deleted segment.
-  if (sampled_index_present(backend)) {
+  if (SampledIndex::present(backend)) {
     const std::uint64_t before = check_sampled_index(backend).champion_refs;
     rebuild_sampled_index(backend);
     report.sampled_index_rebuilt = true;

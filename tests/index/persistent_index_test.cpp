@@ -83,13 +83,12 @@ TEST(PersistentIndex, MaybeContainsHasNoFalseNegatives) {
 TEST(PersistentIndex, PresenceIsDetectedAfterFlush) {
   MemoryBackend backend;
   EXPECT_FALSE(PersistentIndex::present(backend));
-  EXPECT_FALSE(index_present(backend));
   {
     PersistentIndex index(backend, small_config());
     // Even an empty index writes its meta, making the choice sticky.
     EXPECT_TRUE(PersistentIndex::present(backend));
   }
-  EXPECT_TRUE(index_present(backend));
+  EXPECT_TRUE(PersistentIndex::present(backend));
 }
 
 TEST(PersistentIndex, ReopenReplaysJournal) {

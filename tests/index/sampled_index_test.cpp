@@ -250,7 +250,7 @@ TEST_P(SampledWarmRestartTest, RestartedRunIsBitIdenticalToUninterrupted) {
   MemoryBackend split_backend;
   const auto [gen1_counters, gen1_loads] =
       ingest_range(engine_name, cfg, corpus, 0, split, split_backend);
-  ASSERT_TRUE(sampled_index_present(split_backend));
+  ASSERT_TRUE(SampledIndex::present(split_backend));
   const auto [gen2_counters, gen2_loads] = ingest_range(
       engine_name, cfg, corpus, split, corpus.files().size(), split_backend);
 
@@ -332,7 +332,7 @@ TEST_P(SampledTornFlushTest, FsckRepairsTornCommitAndRepoStaysUsable) {
   // the rebuilt tier and every file restores byte-exactly.
   {
     FramedBackend framed(raw);
-    ASSERT_TRUE(sampled_index_present(framed));
+    ASSERT_TRUE(SampledIndex::present(framed));
     ingest_range("bf-mhd", cfg, corpus, split, corpus.files().size(), framed);
     expect_all_restores_byte_exact("bf-mhd", cfg, corpus, framed);
     const auto report = check_sampled_index(framed);
@@ -407,8 +407,8 @@ TEST(SampledDiskCoexistence, RebuildingEitherTierSparesTheOther) {
                split, backend);
   ingest_range("bf-mhd", engine_config(IndexImpl::kDisk), corpus, split,
                corpus.files().size(), backend);
-  ASSERT_TRUE(sampled_index_present(backend));
-  ASSERT_TRUE(index_present(backend));
+  ASSERT_TRUE(SampledIndex::present(backend));
+  ASSERT_TRUE(PersistentIndex::present(backend));
   EXPECT_TRUE(check_sampled_index(backend).meta_ok);
   EXPECT_TRUE(check_index(backend).meta_ok);
 

@@ -126,7 +126,7 @@ TEST_P(WarmRestartTest, ReopenedDiskIndexMatchesUninterruptedMemRun) {
   MemoryBackend disk_backend;
   const auto [gen1_counters, gen1_loads] = ingest_range(
       engine_name, IndexImpl::kDisk, corpus, 0, split, disk_backend);
-  ASSERT_TRUE(index_present(disk_backend));
+  ASSERT_TRUE(PersistentIndex::present(disk_backend));
   const auto [gen2_counters, gen2_loads] =
       ingest_range(engine_name, IndexImpl::kDisk, corpus, split,
                    corpus.files().size(), disk_backend);
