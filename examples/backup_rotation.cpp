@@ -10,20 +10,24 @@
 #include <cstdio>
 
 #include "mhd/metrics/metrics.h"
+#include "mhd/repo/repository.h"
 #include "mhd/sim/runner.h"
 #include "mhd/util/flags.h"
 #include "mhd/util/table.h"
 #include "mhd/workload/presets.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mhd;
   const Flags flags(argc, argv);
   const auto size_mb = static_cast<std::uint64_t>(flags.get_int("size_mb", 48));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   EngineConfig cfg;
-  cfg.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 1024));
-  cfg.sd = static_cast<std::uint32_t>(flags.get_int("sd", 32));
+  cfg.ecs = 1024;
+  cfg.sd = 32;
+  cfg = read_ecs_sd_flags(flags, cfg);
   cfg.manifest_cache_bytes = 256 << 10;
   cfg.manifest_cache_capacity = 4096;
 
@@ -70,4 +74,15 @@ int main(int argc, char** argv) {
               " 1 (daily images mostly\nduplicate), and how BF-MHD reaches "
               "the best real DER with the least metadata.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const mhd::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -12,6 +12,7 @@
 
 #include "mhd/core/mhd_engine.h"
 #include "mhd/format/manifest.h"
+#include "mhd/repo/repository.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/util/flags.h"
 #include "mhd/util/random.h"
@@ -54,13 +55,12 @@ void show_manifest(const MemoryBackend& backend, const std::string& file) {
                   backend.content_bytes(Ns::kDiskChunk)));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Flags flags(argc, argv);
   EngineConfig cfg;
-  cfg.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 1024));
-  cfg.sd = static_cast<std::uint32_t>(flags.get_int("sd", 16));
+  cfg.ecs = 1024;
+  cfg.sd = 16;
+  cfg = read_ecs_sd_flags(flags, cfg);
 
   MemoryBackend backend;
   ObjectStore store(backend);
@@ -132,4 +132,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   backend.content_bytes(Ns::kManifest)));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const mhd::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

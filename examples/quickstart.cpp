@@ -10,11 +10,14 @@
 
 #include "mhd/core/mhd_engine.h"
 #include "mhd/metrics/metrics.h"
+#include "mhd/repo/repository.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/util/flags.h"
 #include "mhd/workload/presets.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mhd;
   const Flags flags(argc, argv);
 
@@ -30,8 +33,9 @@ int main(int argc, char** argv) {
 
   // 2. An engine: BF-MHD over an in-memory hash-addressable store.
   EngineConfig cfg;
-  cfg.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 2048));
-  cfg.sd = static_cast<std::uint32_t>(flags.get_int("sd", 32));
+  cfg.ecs = 2048;
+  cfg.sd = 32;
+  cfg = read_ecs_sd_flags(flags, cfg);
   MemoryBackend backend;
   ObjectStore store(backend);
   MhdEngine engine(store, cfg);
@@ -72,4 +76,15 @@ int main(int argc, char** argv) {
   std::printf("restore check      : %s restored byte-exactly (%zu bytes)\n",
               name.c_str(), restored->size());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const mhd::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -8,12 +8,15 @@
 #include <cstdio>
 
 #include "mhd/core/mhd_engine.h"
+#include "mhd/repo/repository.h"
 #include "mhd/store/maintenance.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/util/flags.h"
 #include "mhd/workload/presets.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mhd;
   const Flags flags(argc, argv);
   const auto size_mb = static_cast<std::uint64_t>(flags.get_int("size_mb", 24));
@@ -21,8 +24,9 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("keep_last", 4));
 
   EngineConfig cfg;
-  cfg.ecs = static_cast<std::uint32_t>(flags.get_int("ecs", 1024));
-  cfg.sd = static_cast<std::uint32_t>(flags.get_int("sd", 16));
+  cfg.ecs = 1024;
+  cfg.sd = 16;
+  cfg = read_ecs_sd_flags(flags, cfg);
 
   const Corpus corpus(icpp13_preset(size_mb, 1));
   const auto& ccfg = corpus.config();
@@ -89,4 +93,15 @@ int main(int argc, char** argv) {
   std::printf("verified %zu surviving backups byte-exactly; scrub: %s\n",
               verified, report.clean() ? "CLEAN" : "PROBLEMS FOUND");
   return report.clean() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const mhd::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -28,7 +28,8 @@ std::uint64_t mask_for(const ChunkerConfig& c) {
 
 RabinChunker::RabinChunker(const ChunkerConfig& config)
     : config_(config),
-      fp_(config.window),
+      // Throws std::invalid_argument for a zero window.
+      window_(RabinTables::get(config.window, RabinFingerprint::kDefaultPoly)),
       mask_(mask_for(config)),
       // Arbitrary fixed pattern; avoiding 0 prevents runs of zero bytes
       // (common in disk images) from cutting at every position.
@@ -43,7 +44,7 @@ RabinChunker::RabinChunker(const ChunkerConfig& config)
 }
 
 void RabinChunker::reset() {
-  fp_.reset();
+  window_.reset();
   pos_ = 0;
 }
 
@@ -59,24 +60,19 @@ Chunker::ScanResult RabinChunker::scan(ByteSpan data) {
     i += skip;
   }
 
-  while (i < n) {
-    if (pos_ >= config_.max_size) {
-      reset();
-      return {i, true};
-    }
-    const std::uint64_t f = fp_.push(data[i]);
-    ++i;
-    ++pos_;
-    if (pos_ >= config_.min_size && (f & mask_) == magic_) {
-      reset();
-      return {i, true};
-    }
-    if (pos_ >= config_.max_size) {
-      reset();
-      return {i, true};
-    }
+  const std::uint64_t mask = mask_;
+  const std::uint64_t magic = magic_;
+  const ScanResult r = window_.scan(
+      data, i, pos_, config_.min_size, config_.max_size,
+      [mask, magic](std::size_t, std::uint64_t f) {
+        return (f & mask) == magic;
+      });
+  pos_ += r.consumed - i;
+  if (r.cut || pos_ >= config_.max_size) {
+    reset();
+    return {r.consumed, true};
   }
-  return {i, false};
+  return r;
 }
 
 }  // namespace mhd

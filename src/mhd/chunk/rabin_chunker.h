@@ -3,11 +3,13 @@
 //
 // A position is a cut point when the window fingerprint masked to
 // log2-expected bits equals a fixed magic value and the chunk length is at
-// least min_size; a cut is forced at max_size.
+// least min_size; a cut is forced at max_size. The window rolls through the
+// shared RabinTables (chunk/rabin_window.h), so building a chunker builds
+// no tables.
 #pragma once
 
 #include "mhd/chunk/chunker.h"
-#include "mhd/hash/rabin.h"
+#include "mhd/chunk/rabin_window.h"
 
 namespace mhd {
 
@@ -23,7 +25,7 @@ class RabinChunker final : public Chunker {
 
  private:
   ChunkerConfig config_;
-  RabinFingerprint fp_;
+  RabinWindow window_;
   std::uint64_t mask_;
   std::uint64_t magic_;
   std::size_t hash_start_;  ///< first position worth hashing (min - window)

@@ -16,7 +16,8 @@ std::uint64_t mask_bits(double target) {
 
 TttdChunker::TttdChunker(const ChunkerConfig& config)
     : config_(config),
-      fp_(config.window),
+      // Throws std::invalid_argument for a zero window.
+      window_(RabinTables::get(config.window, RabinFingerprint::kDefaultPoly)),
       main_mask_(mask_bits(static_cast<double>(config.expected_size) -
                            static_cast<double>(config.min_size))),
       // Backup divisor is half as selective as the main one (D' = D/2).
@@ -32,7 +33,7 @@ TttdChunker::TttdChunker(const ChunkerConfig& config)
 }
 
 void TttdChunker::reset() {
-  fp_.reset();
+  window_.reset();
   pos_ = 0;
   backup_pos_ = 0;
   cut_back_ = 0;
@@ -49,28 +50,35 @@ Chunker::ScanResult TttdChunker::scan(ByteSpan data) {
     i += skip;
   }
 
-  while (i < n) {
-    const std::uint64_t f = fp_.push(data[i]);
-    ++i;
-    ++pos_;
-    if (pos_ >= config_.min_size) {
-      if ((f & main_mask_) == (magic_ & main_mask_)) {
-        reset();
-        return {i, true};
-      }
-      if ((f & backup_mask_) == (magic_ & backup_mask_)) {
-        backup_pos_ = pos_;
-      }
-    }
-    if (pos_ >= config_.max_size) {
-      const std::size_t back =
-          (backup_pos_ >= config_.min_size) ? pos_ - backup_pos_ : 0;
-      reset();
-      cut_back_ = back;
-      return {i, true};
-    }
+  const std::uint64_t main_mask = main_mask_;
+  const std::uint64_t main_magic = magic_ & main_mask_;
+  const std::uint64_t backup_mask = backup_mask_;
+  const std::uint64_t backup_magic = magic_ & backup_mask_;
+  std::size_t backup_pos = backup_pos_;
+  // The backup mask is the main mask's low bits, so every main match is
+  // also a backup match: one test filters both.
+  const ScanResult r = window_.scan(
+      data, i, pos_, config_.min_size, config_.max_size,
+      [&](std::size_t len, std::uint64_t f) {
+        if ((f & backup_mask) != backup_magic) return false;
+        if ((f & main_mask) == main_magic) return true;
+        backup_pos = len;
+        return false;
+      });
+  pos_ += r.consumed - i;
+  if (r.cut) {
+    reset();
+    return r;
   }
-  return {i, false};
+  if (pos_ >= config_.max_size) {
+    const std::size_t back =
+        (backup_pos >= config_.min_size) ? pos_ - backup_pos : 0;
+    reset();
+    cut_back_ = back;
+    return {r.consumed, true};
+  }
+  backup_pos_ = backup_pos;
+  return r;
 }
 
 }  // namespace mhd

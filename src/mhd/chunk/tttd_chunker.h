@@ -12,7 +12,7 @@
 #pragma once
 
 #include "mhd/chunk/chunker.h"
-#include "mhd/hash/rabin.h"
+#include "mhd/chunk/rabin_window.h"
 
 namespace mhd {
 
@@ -26,7 +26,7 @@ class TttdChunker final : public Chunker {
 
  private:
   ChunkerConfig config_;
-  RabinFingerprint fp_;
+  RabinWindow window_;
   std::uint64_t main_mask_;
   std::uint64_t backup_mask_;
   std::uint64_t magic_;

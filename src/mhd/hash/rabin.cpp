@@ -1,5 +1,12 @@
 #include "mhd/hash/rabin.h"
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <utility>
+
 namespace mhd {
 
 int poly_degree(std::uint64_t p) {
@@ -29,26 +36,41 @@ std::uint64_t poly_mod_shifted(std::uint64_t value, int shift, std::uint64_t p) 
   return static_cast<std::uint64_t>(v);
 }
 
-RabinFingerprint::RabinFingerprint(std::size_t window, std::uint64_t poly)
-    : poly_(poly), degree_(poly_degree(poly)), window_(window, 0) {
-  // append_table: reduction of the 8 bits that overflow past deg(P) when
-  // the fingerprint is multiplied by x^8.
-  for (int i = 0; i < 256; ++i) {
-    append_table_[static_cast<std::size_t>(i)] =
-        poly_mod_shifted(static_cast<std::uint64_t>(i), degree_, poly_);
+RabinTables::RabinTables(std::size_t w, std::uint64_t p) : window(w), poly(p) {
+  if (window == 0) {
+    throw std::invalid_argument("Rabin: window must be at least one byte");
   }
-  // remove_table: contribution of a byte that is w-1 byte-positions old.
-  // Built incrementally: start with (b * x^8) pattern and raise by x^8 per
-  // window step, reducing as we go (avoids shifts beyond 128 bits).
-  for (int b = 0; b < 256; ++b) {
-    std::uint64_t f = static_cast<std::uint64_t>(b);
-    for (std::size_t step = 1; step < window; ++step) {
-      f = poly_mod_shifted(f, 8, poly_);
+  if (poly_degree(poly) != kDegree) {
+    throw std::invalid_argument("Rabin: polynomial degree must be 63");
+  }
+  for (std::uint64_t t = 0; t < 256; ++t) {
+    // t << kDegree keeps t's low bit; t << (kDegree + 8) keeps nothing.
+    append[t] = poly_mod_shifted(t, kDegree, poly) ^ (t << kDegree);
+    append2[t] = poly_mod_shifted(t, kDegree + 8, poly);
+    // o x^(8w), raised one byte at a time so no shift passes 128 bits.
+    std::uint64_t f = t;
+    for (std::size_t step = 0; step < window; ++step) {
+      f = poly_mod_shifted(f, 8, poly);
     }
-    remove_table_[static_cast<std::size_t>(b)] = f;
+    remove[t] = f;
+    remove2[t] = poly_mod_shifted(f, 8, poly);
   }
-  reset();
 }
+
+const RabinTables& RabinTables::get(std::size_t window, std::uint64_t poly) {
+  static std::mutex mu;
+  // Never destroyed, so no exit-time teardown races a late user.
+  static auto* cache =
+      new std::map<std::pair<std::size_t, std::uint64_t>,
+                   std::unique_ptr<const RabinTables>>();
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = (*cache)[{window, poly}];
+  if (!slot) slot = std::make_unique<const RabinTables>(window, poly);
+  return *slot;
+}
+
+RabinFingerprint::RabinFingerprint(std::size_t window, std::uint64_t poly)
+    : tables_(&RabinTables::get(window, poly)), window_(window, 0) {}
 
 void RabinFingerprint::reset() {
   std::fill(window_.begin(), window_.end(), Byte{0});
@@ -56,23 +78,17 @@ void RabinFingerprint::reset() {
   fp_ = 0;
 }
 
-std::uint64_t RabinFingerprint::shift_append(std::uint64_t f, Byte b) const {
-  const std::size_t top = static_cast<std::size_t>(f >> (degree_ - 8));
-  return ((f << 8) & ((1ULL << degree_) - 1)) ^ append_table_[top] ^ b;
-}
-
 std::uint64_t RabinFingerprint::push(Byte b) {
   const Byte out = window_[pos_];
   window_[pos_] = b;
   pos_ = (pos_ + 1 == window_.size()) ? 0 : pos_ + 1;
-  fp_ ^= remove_table_[out];
-  fp_ = shift_append(fp_, b);
+  fp_ = tables_->roll(fp_, out, b);
   return fp_;
 }
 
 std::uint64_t RabinFingerprint::fingerprint(ByteSpan data) const {
   std::uint64_t f = 0;
-  for (Byte b : data) f = shift_append(f, b);
+  for (Byte b : data) f = tables_->shift_append(f, b);
   return f;
 }
 

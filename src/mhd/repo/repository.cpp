@@ -90,13 +90,18 @@ void decode_descriptor(ByteSpan sealed, EngineConfig& cfg) {
 
 }  // namespace
 
-EngineConfig read_engine_flags(const Flags& flags, EngineConfig cfg) {
+EngineConfig read_ecs_sd_flags(const Flags& flags, EngineConfig cfg) {
   // ChunkerConfig::from_expected cuts between max(64, ECS/4) and 8*ECS in
   // 32 bits: an ECS below 8 puts max under min, above UINT32_MAX/8 wraps.
   cfg.ecs = static_cast<std::uint32_t>(
       flags.get_uint("ecs", cfg.ecs, 8, UINT32_MAX / 8));
   cfg.sd = static_cast<std::uint32_t>(
       flags.get_uint("sd", cfg.sd, 1, UINT32_MAX));
+  return cfg;
+}
+
+EngineConfig read_engine_flags(const Flags& flags, EngineConfig cfg) {
+  cfg = read_ecs_sd_flags(flags, cfg);
   cfg.chunker = chunker_kind_from_string(flags.get_choice(
       "chunker", {"rabin", "tttd", "gear", "fixed"},
       chunker_kind_name(cfg.chunker)));

@@ -18,6 +18,11 @@
 
 namespace mhd {
 
+/// Reads --ecs and --sd into `cfg`, which carries the defaults, with the
+/// range checks every CLI applies: ECS 8..UINT32_MAX/8, SD >= 1. Throws
+/// FlagError. The in-memory demos read only these two engine flags.
+EngineConfig read_ecs_sd_flags(const Flags& flags, EngineConfig cfg);
+
 /// Reads the engine flags dedup_cli and run_experiment share into `cfg`,
 /// which carries the CLI's defaults: --ecs --sd --chunker --chunker-impl
 /// --hash-impl --index-impl --index-cache-mb --sample-bits --champions

@@ -1,5 +1,14 @@
-// Differential / property harness for the GearChunker scan kernels.
+// Differential / property harness for the chunker scan kernels.
 //
+// Rabin and TTTD: the two-byte scan loop (chunk/rabin_window.h) against a
+// per-byte reference loop built on RabinFingerprint::push, over random,
+// all-zero and periodic corpora, windows {16, 48, 64}, ECS from 64 (min_size
+// below the window, so nothing is skipped) to 65536, and buffers fed whole,
+// in prime-sized pieces and in pieces of 1, w-1, w and w+1 bytes. A golden
+// digest of default-config cuts, recorded with per-byte scan loops, keeps
+// kernel and reference from drifting together.
+//
+// Gear:
 // The SIMD block scan is a correctness-critical rewrite of the hottest
 // loop in the system, so it is locked down from three directions:
 //  1. cut-point differential: scalar vs. simd over >= 1000 randomized
@@ -12,12 +21,19 @@
 //     identical dedup results (chunk population, duplicate bytes, manifest
 //     entry counts) under --chunker-impl=scalar and =simd.
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mhd/chunk/gear_chunker.h"
+#include "mhd/chunk/rabin_chunker.h"
+#include "mhd/chunk/tttd_chunker.h"
+#include "mhd/hash/rabin.h"
+#include "mhd/hash/sha1.h"
 #include "mhd/sim/runner.h"
 #include "mhd/util/random.h"
 #include "mhd/workload/presets.h"
@@ -31,13 +47,17 @@ ChunkerConfig config_with_impl(std::uint64_t ecs, ChunkerImpl impl) {
   return cfg;
 }
 
+/// A cut: where the chunk ends, and the cut_back() that put it there.
+using Cut = std::pair<std::size_t, std::size_t>;
+
 /// Drives scan() over `data` fed as consecutive pieces whose boundaries
-/// are the (sorted) offsets in `splits`, collecting the absolute offsets
-/// of every cut point. A piece boundary mid-chunk exercises the resumable
-/// scan state exactly like ChunkStream's refill does.
-std::vector<std::size_t> cut_points(Chunker& chunker, ByteSpan data,
-                                    const std::vector<std::size_t>& splits) {
-  std::vector<std::size_t> cuts;
+/// are the (sorted) offsets in `splits`, collecting every cut. A piece
+/// boundary mid-chunk exercises the resumable scan state exactly like
+/// ChunkStream's refill does, and after a cut with cut_back() b the next
+/// scan starts b bytes back, as ChunkStream re-feeds them.
+std::vector<Cut> cut_points(Chunker& chunker, ByteSpan data,
+                            const std::vector<std::size_t>& splits) {
+  std::vector<Cut> cuts;
   std::size_t piece_start = 0;
   std::size_t split_index = 0;
   while (piece_start < data.size()) {
@@ -53,15 +73,26 @@ std::vector<std::size_t> cut_points(Chunker& chunker, ByteSpan data,
     while (off < piece_end) {
       const auto r = chunker.scan({data.data() + off, piece_end - off});
       off += r.consumed;
-      if (r.cut) cuts.push_back(off);
+      if (r.cut) {
+        const std::size_t back = chunker.cut_back();
+        off -= back;
+        cuts.push_back({off, back});
+      }
     }
     piece_start = piece_end;
   }
   return cuts;
 }
 
-std::vector<std::size_t> whole_buffer_cuts(Chunker& chunker, ByteSpan data) {
+std::vector<Cut> whole_buffer_cuts(Chunker& chunker, ByteSpan data) {
   return cut_points(chunker, data, {});
+}
+
+/// Split offsets that cut `n` bytes into pieces of `piece` bytes.
+std::vector<std::size_t> pieces_of(std::size_t piece, std::size_t n) {
+  std::vector<std::size_t> splits;
+  for (std::size_t off = piece; off < n; off += piece) splits.push_back(off);
+  return splits;
 }
 
 ByteVec random_bytes(std::size_t n, std::uint64_t seed) {
@@ -147,10 +178,7 @@ TEST(ChunkerDifferential, SplitAtEveryOffsetModPrime) {
     // Boundaries at every multiple of the prime: piece sizes are `prime`
     // bytes, so every offset r mod prime occurs as an intra-piece phase
     // and every multiple as a resumption point.
-    std::vector<std::size_t> splits;
-    for (std::size_t off = prime; off < data.size(); off += prime) {
-      splits.push_back(off);
-    }
+    const auto splits = pieces_of(prime, data.size());
     SCOPED_TRACE(testing::Message() << "prime=" << prime);
     ChunkerConfig simd_cfg = cfg;
     simd_cfg.impl = ChunkerImpl::kSimd;
@@ -202,7 +230,7 @@ TEST(ChunkerDifferential, AllZeroBufferForcedCuts) {
   GearChunker simd(cfg);
   const auto cuts = whole_buffer_cuts(simd, data);
   ASSERT_FALSE(cuts.empty());
-  EXPECT_EQ(cuts.front(), cfg.max_size);
+  EXPECT_EQ(cuts.front().first, cfg.max_size);
 }
 
 // Periodic data hits the same hash window over and over: either a cut
@@ -249,12 +277,8 @@ TEST(ChunkerDifferential, BoundaryAdversarialLengthsAndSplits) {
   // And with the default geometry, piece sizes straddling the block size.
   const ChunkerConfig def = ChunkerConfig::from_expected(1024);
   for (const std::size_t piece : {31u, 32u, 33u}) {
-    std::vector<std::size_t> splits;
-    for (std::size_t off = piece; off < data.size(); off += piece) {
-      splits.push_back(off);
-    }
     SCOPED_TRACE(testing::Message() << "piece=" << piece);
-    expect_identical_cuts(def, data, splits);
+    expect_identical_cuts(def, data, pieces_of(piece, data.size()));
   }
 }
 
@@ -301,6 +325,186 @@ TEST(ChunkerDifferential, EnginesProduceIdenticalResultsUnderBothImpls) {
     EXPECT_EQ(scalar.chunker_impl, "scalar");
     EXPECT_NE(simd.chunker_impl.find("simd"), std::string::npos);
   }
+}
+
+// ---- Rabin and TTTD ------------------------------------------------------
+
+/// The per-byte reference for RabinChunker (tttd = false) and TttdChunker
+/// (tttd = true): the same cut rules, one RabinFingerprint::push per byte
+/// through its ring-buffer window.
+class ReferenceRabinChunker final : public Chunker {
+ public:
+  ReferenceRabinChunker(const ChunkerConfig& cfg, bool tttd)
+      : cfg_(cfg), tttd_(tttd), fp_(cfg.window) {
+    const double target = std::max(
+        2.0, static_cast<double>(cfg.expected_size) - cfg.min_size);
+    const int bits =
+        std::max(1, static_cast<int>(std::lround(std::log2(target))));
+    main_mask_ = bits >= 63 ? ~0ULL : (1ULL << bits) - 1;
+    backup_mask_ = main_mask_ >> 1;
+    hash_start_ = cfg.min_size > cfg.window ? cfg.min_size - cfg.window : 0;
+  }
+
+  void reset() override {
+    fp_.reset();
+    pos_ = 0;
+    backup_pos_ = 0;
+  }
+
+  ScanResult scan(ByteSpan data) override {
+    constexpr std::uint64_t kMagic = 0x4D5A3B7F9E2C6A1ULL;
+    cut_back_ = 0;
+    std::size_t i = 0;
+    if (pos_ < hash_start_) {
+      i = std::min(data.size(), hash_start_ - pos_);
+      pos_ += i;
+    }
+    while (i < data.size()) {
+      const std::uint64_t f = fp_.push(data[i]);
+      ++i;
+      ++pos_;
+      if (pos_ >= cfg_.min_size) {
+        if ((f & main_mask_) == (kMagic & main_mask_)) {
+          reset();
+          return {i, true};
+        }
+        if (tttd_ && (f & backup_mask_) == (kMagic & backup_mask_)) {
+          backup_pos_ = pos_;
+        }
+      }
+      if (pos_ >= cfg_.max_size) {
+        const std::size_t back =
+            tttd_ && backup_pos_ >= cfg_.min_size ? pos_ - backup_pos_ : 0;
+        reset();
+        cut_back_ = back;
+        return {i, true};
+      }
+    }
+    return {i, false};
+  }
+
+  std::size_t cut_back() const override { return cut_back_; }
+
+ private:
+  ChunkerConfig cfg_;
+  bool tttd_;
+  RabinFingerprint fp_;
+  std::uint64_t main_mask_ = 0;
+  std::uint64_t backup_mask_ = 0;
+  std::size_t hash_start_ = 0;
+  std::size_t pos_ = 0;
+  std::size_t backup_pos_ = 0;
+  std::size_t cut_back_ = 0;
+};
+
+std::unique_ptr<Chunker> make_rabin_family(bool tttd,
+                                           const ChunkerConfig& cfg) {
+  if (tttd) return std::make_unique<TttdChunker>(cfg);
+  return std::make_unique<RabinChunker>(cfg);
+}
+
+ChunkerConfig rabin_config(std::uint64_t ecs, std::uint32_t window) {
+  ChunkerConfig cfg = ChunkerConfig::from_expected(ecs);
+  cfg.window = window;
+  return cfg;
+}
+
+/// Every window x ECS of the grid against the per-byte reference, with the
+/// buffer from `corpus(n)` fed whole, in prime-sized pieces and in pieces
+/// of 1, w-1, w and w+1 bytes.
+void expect_rabin_family_matches_reference(
+    bool tttd, const std::function<ByteVec(std::size_t)>& corpus) {
+  for (const std::uint32_t w : {16u, 48u, 64u}) {
+    for (const std::uint64_t ecs : {64u, 128u, 512u, 4096u, 65536u}) {
+      const ChunkerConfig cfg = rabin_config(ecs, w);
+      // Long enough for a forced cut at max_size, and for several cuts.
+      const ByteVec data =
+          corpus(std::max<std::size_t>(192 << 10, cfg.max_size + 4099));
+      ReferenceRabinChunker reference(cfg, tttd);
+      const auto ref = whole_buffer_cuts(reference, data);
+      ASSERT_FALSE(ref.empty());
+      for (const std::size_t piece :
+           {data.size(), std::size_t{61}, std::size_t{4099}, std::size_t{1},
+            std::size_t{w - 1}, std::size_t{w}, std::size_t{w + 1}}) {
+        SCOPED_TRACE(testing::Message() << (tttd ? "tttd" : "rabin")
+                                        << " window=" << w << " ecs=" << ecs
+                                        << " piece=" << piece);
+        auto chunker = make_rabin_family(tttd, cfg);
+        ASSERT_EQ(cut_points(*chunker, data, pieces_of(piece, data.size())),
+                  ref);
+      }
+    }
+  }
+}
+
+ByteVec random_corpus(std::size_t n) { return random_bytes(n, 4242); }
+ByteVec zero_corpus(std::size_t n) { return ByteVec(n, 0); }
+// A period well past every window: the fingerprints repeat with it.
+ByteVec periodic_corpus(std::size_t n) { return periodic_bytes(n, 1031, 17); }
+
+TEST(RabinDifferential, RandomBufferMatchesPerByteReference) {
+  expect_rabin_family_matches_reference(false, random_corpus);
+}
+TEST(RabinDifferential, AllZeroBufferMatchesPerByteReference) {
+  expect_rabin_family_matches_reference(false, zero_corpus);
+}
+TEST(RabinDifferential, PeriodicBufferMatchesPerByteReference) {
+  expect_rabin_family_matches_reference(false, periodic_corpus);
+}
+TEST(TttdDifferential, RandomBufferMatchesPerByteReference) {
+  expect_rabin_family_matches_reference(true, random_corpus);
+}
+TEST(TttdDifferential, AllZeroBufferMatchesPerByteReference) {
+  expect_rabin_family_matches_reference(true, zero_corpus);
+}
+TEST(TttdDifferential, PeriodicBufferMatchesPerByteReference) {
+  expect_rabin_family_matches_reference(true, periodic_corpus);
+}
+
+// The grid must reach TTTD's backup cut, or cut_back() goes unchecked.
+TEST(TttdDifferential, GridExercisesBackupCuts) {
+  const ChunkerConfig cfg = rabin_config(512, 48);
+  TttdChunker tttd(cfg);
+  const auto cuts = whole_buffer_cuts(tttd, random_corpus(1 << 20));
+  EXPECT_TRUE(std::any_of(cuts.begin(), cuts.end(),
+                          [](const Cut& c) { return c.second > 0; }));
+}
+
+/// SHA-1 over the cuts of every file of a seeded corpus, each cut as
+/// (file index, offset, cut_back) in little-endian u64s.
+std::string corpus_cut_digest(bool tttd, const ChunkerConfig& cfg,
+                              bool reference) {
+  const Corpus corpus(test_preset(2013));
+  ByteVec record;
+  for (std::size_t f = 0; f < corpus.files().size(); ++f) {
+    auto src = corpus.open(f);
+    const ByteVec data = read_all(*src);
+    std::unique_ptr<Chunker> chunker =
+        reference ? std::make_unique<ReferenceRabinChunker>(cfg, tttd)
+                  : make_rabin_family(tttd, cfg);
+    for (const auto& [at, back] : whole_buffer_cuts(*chunker, data)) {
+      append_le<std::uint64_t>(record, f);
+      append_le<std::uint64_t>(record, at);
+      append_le<std::uint64_t>(record, back);
+    }
+  }
+  return Sha1::hash(record).hex();
+}
+
+// Recorded with the per-byte loops the chunkers had before the two-byte
+// roll. Rabin runs at the CLI default (ECS 4096, window 48); TTTD's max is
+// lowered to 2 x ECS so that backup cuts, and cut_back(), occur.
+TEST(RabinDifferential, GoldenCutDigestAtDefaultConfig) {
+  const ChunkerConfig rabin_cfg = ChunkerConfig::from_expected(4096);
+  const std::string rabin = "355101074f719b6df327f2c8e262384a1bd36412";
+  EXPECT_EQ(corpus_cut_digest(false, rabin_cfg, false), rabin);
+  EXPECT_EQ(corpus_cut_digest(false, rabin_cfg, true), rabin);
+
+  ChunkerConfig tttd_cfg = ChunkerConfig::from_expected(4096);
+  tttd_cfg.max_size = 8192;
+  const std::string tttd = "9e12a37a3a8e5de8bc247a42f1baccd011e9cb8b";
+  EXPECT_EQ(corpus_cut_digest(true, tttd_cfg, false), tttd);
+  EXPECT_EQ(corpus_cut_digest(true, tttd_cfg, true), tttd);
 }
 
 }  // namespace

@@ -124,6 +124,10 @@ TEST(RabinChunker, RejectsBadConfig) {
   ChunkerConfig inverted = ChunkerConfig::from_expected(1024);
   inverted.max_size = inverted.min_size - 1;
   EXPECT_THROW(RabinChunker{inverted}, std::invalid_argument);
+  // A zero window has no outgoing byte to roll out.
+  ChunkerConfig no_window = ChunkerConfig::from_expected(1024);
+  no_window.window = 0;
+  EXPECT_THROW(RabinChunker{no_window}, std::invalid_argument);
 }
 
 // Paper parameterization sweep: every ECS the evaluation uses must satisfy

@@ -84,6 +84,9 @@ TEST(TttdChunker, RejectsBadConfig) {
   bad.min_size = 0;
   bad.max_size = 10;
   EXPECT_THROW(TttdChunker{bad}, std::invalid_argument);
+  ChunkerConfig no_window = ChunkerConfig::from_expected(1024);
+  no_window.window = 0;
+  EXPECT_THROW(TttdChunker{no_window}, std::invalid_argument);
 }
 
 }  // namespace

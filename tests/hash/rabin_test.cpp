@@ -98,6 +98,50 @@ TEST(RabinFingerprint, ValuesStayBelowDegreeBound) {
   }
 }
 
+// Every table entry is the product the header comment defines it as, with
+// the mask folded into the two append tables.
+TEST(RabinTables, EntriesMatchTheirDefinitions) {
+  const std::uint64_t p = RabinFingerprint::kDefaultPoly;
+  for (const std::size_t w : {1u, 16u, 48u}) {
+    const RabinTables& t = RabinTables::get(w, p);
+    for (std::uint64_t b = 0; b < 256; ++b) {
+      EXPECT_EQ(t.append[b], poly_mod_shifted(b, 63, p) ^ (b << 63));
+      EXPECT_EQ(t.append2[b], poly_mod_shifted(b, 71, p));
+      std::uint64_t removed = b;
+      for (std::size_t k = 0; k < w; ++k) {
+        removed = poly_mod_shifted(removed, 8, p);
+      }
+      EXPECT_EQ(t.remove[b], removed) << "w=" << w << " b=" << b;
+      EXPECT_EQ(t.remove2[b], poly_mod_shifted(removed, 8, p));
+    }
+  }
+}
+
+TEST(RabinTables, SharedPerWindowAndPolynomial) {
+  EXPECT_EQ(&RabinTables::get(48, RabinFingerprint::kDefaultPoly),
+            &RabinTables::get(48, RabinFingerprint::kDefaultPoly));
+  EXPECT_NE(&RabinTables::get(48, RabinFingerprint::kDefaultPoly),
+            &RabinTables::get(64, RabinFingerprint::kDefaultPoly));
+  EXPECT_THROW(RabinTables::get(0, RabinFingerprint::kDefaultPoly),
+               std::invalid_argument);
+  EXPECT_THROW(RabinFingerprint(0), std::invalid_argument);
+  // The roll's shifts are fixed for degree 63.
+  EXPECT_THROW(RabinFingerprint(48, 0x1000000000000Bull),
+               std::invalid_argument);
+}
+
+// The two-byte roll equals two one-byte rolls from any reduced state.
+TEST(RabinTables, TwoByteRollEqualsTwoOneByteRolls) {
+  const RabinTables& t = RabinTables::get(48, RabinFingerprint::kDefaultPoly);
+  Xoshiro256 rng(31);
+  for (int k = 0; k < 100000; ++k) {
+    const std::uint64_t f = rng() >> 1;  // reduced: degree < 63
+    const auto o0 = static_cast<Byte>(rng()), b0 = static_cast<Byte>(rng());
+    const auto o1 = static_cast<Byte>(rng()), b1 = static_cast<Byte>(rng());
+    ASSERT_EQ(t.roll2(f, o0, b0, o1, b1), t.roll(t.roll(f, o0, b0), o1, b1));
+  }
+}
+
 TEST(RabinFingerprint, SensitiveToSingleByteChange) {
   const std::size_t w = 48;
   RabinFingerprint rf(w);

@@ -135,13 +135,15 @@ TEST(NetFaultTest, TornPutRetriesToZeroDataLoss) {
   ASSERT_TRUE(r.ok) << r.message;
   EXPECT_GE(client->retries(), 1u);
 
+  EXPECT_EQ(get_with_retry(daemon.listen_spec(), "t0", "disk0.img"), data);
+  // The torn connection's session thread counts its disconnect after it
+  // releases the tenant, so the retried PUT can finish first; stop() joins
+  // every session thread before the counters are read.
+  daemon.stop();
   EXPECT_GE(daemon.peer_disconnects(), 1u);
   EXPECT_EQ(daemon.protocol_errors(), 0u);
   const std::string stats = daemon.stats_json();
   EXPECT_NE(stats.find("\"peer_disconnects\":"), std::string::npos);
-
-  EXPECT_EQ(get_with_retry(daemon.listen_spec(), "t0", "disk0.img"), data);
-  daemon.stop();
 }
 
 // A garbage frame header is a hostile/corrupted peer: typed and counted
