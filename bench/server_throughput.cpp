@@ -26,10 +26,8 @@
 // --net-fault-plan=none skips it (the perf-smoke gate does).
 //
 // Reported per (sessions, faults, phase): aggregate MB/s over the phase
-// wall clock, exact p50/p99 per-request latency, and two efficiency
-// ratios from process-wide pump counters — payload bytes moved per
-// transport syscall (transport_stats) and fresh slab allocations per MB
-// (chunk_buffer_pool stats: acquires minus free-list reuses). The daemon
+// wall clock, exact p50/p99 per-request latency, and payload bytes moved
+// per transport syscall (the process-wide transport_stats). The daemon
 // runs in-process, so both sides of the loopback conversation are
 // counted. BENCH_server.json at the repo root is the recorded baseline
 // (see --json).
@@ -57,7 +55,6 @@
 #include "mhd/store/fault_backend.h"
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
-#include "mhd/util/buffer_pool.h"
 #include "mhd/util/flags.h"
 
 namespace {
@@ -102,36 +99,19 @@ struct Row {
   std::uint64_t p50_us = 0, p99_us = 0;
   int errors = 0;
   double bytes_per_syscall = 0;  ///< transport payload bytes / syscalls
-  double allocs_per_mb = 0;      ///< fresh slab allocations / phase MB
   std::uint64_t retries = 0;     ///< client retries absorbed (chaos row)
   double recovery_ms = 0;        ///< daemon restart -> first served ping
 };
 
-/// Phase-scoped pump counters: transport syscalls (reset at entry) and
-/// chunk-pool allocations (delta of the monotonic counters).
-class PhaseCounters {
- public:
-  PhaseCounters() : pool_before_(chunk_buffer_pool().stats()) {
-    reset_transport_stats();
-  }
-
-  void finish(double phase_mb, Row& row) const {
-    const auto t = transport_stats();
-    const auto calls = t.read_calls + t.write_calls;
-    row.bytes_per_syscall =
-        calls == 0 ? 0.0
-                   : static_cast<double>(t.read_bytes + t.write_bytes) /
-                         static_cast<double>(calls);
-    const auto pool = chunk_buffer_pool().stats();
-    const auto fresh = (pool.acquires - pool_before_.acquires) -
-                       (pool.reuses - pool_before_.reuses);
-    row.allocs_per_mb =
-        phase_mb == 0 ? 0.0 : static_cast<double>(fresh) / phase_mb;
-  }
-
- private:
-  BufferPool::Stats pool_before_;
-};
+/// Transport payload bytes per syscall since the last
+/// reset_transport_stats() (called at each phase's start).
+double bytes_per_syscall() {
+  const auto t = transport_stats();
+  const auto calls = t.read_calls + t.write_calls;
+  return calls == 0 ? 0.0
+                    : static_cast<double>(t.read_bytes + t.write_bytes) /
+                          static_cast<double>(calls);
+}
 
 std::uint64_t pct(std::vector<std::uint64_t>& v, double q) {
   if (v.empty()) return 0;
@@ -169,7 +149,7 @@ void run_config(int sessions, const FaultPlan& plan, int files,
   Row ingest_row{sessions, !plan.empty(), "ingest"};
   Row restore_row{sessions, !plan.empty(), "restore"};
 
-  const PhaseCounters ingest_counters;
+  reset_transport_stats();
   const auto ingest_start = Clock::now();
   {
     std::vector<std::thread> workers;
@@ -201,9 +181,15 @@ void run_config(int sessions, const FaultPlan& plan, int files,
   }
   const double ingest_s =
       std::chrono::duration<double>(Clock::now() - ingest_start).count();
-  ingest_counters.finish(mb, ingest_row);
+  ingest_row.bytes_per_syscall = bytes_per_syscall();
 
-  const PhaseCounters restore_counters;
+  // The ingest clients have hung up, but their session threads may not
+  // have released their slots yet; a restore client arriving first would
+  // be refused as busy.
+  while (daemon.active_sessions() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  reset_transport_stats();
   const auto restore_start = Clock::now();
   {
     std::vector<std::thread> workers;
@@ -236,7 +222,7 @@ void run_config(int sessions, const FaultPlan& plan, int files,
   }
   const double restore_s =
       std::chrono::duration<double>(Clock::now() - restore_start).count();
-  restore_counters.finish(mb, restore_row);
+  restore_row.bytes_per_syscall = bytes_per_syscall();
   daemon.stop();
 
   ingest_row.mb_per_s = mb / ingest_s;
@@ -286,7 +272,7 @@ void run_chaos_config(int sessions, const std::string& net_spec, int files,
   std::atomic<int> completed{0};
   const int total_puts = sessions * files;
 
-  const PhaseCounters counters;
+  reset_transport_stats();
   const auto start = Clock::now();
   std::vector<std::thread> workers;
   for (int s = 0; s < sessions; ++s) {
@@ -346,7 +332,7 @@ void run_chaos_config(int sessions, const std::string& net_spec, int files,
   for (auto& w : workers) w.join();
   const double phase_s =
       std::chrono::duration<double>(Clock::now() - start).count();
-  counters.finish(mb, row);
+  row.bytes_per_syscall = bytes_per_syscall();
   daemon->stop();
   ::unlink(sock.c_str());
 
@@ -394,17 +380,17 @@ int main(int argc, char** argv) {
                      file_bytes, seed, rows);
   }
 
-  std::printf("%9s %7s %13s %10s %9s %9s %7s %11s %9s %8s %9s\n", "sessions",
+  std::printf("%9s %7s %13s %10s %9s %9s %7s %11s %8s %9s\n", "sessions",
               "faults", "phase", "MB/s", "p50_us", "p99_us", "errors",
-              "B/syscall", "alloc/MB", "retries", "recov_ms");
+              "B/syscall", "retries", "recov_ms");
   for (const auto& r : rows) {
     std::printf(
-        "%9d %7s %13s %10.1f %9llu %9llu %7d %11.0f %9.2f %8llu %9.1f\n",
+        "%9d %7s %13s %10.1f %9llu %9llu %7d %11.0f %8llu %9.1f\n",
         r.sessions, r.faults ? "yes" : "no", r.phase, r.mb_per_s,
         static_cast<unsigned long long>(r.p50_us),
         static_cast<unsigned long long>(r.p99_us), r.errors,
-        r.bytes_per_syscall, r.allocs_per_mb,
-        static_cast<unsigned long long>(r.retries), r.recovery_ms);
+        r.bytes_per_syscall, static_cast<unsigned long long>(r.retries),
+        r.recovery_ms);
   }
 
   const std::string json = flags.get("json", "");
@@ -427,13 +413,12 @@ int main(int argc, char** argv) {
                     "    {\"sessions\": %d, \"faults\": %s, \"phase\": "
                     "\"%s\", \"mb_per_s\": %.1f, \"p50_us\": %llu, "
                     "\"p99_us\": %llu, \"errors\": %d, "
-                    "\"bytes_per_syscall\": %.0f, "
-                    "\"allocs_per_mb\": %.2f, \"retries\": %llu, "
+                    "\"bytes_per_syscall\": %.0f, \"retries\": %llu, "
                     "\"recovery_ms\": %.1f}%s\n",
                     r.sessions, r.faults ? "true" : "false", r.phase,
                     r.mb_per_s, static_cast<unsigned long long>(r.p50_us),
                     static_cast<unsigned long long>(r.p99_us), r.errors,
-                    r.bytes_per_syscall, r.allocs_per_mb,
+                    r.bytes_per_syscall,
                     static_cast<unsigned long long>(r.retries),
                     r.recovery_ms, i + 1 < rows.size() ? "," : "");
       out << buf;

@@ -1,7 +1,6 @@
 #include "mhd/chunk/chunk_stream.h"
 
 #include "mhd/hash/sha1.h"
-#include "mhd/util/buffer_pool.h"
 
 namespace mhd {
 
@@ -17,18 +16,11 @@ std::size_t ChunkStream::refill() {
 }
 
 bool ChunkStream::next(ByteVec& chunk) {
-  // Callers that hand us a fresh (capacity-free) vector get a recycled
-  // slab; callers reusing one vector across calls keep their capacity and
-  // never touch the pool here. Either way append() below runs inside
-  // existing capacity once the pool / the caller's vector is warm.
-  if (chunk.capacity() == 0) chunk = chunk_buffer_pool().acquire();
   chunk.clear();
 
-  // Re-feed carry-over bytes (they are logically unread input). The swap
-  // hands carry_ a recycled slab, so the carry_.assign/insert below run
-  // inside pooled capacity too.
+  // Re-feed carry-over bytes (they are logically unread input).
   if (!carry_.empty()) {
-    ByteVec pending = chunk_buffer_pool().acquire();
+    ByteVec pending;
     pending.swap(carry_);
     std::size_t off = 0;
     while (off < pending.size()) {
@@ -47,14 +39,9 @@ bool ChunkStream::next(ByteVec& chunk) {
         carry_.insert(carry_.end(), pending.begin() + static_cast<std::ptrdiff_t>(off),
                       pending.end());
         bytes_emitted_ += chunk.size();
-        chunk_buffer_pool().release(std::move(pending));
         return true;
       }
     }
-    // pending fully consumed into `chunk`; recycle its storage. carry_ is
-    // empty again (it was swapped out above), so the next next() call
-    // starts a fresh swap cycle with pooled capacity.
-    chunk_buffer_pool().release(std::move(pending));
   }
 
   for (;;) {

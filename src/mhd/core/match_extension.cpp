@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "mhd/util/buffer_pool.h"
-
 namespace mhd {
 
 namespace {
@@ -14,13 +12,6 @@ Digest hash_run(const std::deque<StreamChunk>& chunks, std::size_t first,
   Sha1 h;
   for (std::size_t i = 0; i < count; ++i) h.update(chunks[first + i].bytes);
   return h.digest();
-}
-
-/// Match extension is a terminal consumer: a matched buffered chunk's
-/// bytes are never needed again, so the slab goes back to the pool right
-/// before the deque erases the StreamChunk.
-void recycle(StreamChunk& c) {
-  if (c.bytes.capacity() > 0) chunk_buffer_pool().release(std::move(c.bytes));
 }
 
 }  // namespace
@@ -114,9 +105,6 @@ bool MatchExtender::hhr_backward(Manifest& m, const Digest& name,
        e.offset + e.size - acc, acc});
   out.dup_chunks += matched;
   out.dup_bytes += acc;
-  for (std::size_t j = pending.size() - matched; j < pending.size(); ++j) {
-    recycle(pending[j]);
-  }
   pending.erase(pending.end() - static_cast<std::ptrdiff_t>(matched),
                 pending.end());
   return true;
@@ -171,7 +159,6 @@ bool MatchExtender::hhr_forward(Manifest& m, const Digest& name,
       {look.front().file_offset, m.chunk_name(), e.offset, acc});
   out.dup_chunks += matched;
   out.dup_bytes += acc;
-  for (std::size_t j = 0; j < matched; ++j) recycle(look[j]);
   look.erase(look.begin(), look.begin() + static_cast<std::ptrdiff_t>(matched));
   return true;
 }
@@ -221,9 +208,6 @@ MatchExtender::Outcome MatchExtender::extend(
         out.dup_chunks += k;
         out.dup_bytes += e.size;
         frontier -= e.size;
-        for (std::size_t j = pending.size() - k; j < pending.size(); ++j) {
-          recycle(pending[j]);
-        }
         pending.erase(pending.end() - static_cast<std::ptrdiff_t>(k),
                       pending.end());
         --bi;
@@ -268,7 +252,6 @@ MatchExtender::Outcome MatchExtender::extend(
       out.dup_bytes += e.size;
       for (std::size_t j = 0; j < k; ++j) {
         look_bytes -= look.front().bytes.size();
-        recycle(look.front());
         look.pop_front();
       }
       ++fi;

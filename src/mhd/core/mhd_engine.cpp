@@ -56,7 +56,6 @@ void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
                          static_cast<std::uint32_t>(first.bytes.size())));
       ctx.chunk_off += first.bytes.size();
       ++counters_.stored_chunks;
-      recycle_chunk(std::move(ctx.pending.front().bytes));
       ctx.pending.pop_front();
       ++done;
     }
@@ -82,7 +81,6 @@ void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
                                    static_cast<std::uint32_t>(c.bytes.size())));
         ctx.chunk_off += c.bytes.size();
         ++counters_.stored_chunks;
-        recycle_chunk(std::move(ctx.pending.front().bytes));
         ctx.pending.pop_front();
         ++done;
       }
@@ -106,7 +104,6 @@ void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
                                    static_cast<std::uint32_t>(c.bytes.size())));
         ctx.chunk_off += c.bytes.size();
         ++counters_.stored_chunks;
-        recycle_chunk(std::move(ctx.pending.front().bytes));
         ctx.pending.pop_front();
         ++done;
       }
@@ -130,14 +127,12 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
       ctx.inbox.pop_front();
       return c;
     }
-    ByteVec bytes;
     StreamChunk c;
-    if (!stream.next(bytes, c.hash)) return std::nullopt;
+    if (!stream.next(c.bytes, c.hash)) return std::nullopt;
     c.file_offset = ctx.file_offset;
-    ctx.file_offset += bytes.size();
-    counters_.input_bytes += bytes.size();
+    ctx.file_offset += c.bytes.size();
+    counters_.input_bytes += c.bytes.size();
     ++counters_.input_chunks;
-    c.bytes = std::move(bytes);
     return c;
   };
 
@@ -167,8 +162,6 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
           ctx.inbox.push_front(std::move(outcome.leftover.back()));
           outcome.leftover.pop_back();
         }
-        // The anchor's bytes were fully consumed by the match.
-        recycle_chunk(std::move(chunk->bytes));
         continue;
       }
     }
@@ -182,7 +175,6 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
       note_duplicate(chunk->bytes.size());
       ctx.log.push_back({chunk->file_offset, ctx.dig, it->second.first,
                          it->second.second});
-      recycle_chunk(std::move(chunk->bytes));
       continue;
     }
     note_unique(chunk->bytes.size());

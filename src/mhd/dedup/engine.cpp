@@ -6,15 +6,10 @@
 #include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
 #include "mhd/store/restore_reader.h"
-#include "mhd/util/buffer_pool.h"
 #include "mhd/util/hex.h"
 #include "mhd/util/timer.h"
 
 namespace mhd {
-
-void DedupEngine::recycle_chunk(ByteVec&& bytes) {
-  if (bytes.capacity() > 0) chunk_buffer_pool().release(std::move(bytes));
-}
 
 void DedupEngine::seed_bloom_from_hooks(BloomFilter& bloom,
                                         const StorageBackend& backend) {

@@ -314,13 +314,6 @@ class DedupEngine {
   /// container id) must never append to an existing object.
   Digest unique_store_digest(const Digest& base) const;
 
-  /// Returns a consumed chunk buffer's storage to the process-wide pool
-  /// (see util/buffer_pool.h). Engines call this wherever a chunk's bytes
-  /// leave the pending window for good — after the store write, a
-  /// duplicate drop, or match extension consuming the buffer — closing the
-  /// acquire/release cycle that makes steady-state ingest allocation-free.
-  static void recycle_chunk(ByteVec&& bytes);
-
   /// Graceful degradation: runs a dedup-index lookup (hook/manifest read)
   /// and maps CorruptObjectError to the lookup's "not found" value — the
   /// region is simply treated as non-duplicate and stored fresh, which is

@@ -16,7 +16,6 @@
 #include "mhd/store/restore_reader.h"
 #include "mhd/store/scrub.h"
 #include "mhd/store/store_errors.h"
-#include "mhd/util/buffer_pool.h"
 
 namespace mhd::server {
 
@@ -294,6 +293,9 @@ void DedupDaemon::serve_connection(SessionSlot& slot) {
   // The reader owns the connection's read side for its whole life; every
   // handler that consumes frames (the PUT data path) goes through it.
   FrameReader reader(fd);
+  // GET staging buffer, sized on the connection's first GET and reused by
+  // the rest.
+  ByteVec get_buf;
   try {
     Frame frame;
     while (reader.read_frame(frame)) {
@@ -320,7 +322,7 @@ void DedupDaemon::serve_connection(SessionSlot& slot) {
         }
         case MsgType::kGet: {
           std::shared_lock<std::shared_mutex> maint(maint_mu_);
-          handle_get(fd, ByteSpan{frame.payload});
+          handle_get(fd, ByteSpan{frame.payload}, get_buf);
           break;
         }
         case MsgType::kLs: {
@@ -560,7 +562,7 @@ void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
   write_frame(fd, MsgType::kOk, summary);
 }
 
-void DedupDaemon::handle_get(int fd, ByteSpan payload) {
+void DedupDaemon::handle_get(int fd, ByteSpan payload, ByteVec& buf) {
   const auto start = Clock::now();
   std::size_t pos = 0;
   const auto tenant_id = read_string(payload, pos);
@@ -592,16 +594,12 @@ void DedupDaemon::handle_get(int fd, ByteSpan payload) {
       ts.get_err_us.record(elapsed_us(start));
       return;
     }
-    // Recycled staging slab: steady-state restore streaming allocates
-    // nothing per GET after warm-up.
-    ByteVec buf = chunk_buffer_pool().acquire();
     buf.resize(kStreamFrameBytes);
     std::size_t n;
     while ((n = reader->read({buf.data(), buf.size()})) > 0) {
       write_frame(fd, MsgType::kData, ByteSpan{buf.data(), n});
       sent_bytes += n;
     }
-    chunk_buffer_pool().release(std::move(buf));
     produced = reader->produced();
     get_retries = reader->transient_retries();
     stream_ok = reader->ok();

@@ -204,7 +204,8 @@ class DedupDaemon {
   void serve_connection(SessionSlot& slot);
   /// Request handlers; each runs under the maintenance lock (shared).
   void handle_put(int fd, FrameReader& reader, ByteSpan payload);
-  void handle_get(int fd, ByteSpan payload);
+  /// `buf` is the connection's GET staging buffer (kStreamFrameBytes).
+  void handle_get(int fd, ByteSpan payload, ByteVec& buf);
   void handle_ls(int fd, ByteSpan payload);
   void handle_maintain(int fd, ByteSpan payload);
   /// Flush boundary: destroys every tenant's warm engine session. Caller

@@ -19,17 +19,12 @@
 //
 // The tenant id alphabet is enforced at the protocol boundary
 // (server::validate_tenant); '.' is the one separator this prefix scheme
-// reserves, and FileBackend object names (hex digests, "meta",
-// "shard-…") never start with `<tenant>.` for a valid tenant id.
-//
-// list()/object_count()/content_bytes() are filtered to the tenant
-// (content_bytes by reading each object — a stats-path operation, not a
-// hot path).
+// reserves (see store/scoped_backend.h, which does the prefixing).
 #pragma once
 
 #include <string>
 
-#include "mhd/store/backend.h"
+#include "mhd/store/scoped_backend.h"
 #include "mhd/store/store_errors.h"
 
 namespace mhd::server {
@@ -48,59 +43,11 @@ class QuotaExceededError : public StoreError {
       : StoreError("tenant '" + tenant + "' quota exceeded: " + what) {}
 };
 
-class TenantView final : public StorageBackend {
+/// The tenant's scope of `inner`: every name gets the prefix `<tenant>.`.
+class TenantView final : public ScopedBackend {
  public:
-  TenantView(StorageBackend& inner, std::string tenant)
-      : inner_(inner), prefix_(std::move(tenant) + ".") {}
-
-  void put(Ns ns, const std::string& name, ByteSpan data) override {
-    inner_.put(ns, prefix_ + name, data);
-  }
-  void append(Ns ns, const std::string& name, ByteSpan data) override {
-    inner_.append(ns, prefix_ + name, data);
-  }
-  std::optional<ByteVec> get(Ns ns, const std::string& name) const override {
-    return inner_.get(ns, prefix_ + name);
-  }
-  std::optional<ByteVec> get_range(Ns ns, const std::string& name,
-                                   std::uint64_t offset,
-                                   std::uint64_t length) const override {
-    return inner_.get_range(ns, prefix_ + name, offset, length);
-  }
-  bool exists(Ns ns, const std::string& name) const override {
-    return inner_.exists(ns, prefix_ + name);
-  }
-  bool remove(Ns ns, const std::string& name) override {
-    return inner_.remove(ns, prefix_ + name);
-  }
-  void seal(Ns ns, const std::string& name) override {
-    inner_.seal(ns, prefix_ + name);
-  }
-  std::uint64_t object_count(Ns ns) const override {
-    return list(ns).size();
-  }
-  std::uint64_t content_bytes(Ns ns) const override {
-    std::uint64_t total = 0;
-    for (const auto& name : list(ns)) {
-      if (const auto obj = inner_.get(ns, prefix_ + name)) total += obj->size();
-    }
-    return total;
-  }
-  std::vector<std::string> list(Ns ns) const override {
-    std::vector<std::string> mine;
-    for (auto& name : inner_.list(ns)) {
-      if (name.rfind(prefix_, 0) == 0) {
-        mine.push_back(name.substr(prefix_.size()));
-      }
-    }
-    return mine;
-  }
-
-  const std::string& prefix() const { return prefix_; }
-
- private:
-  StorageBackend& inner_;
-  std::string prefix_;
+  TenantView(StorageBackend& inner, const std::string& tenant)
+      : ScopedBackend(inner, tenant + ".") {}
 };
 
 /// One stored file as seen through a tenant view.

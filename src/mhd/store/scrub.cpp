@@ -16,6 +16,7 @@
 #include "mhd/store/container_store.h"
 #include "mhd/store/file_backend.h"
 #include "mhd/store/framing.h"
+#include "mhd/store/scoped_backend.h"
 #include "mhd/util/hex.h"
 
 namespace mhd {
@@ -54,68 +55,6 @@ std::string scope_of(const std::string& name) {
   const auto dot = name.find('.');
   return dot == std::string::npos ? std::string{} : name.substr(0, dot + 1);
 }
-
-/// Store-layer mirror of the server's TenantView (which fsck cannot
-/// depend on — the server layer sits above the store): scopes a backend
-/// to one name prefix so the per-tenant fingerprint index can be checked
-/// and rebuilt with the same code path as a single-tenant repository.
-/// fsck-grade performance: list() filters the full physical listing.
-class ScopedBackend final : public StorageBackend {
- public:
-  ScopedBackend(StorageBackend& inner, std::string prefix)
-      : inner_(inner), prefix_(std::move(prefix)) {}
-
-  void put(Ns ns, const std::string& name, ByteSpan data) override {
-    inner_.put(ns, prefix_ + name, data);
-  }
-  void append(Ns ns, const std::string& name, ByteSpan data) override {
-    inner_.append(ns, prefix_ + name, data);
-  }
-  std::optional<ByteVec> get(Ns ns, const std::string& name) const override {
-    return inner_.get(ns, prefix_ + name);
-  }
-  std::optional<ByteVec> get_range(Ns ns, const std::string& name,
-                                   std::uint64_t offset,
-                                   std::uint64_t length) const override {
-    return inner_.get_range(ns, prefix_ + name, offset, length);
-  }
-  bool exists(Ns ns, const std::string& name) const override {
-    return inner_.exists(ns, prefix_ + name);
-  }
-  bool remove(Ns ns, const std::string& name) override {
-    return inner_.remove(ns, prefix_ + name);
-  }
-  void seal(Ns ns, const std::string& name) override {
-    inner_.seal(ns, prefix_ + name);
-  }
-  std::uint64_t object_count(Ns ns) const override {
-    return list(ns).size();
-  }
-  std::uint64_t content_bytes(Ns ns) const override {
-    std::uint64_t total = 0;
-    for (const auto& name : list(ns)) {
-      if (const auto obj = inner_.get(ns, prefix_ + name)) {
-        total += obj->size();
-      }
-    }
-    return total;
-  }
-  std::vector<std::string> list(Ns ns) const override {
-    std::vector<std::string> mine;
-    for (auto& name : inner_.list(ns)) {
-      if (name.rfind(prefix_, 0) != 0) continue;
-      std::string base = name.substr(prefix_.size());
-      // The empty scope must not see other scopes' objects.
-      if (base.find('.') != std::string::npos) continue;
-      mine.push_back(std::move(base));
-    }
-    return mine;
-  }
-
- private:
-  StorageBackend& inner_;
-  std::string prefix_;
-};
 
 }  // namespace
 

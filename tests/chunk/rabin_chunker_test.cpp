@@ -18,13 +18,19 @@ ByteVec random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// With `fresh_vector`, every next() call gets a new, capacity-free
+/// vector instead of the one reused across calls.
 std::vector<ByteVec> chunk_buffer(ByteSpan data, Chunker& chunker,
-                                  std::size_t io_buf = 64 * 1024) {
+                                  std::size_t io_buf = 64 * 1024,
+                                  bool fresh_vector = false) {
   MemorySource src(data);
   ChunkStream stream(src, chunker, io_buf);
   std::vector<ByteVec> chunks;
   ByteVec c;
-  while (stream.next(c)) chunks.push_back(c);
+  while (stream.next(c)) {
+    chunks.push_back(c);
+    if (fresh_vector) c = ByteVec{};
+  }
   return chunks;
 }
 
@@ -77,6 +83,15 @@ TEST(RabinChunker, DeterministicAcrossScansAndBufferSizes) {
   const auto chunks_a = chunk_buffer(data, a, 64 * 1024);
   const auto chunks_b = chunk_buffer(data, b, 137);  // awkward buffer size
   EXPECT_EQ(chunks_a, chunks_b);
+}
+
+TEST(RabinChunker, FreshVectorPerCallYieldsTheSameChunks) {
+  // The engines hand next() a fresh vector for every chunk.
+  const ByteVec data = random_bytes(1 << 19, 4);
+  RabinChunker a(ChunkerConfig::from_expected(1024));
+  RabinChunker b(ChunkerConfig::from_expected(1024));
+  EXPECT_EQ(chunk_buffer(data, a, 137),
+            chunk_buffer(data, b, 137, /*fresh_vector=*/true));
 }
 
 // The boundary-shift property that motivated CDC: prepending bytes must not

@@ -16,13 +16,19 @@ ByteVec random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// With `fresh_vector`, every next() call gets a new, capacity-free
+/// vector instead of the one reused across calls.
 std::vector<ByteVec> chunk_buffer(ByteSpan data, Chunker& chunker,
-                                  std::size_t io_buf = 64 * 1024) {
+                                  std::size_t io_buf = 64 * 1024,
+                                  bool fresh_vector = false) {
   MemorySource src(data);
   ChunkStream stream(src, chunker, io_buf);
   std::vector<ByteVec> chunks;
   ByteVec c;
-  while (stream.next(c)) chunks.push_back(c);
+  while (stream.next(c)) {
+    chunks.push_back(c);
+    if (fresh_vector) c = ByteVec{};
+  }
   return chunks;
 }
 
@@ -61,6 +67,16 @@ TEST(TttdChunker, DeterministicAcrossBufferSizes) {
   TttdChunker a(ChunkerConfig::from_expected(1024));
   TttdChunker b(ChunkerConfig::from_expected(1024));
   EXPECT_EQ(chunk_buffer(data, a, 64 * 1024), chunk_buffer(data, b, 201));
+}
+
+TEST(TttdChunker, FreshVectorPerCallYieldsTheSameChunks) {
+  // The engines hand next() a fresh vector for every chunk; the tiny IO
+  // buffer makes the backup-cut carry cross refills.
+  const ByteVec data = random_bytes(1 << 19, 2);
+  TttdChunker a(ChunkerConfig::from_expected(1024));
+  TttdChunker b(ChunkerConfig::from_expected(1024));
+  EXPECT_EQ(chunk_buffer(data, a, 173),
+            chunk_buffer(data, b, 173, /*fresh_vector=*/true));
 }
 
 TEST(TttdChunker, FewerMaxSizeCutsThanPlainRabin) {
