@@ -17,13 +17,12 @@
 // BENCH_ingest.json at the repo root is the recorded baseline from this
 // harness (see --json).
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mhd/repo/repository.h"
 #include "mhd/sim/runner.h"
-#include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/util/flags.h"
 #include "mhd/util/timer.h"
@@ -77,13 +76,12 @@ Row measure(const RunConfig& rc, const ResidentCorpus& corpus,
             bool framed = false) {
   Row row;
   double best = 0;
+  EngineConfig layout;
+  layout.framed = framed;
   for (int rep = 0; rep < rc.reps; ++rep) {
     MemoryBackend backend;
-    std::optional<FramedBackend> framing;
-    if (framed) framing.emplace(backend);
-    StorageBackend& active = framed ? static_cast<StorageBackend&>(*framing)
-                                    : backend;
-    ObjectStore store(active);
+    BackendStack stack(backend, layout);
+    ObjectStore store(stack.top());
     auto engine = make_engine(rc.engine_name, store, rc.engine);
     Stopwatch watch;
     for (std::size_t i = 0; i < corpus.data.size(); ++i) {
@@ -93,9 +91,8 @@ Row measure(const RunConfig& rc, const ResidentCorpus& corpus,
     const double secs = watch.seconds();
     best = std::max(best, corpus.total_bytes / 1048576.0 / secs);
     row.counters = engine->counters();
-    row.stored_bytes = active.content_bytes(Ns::kDiskChunk);
-    row.physical_bytes =
-        framed ? framing->physical_bytes(Ns::kDiskChunk) : row.stored_bytes;
+    row.stored_bytes = stack.top().content_bytes(Ns::kDiskChunk);
+    row.physical_bytes = stack.bottom().content_bytes(Ns::kDiskChunk);
   }
   row.mb_per_s = best;
   return row;

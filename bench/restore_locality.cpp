@@ -20,7 +20,7 @@
 #include "bench_common.h"
 #include "mhd/dedup/rewrite.h"
 #include "mhd/format/file_manifest.h"
-#include "mhd/store/container_store.h"
+#include "mhd/repo/repository.h"
 
 using namespace mhd;
 using namespace mhd::bench;
@@ -115,14 +115,8 @@ int main(int argc, char** argv) {
   std::vector<ModeSummary> summaries;
   for (const RewriteMode mode :
        {RewriteMode::kNone, RewriteMode::kCbr, RewriteMode::kHar}) {
-    MemoryBackend mem;
-    ContainerConfig cc;
-    cc.container_bytes = container_bytes;
-    cc.cache_bytes = cache_bytes;
-    ContainerBackend containers(mem, cc);
-    ObjectStore store(containers);
-
-    EngineConfig cfg = o.engine_config(ecs);
+    RunSpec spec = o.spec(algo, ecs);
+    EngineConfig& cfg = spec.engine;
     cfg.container_bytes = container_bytes;
     cfg.restore_cache_bytes = cache_bytes;
     cfg.rewrite = mode;
@@ -134,20 +128,10 @@ int main(int argc, char** argv) {
         flags.get_uint("cbr-cap", 3, 1, 65536));
     cfg.har_utilization = flags.get_double("har-util", 0.5);
 
-    auto engine = make_engine(algo, store, cfg);
-    for (std::size_t i = 0; i < corpus.files().size(); ++i) {
-      if (i > 0 &&
-          corpus.files()[i].snapshot != corpus.files()[i - 1].snapshot) {
-        engine->end_snapshot();
-      }
-      auto src = corpus.open(i);
-      engine->add_file(corpus.files()[i].name, *src);
-    }
-    engine->end_snapshot();
-    engine->finish();
-    containers.flush();
-
-    const ExperimentResult r = summarize(engine->name(), *engine, containers, disk);
+    // One engine ingests every generation, so HAR sees each one close.
+    MemoryBackend mem;
+    BackendStack stack(mem, cfg);
+    const ExperimentResult r = run_experiment(spec, corpus, stack);
     summaries.push_back({std::string(rewrite_mode_name(mode)), r.real_der(),
                          r.rewrite_ratio(), r.counters.rewritten_bytes,
                          r.containers_sealed});
@@ -162,7 +146,7 @@ int main(int argc, char** argv) {
       RestorePoint p;
       p.mode = rewrite_mode_name(mode);
       p.generation = g;
-      p.m = measure_restore(containers, names);
+      p.m = measure_restore(stack, names);
       curve.push_back(p);
     }
   }

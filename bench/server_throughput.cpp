@@ -50,10 +50,9 @@
 #include <thread>
 #include <vector>
 
+#include "mhd/repo/repository.h"
 #include "mhd/server/client.h"
 #include "mhd/server/daemon.h"
-#include "mhd/store/fault_backend.h"
-#include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/util/flags.h"
 
@@ -120,22 +119,19 @@ std::uint64_t pct(std::vector<std::uint64_t>& v, double q) {
   return v[std::min(idx, v.size() - 1)];
 }
 
-void run_config(int sessions, const FaultPlan& plan, int files,
+void run_config(int sessions, const std::string& fault_plan, int files,
                 std::size_t file_bytes, std::uint64_t seed,
                 std::vector<Row>& rows) {
   MemoryBackend mem;
-  std::optional<FaultInjectingBackend> faulty;
-  StorageBackend* top = &mem;
-  if (!plan.empty()) {
-    faulty.emplace(mem, plan);
-    top = &*faulty;
-  }
-  FramedBackend framed(*top);
+  EngineConfig layout;
+  layout.framed = true;
+  layout.fault_plan = fault_plan;
+  BackendStack stack(mem, layout);
 
   DaemonConfig dc;
   dc.listen = "tcp:0";
   dc.max_sessions = static_cast<std::uint32_t>(sessions) + 2;
-  DedupDaemon daemon(framed, mem, dc);
+  DedupDaemon daemon(stack.top(), mem, dc);
   daemon.start();
   const std::string spec = daemon.listen_spec();
 
@@ -146,8 +142,8 @@ void run_config(int sessions, const FaultPlan& plan, int files,
       static_cast<std::uint64_t>(sessions) * files * file_bytes;
 
   const double mb = static_cast<double>(bytes_per_phase) / (1024.0 * 1024.0);
-  Row ingest_row{sessions, !plan.empty(), "ingest"};
-  Row restore_row{sessions, !plan.empty(), "restore"};
+  Row ingest_row{sessions, !fault_plan.empty(), "ingest"};
+  Row restore_row{sessions, !fault_plan.empty(), "restore"};
 
   reset_transport_stats();
   const auto ingest_start = Clock::now();
@@ -248,7 +244,9 @@ void run_chaos_config(int sessions, const std::string& net_spec, int files,
                       std::size_t file_bytes, std::uint64_t seed,
                       std::vector<Row>& rows) {
   MemoryBackend mem;
-  FramedBackend framed(mem);
+  EngineConfig layout;
+  layout.framed = true;
+  BackendStack stack(mem, layout);
   const std::string sock = "server_throughput_chaos.sock";
   ::unlink(sock.c_str());
 
@@ -256,7 +254,7 @@ void run_chaos_config(int sessions, const std::string& net_spec, int files,
   dc.listen = "unix:" + sock;
   dc.max_sessions = static_cast<std::uint32_t>(sessions) + 2;
   dc.net_fault_plan = net_spec;
-  auto daemon = std::make_unique<DedupDaemon>(framed, mem, dc);
+  auto daemon = std::make_unique<DedupDaemon>(stack.top(), mem, dc);
   daemon->start();
   const std::string spec = daemon->listen_spec();
 
@@ -319,7 +317,7 @@ void run_chaos_config(int sessions, const std::string& net_spec, int files,
   daemon->stop();
   daemon.reset();
   ::unlink(sock.c_str());
-  daemon = std::make_unique<DedupDaemon>(framed, mem, dc);
+  daemon = std::make_unique<DedupDaemon>(stack.top(), mem, dc);
   daemon->start();
   for (;;) {
     auto probe = DedupClient::connect(spec);
@@ -362,13 +360,12 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const auto s : sessions_list) {
-    run_config(static_cast<int>(s), FaultPlan{}, files, file_bytes, seed,
-               rows);
+    run_config(static_cast<int>(s), "", files, file_bytes, seed, rows);
   }
   if (fault_spec != "none") {
-    const FaultPlan plan = FaultPlan::parse(fault_spec);
     for (const auto s : sessions_list) {
-      run_config(static_cast<int>(s), plan, files, file_bytes, seed, rows);
+      run_config(static_cast<int>(s), fault_spec, files, file_bytes, seed,
+                 rows);
     }
   }
   // Network chaos sweep (largest session count only — the interesting

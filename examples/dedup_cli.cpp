@@ -23,10 +23,13 @@
 //       --idle-timeout-ms=N              reap sessions idle for N ms
 //                                        (default 30000, 0 = never)
 //       --fsck-on-start                  repair crash residue (offline
-//                                        fsck with repair) before
+//                                        fsck with repair, quarantine
+//                                        under <repo>/quarantine) before
 //                                        accepting traffic; refuses to
 //                                        serve a still-damaged repo;
 //                                        exits 2 on an unframed repo
+//       (serve exits 2 on --rewrite: its engines sit on tenant views,
+//       which cannot locate containers)
 //       --net-fault-plan=SPEC            deterministic network chaos on
 //                                        accepted connections, e.g.
 //                                        torn@3,reset@7,seed:42 (see
@@ -70,9 +73,13 @@
 //          framing, e.g. torn@120:0.5,readerr@3x2,seed:7 (grammar in
 //          store/fault_backend.h)
 //          --container-mb=N   pack chunk data into containers, restored
-//          through a --restore-cache-mb=32 cache; --rewrite=none|cbr|har
-//          controls fragmentation (cbr caps old containers per segment,
-//          har rewrites duplicates out of containers that went sparse)
+//          through a --restore-cache-mb=32 cache; gc deletes containers
+//          no surviving chunk references
+//          --rewrite=none|cbr   cbr caps the old containers each segment
+//          of a store may reference; it needs a container layer (exit 2
+//          without one). har exits 2 here: it rewrites out of containers
+//          that went sparse in earlier generations of the same run, and
+//          a store invocation is one generation (run_experiment runs many)
 //          Sizes take K/M/G suffixes; a bare number means MB.
 #include <unistd.h>
 
@@ -112,14 +119,29 @@ class FileSource final : public ByteSource {
   std::ifstream in_;
 };
 
+/// Refuses, before open_repository creates anything, a --rewrite mode
+/// the command cannot honour: the daemon's engines sit on tenant views,
+/// which cannot locate containers, and one store invocation closes one
+/// generation, so HAR would never see a sparse container.
+void refuse_rewrite(const Flags& flags, bool serve) {
+  const RewriteMode mode = read_engine_flags(flags, EngineConfig{}).rewrite;
+  if (serve ? mode != RewriteMode::kNone : mode == RewriteMode::kHar) {
+    throw FlagError(std::string("--rewrite=") + rewrite_mode_name(mode) +
+                    (serve ? ": the daemon does not rewrite"
+                           : ": HAR needs several generations in one run; "
+                             "a store invocation is one"));
+  }
+}
+
 int cmd_store(const Flags& flags, bool verify_after) {
   const auto& args = flags.positional();
   if (args.size() < 3) {
     std::fprintf(stderr, "usage: dedup_cli store <repo> <file...>\n");
     return 2;
   }
+  refuse_rewrite(flags, /*serve=*/false);
   Repository repo = open_repository(args[1], flags, OpenMode::kCreate);
-  ObjectStore store(repo.stack().top());
+  ObjectStore store(repo.stack().top(), repo.stack().containers());
   MhdEngine engine(store, repo.config());
 
   for (std::size_t i = 2; i < args.size(); ++i) {
@@ -131,10 +153,7 @@ int cmd_store(const Flags& flags, bool verify_after) {
     engine.add_file(args[i], src);
     std::printf("stored %s\n", args[i].c_str());
   }
-  // One CLI invocation is one backup generation: fold this run's
-  // container utilization into HAR's history, then seal the open
-  // container so the repo on disk is all clean streams.
-  engine.end_snapshot();
+  // Seal the open container so the repo on disk is all clean streams.
   engine.finish();
   if (auto* containers = repo.stack().containers()) {
     containers->flush();
@@ -262,7 +281,8 @@ int cmd_gc(const Flags& flags) {
     return 2;
   }
   Repository repo = open_repository(args[1], flags, OpenMode::kWrite);
-  const auto r = collect_garbage(repo.stack().top());
+  const auto r =
+      collect_garbage(repo.stack().top(), repo.stack().containers());
   std::printf("gc: %llu live chunks kept, %llu chunks deleted (%.2f MB "
               "reclaimed), %llu manifests and %llu hooks removed\n",
               static_cast<unsigned long long>(r.live_chunks),
@@ -377,6 +397,7 @@ int cmd_serve(const Flags& flags) {
     std::fprintf(stderr, "usage: dedup_cli serve <repo>\n");
     return 2;
   }
+  refuse_rewrite(flags, /*serve=*/true);
   // The daemon is THE single writer of the repository for its lifetime.
   Repository repo = open_repository(args[1], flags, OpenMode::kCreate);
   server::DaemonConfig dc;
@@ -406,7 +427,8 @@ int cmd_serve(const Flags& flags) {
     }
     // The repair pass reports what it FOUND (and fixed); a read-only
     // second pass proves what is LEFT.
-    const FsckReport rep = fsck_repository(repo.file(), /*repair=*/true);
+    const FsckReport rep = fsck_repository(repo.file(), /*repair=*/true,
+                                           repo.file().root() / "quarantine");
     const bool clean =
         rep.clean() || fsck_repository(repo.file(), /*repair=*/false).clean();
     std::printf("fsck-on-start: %s (%llu issues found, %llu repaired)\n",

@@ -63,7 +63,8 @@ int cmd_check(const Flags& flags, bool repair) {
                  args[1].c_str(), args[1].c_str());
     return 2;
   }
-  const auto report = fsck_repository(repo.file(), repair);
+  const auto report =
+      fsck_repository(repo.file(), repair, repo.file().root() / "quarantine");
   std::printf("%s", report.to_string().c_str());
   if (report.clean()) {
     std::printf("repository is CLEAN%s\n",

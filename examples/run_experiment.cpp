@@ -18,7 +18,10 @@
 // --har-util (which tune --rewrite=cbr|har), --measure-restore, --verify
 // and --json are this CLI's own. Every other flag is dedup_cli's, read by
 // the same code (read_engine_flags in src/mhd/repo/) and described in its
-// usage header; each run uses a fresh in-memory repository.
+// usage header; each run uses a fresh in-memory repository, and one
+// engine ingests every generation of the corpus, so --rewrite=har works
+// here. --rewrite needs --container-mb: rewriting decides from container
+// placement, so a rewrite mode without containers exits 2.
 // --measure-restore times a full streaming restore of the corpus after
 // ingest and reports restore MB/s, containers-read-per-MB and CFL.
 // A flag mistake exits 2; a failed experiment exits 1.
@@ -51,6 +54,7 @@ int run(int argc, char** argv) {
       flags.get_uint("cbr-cap", spec.engine.cbr_cap, 1, 65536));
   spec.engine.har_utilization =
       flags.get_double("har-util", spec.engine.har_utilization);
+  require_rewrite_layer(spec.engine);
   spec.verify = flags.get_bool("verify", false);
   spec.measure_restore = flags.get_bool("measure-restore", false);
 

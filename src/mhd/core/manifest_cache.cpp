@@ -10,7 +10,7 @@ ManifestCache::ManifestCache(ObjectStore& store, std::size_t capacity,
                              bool hook_flags, std::uint64_t max_bytes,
                              FingerprintIndex* index)
     : store_(store),
-      containers_(dynamic_cast<const ContainerBackend*>(&store.backend())),
+      containers_(store.containers()),
       hook_flags_(hook_flags),
       lru_(
           capacity,

@@ -224,11 +224,7 @@ void MhdEngine::finish() {
   persist_index_state(cache_);
 }
 
-bool MhdEngine::flush_session() {
-  if (rewrite_controller() != nullptr) {
-    finish();
-    return false;
-  }
+void MhdEngine::flush_session() {
   if (cfg_.index_impl == IndexImpl::kDisk ||
       cfg_.index_impl == IndexImpl::kSampled) {
     // Keep the cache resident: the fresh-engine baseline warm-loads the
@@ -243,7 +239,6 @@ bool MhdEngine::flush_session() {
     // MemIndex with the cache).
     cache_.reset();
   }
-  return true;
 }
 
 }  // namespace mhd

@@ -33,9 +33,10 @@ class MhdEngine final : public DedupEngine {
 
   void finish() override;
 
-  /// Warm-session flush (see DedupEngine::flush_session). Reuse after the
-  /// flush is bit-identical to a fresh engine because each piece of state
-  /// either equals what a fresh construction would rebuild or is reset:
+  /// The daemon's per-PUT flush: makes the session durable, and reusing
+  /// the engine after it is bit-identical to a fresh engine because each
+  /// piece of state either equals what a fresh construction would rebuild
+  /// or is reset:
   ///  * bloom: write_hook inserted every written hook's prefix64, so
   ///    the warm filter bit-equals seed_bloom_from_hooks over the on-disk
   ///    hook set (a bloom is an order-independent OR-set);
@@ -46,10 +47,8 @@ class MhdEngine final : public DedupEngine {
   ///    index + warm_load of the residency list reconstructs exactly this
   ///    state (warm_load's re-puts are no-op on disk);
   ///  * per-file state (FileCtx, MatchExtender) never outlives add_file.
-  /// Returns false (discard) with a rewrite controller: its segment and
-  /// utilization history is cross-session state a fresh engine would not
-  /// have.
-  bool flush_session() override;
+  /// (The daemon refuses rewrite modes, whose history is not on disk.)
+  void flush_session();
 
   /// Manifests loaded from disk (paper TABLE V).
   std::uint64_t manifest_loads() const override {

@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "mhd/chunk/byte_source.h"
@@ -164,17 +165,23 @@ struct EngineCounters {
 
 class DedupEngine {
  public:
+  /// Throws std::invalid_argument for a rewrite mode when `store` carries
+  /// no container layer, whose placement the rewrite controller reads.
   DedupEngine(ObjectStore& store, const EngineConfig& config)
       : store_(store), cfg_(config) {
     set_sha1_impl(config.hash_impl);
     if (cfg_.rewrite != RewriteMode::kNone) {
+      if (store.containers() == nullptr) {
+        throw std::invalid_argument(
+            std::string("rewrite mode ") + rewrite_mode_name(cfg_.rewrite) +
+            " needs a container layer under the engine's store");
+      }
       RewriteConfig rc;
       rc.mode = cfg_.rewrite;
       rc.segment_bytes = cfg_.cbr_segment_bytes;
       rc.cap = cfg_.cbr_cap;
       rc.har_utilization = cfg_.har_utilization;
-      rewrite_ = std::make_unique<RewriteController>(
-          rc, dynamic_cast<const ContainerBackend*>(&store.backend()));
+      rewrite_ = std::make_unique<RewriteController>(rc, *store.containers());
     }
   }
   virtual ~DedupEngine() = default;
@@ -188,21 +195,6 @@ class DedupEngine {
   /// Flushes buffered state: dirty manifests, open chunk writers, indexes.
   /// Must be called once after the last add_file.
   virtual void finish() = 0;
-
-  /// Session flush boundary for long-lived engines (the daemon's warm
-  /// per-tenant sessions): makes every byte of this session durable and
-  /// brings the engine into a state where continuing with the SAME engine
-  /// object is bit-identical — on disk and in dedup decisions — to
-  /// destroying it and constructing a fresh engine over the same store.
-  /// Returns true when the engine may be reused after the flush; false
-  /// means the caller must discard it (the engine carries cross-session
-  /// state a fresh engine would not reconstruct, e.g. a rewrite
-  /// controller's segment history). The default is the conservative
-  /// finish()-and-discard.
-  virtual bool flush_session() {
-    finish();
-    return false;
-  }
 
   /// Restores a previously added file byte-exactly from the store by
   /// draining a RestoreReader into one buffer — the same path as streaming
@@ -218,11 +210,6 @@ class DedupEngine {
   /// including before finish(). No-op without --rewrite.
   void end_snapshot() {
     if (rewrite_) rewrite_->end_snapshot();
-  }
-
-  /// The engine's rewrite controller, nullptr with --rewrite=none.
-  const RewriteController* rewrite_controller() const {
-    return rewrite_.get();
   }
 
   const EngineCounters& counters() const { return counters_; }

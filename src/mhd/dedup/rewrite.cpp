@@ -19,7 +19,7 @@ std::optional<RewriteMode> parse_rewrite_mode(const std::string& name) {
 }
 
 RewriteController::RewriteController(const RewriteConfig& config,
-                                     const ContainerBackend* containers)
+                                     const ContainerBackend& containers)
     : cfg_(config), containers_(containers) {
   if (cfg_.segment_bytes == 0) cfg_.segment_bytes = 4ull << 20;
 }
@@ -27,7 +27,6 @@ RewriteController::RewriteController(const RewriteConfig& config,
 void RewriteController::begin_file() {
   // Segments never span files: a restore is per file, so the per-segment
   // container bound must hold within each file on its own.
-  if (!segment_containers_.empty() || segment_pos_ > 0) ++stats_.segments;
   segment_pos_ = 0;
   segment_containers_.clear();
 }
@@ -37,7 +36,6 @@ void RewriteController::advance_segment(std::uint64_t bytes) {
   while (segment_pos_ >= cfg_.segment_bytes) {
     segment_pos_ -= cfg_.segment_bytes;
     segment_containers_.clear();
-    ++stats_.segments;
   }
 }
 
@@ -47,26 +45,20 @@ void RewriteController::on_stream_bytes(std::uint64_t bytes) {
 
 bool RewriteController::admit(const Digest& chunk_name, std::uint64_t offset,
                               std::uint64_t size) {
-  ++stats_.duplicates_seen;
   const auto admitted = [&] {
-    ++stats_.admitted;
     if (cfg_.mode == RewriteMode::kCbr) advance_segment(size);
     return true;
   };
   const auto rewritten = [&] {
-    ++stats_.rewritten_chunks;
-    stats_.rewritten_bytes += size;
     // The fresh copy advances the stream like any unique chunk.
     if (cfg_.mode == RewriteMode::kCbr) advance_segment(size);
     return false;
   };
 
-  if (cfg_.mode == RewriteMode::kNone || containers_ == nullptr) {
-    return admitted();
-  }
-  const auto container = containers_->locate(chunk_name.hex(), offset);
+  if (cfg_.mode == RewriteMode::kNone) return admitted();
+  const auto container = containers_.locate(chunk_name.hex(), offset);
   if (!container) return admitted();  // unknown placement: nothing to judge
-  if (*container == containers_->open_container()) {
+  if (*container == containers_.open_container()) {
     return admitted();  // the write head is this stream's own locality
   }
 
@@ -87,19 +79,18 @@ bool RewriteController::admit(const Digest& chunk_name, std::uint64_t offset,
 }
 
 void RewriteController::end_snapshot() {
-  if (cfg_.mode != RewriteMode::kHar || containers_ == nullptr) {
+  if (cfg_.mode != RewriteMode::kHar) {
     generation_refs_.clear();
     return;
   }
   for (const auto& [container, referenced] : generation_refs_) {
-    const std::uint64_t payload = containers_->container_data_bytes(container);
+    const std::uint64_t payload = containers_.container_data_bytes(container);
     if (payload == 0) continue;
     const double utilization =
         static_cast<double>(referenced) / static_cast<double>(payload);
     if (utilization < cfg_.har_utilization) sparse_.insert(container);
   }
   generation_refs_.clear();
-  stats_.sparse_containers = sparse_.size();
 }
 
 }  // namespace mhd

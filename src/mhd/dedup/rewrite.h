@@ -25,8 +25,10 @@
 //
 // The controller is advisory and placement-driven: it answers "may this
 // duplicate be referenced in place?" through the authoritative placement
-// query ContainerBackend::locate(). Without a container layer every
-// duplicate is admitted (nothing to compact).
+// query ContainerBackend::locate(), so a rewrite mode needs the container
+// layer (DedupEngine refuses one without it) and, for HAR, one engine
+// across generations: `dedup_cli store` closes one generation per
+// invocation and refuses --rewrite=har, the daemon refuses --rewrite.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +47,6 @@ enum class RewriteMode { kNone, kCbr, kHar };
 const char* rewrite_mode_name(RewriteMode mode);
 std::optional<RewriteMode> parse_rewrite_mode(const std::string& name);
 
-struct RewriteStats {
-  std::uint64_t duplicates_seen = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rewritten_chunks = 0;
-  std::uint64_t rewritten_bytes = 0;
-  std::uint64_t segments = 0;           ///< CBR segments closed
-  std::uint64_t sparse_containers = 0;  ///< HAR: currently flagged sparse
-};
-
 struct RewriteConfig {
   RewriteMode mode = RewriteMode::kNone;
   std::uint64_t segment_bytes = 4ull << 20;  ///< CBR segment length
@@ -63,9 +56,8 @@ struct RewriteConfig {
 
 class RewriteController {
  public:
-  /// `containers` may be nullptr (legacy layout): every duplicate admits.
   RewriteController(const RewriteConfig& config,
-                    const ContainerBackend* containers);
+                    const ContainerBackend& containers);
 
   /// Stream bookkeeping: segments never span files.
   void begin_file();
@@ -84,15 +76,11 @@ class RewriteController {
   /// utilization into the sparse set consulted by later generations.
   void end_snapshot();
 
-  const RewriteStats& stats() const { return stats_; }
-  RewriteMode mode() const { return cfg_.mode; }
-
  private:
   void advance_segment(std::uint64_t bytes);
 
   RewriteConfig cfg_;
-  const ContainerBackend* containers_;
-  RewriteStats stats_;
+  const ContainerBackend& containers_;
 
   // CBR state.
   std::uint64_t segment_pos_ = 0;

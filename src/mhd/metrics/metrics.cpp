@@ -1,8 +1,6 @@
 #include "mhd/metrics/metrics.h"
 
 #include "mhd/dedup/rewrite.h"
-#include "mhd/store/container_store.h"
-#include "mhd/store/framed_backend.h"
 
 namespace mhd {
 
@@ -67,8 +65,9 @@ double ExperimentResult::dad_bytes() const { return counters.dad(); }
 
 ExperimentResult summarize(const std::string& algorithm,
                            const DedupEngine& engine,
-                           const StorageBackend& backend,
+                           const BackendStack& stack,
                            const DiskModel& disk, double cpu_copy_bw) {
+  const StorageBackend& backend = stack.top();
   ExperimentResult r;
   r.algorithm = algorithm;
   r.ecs = engine.config().ecs;
@@ -81,25 +80,19 @@ ExperimentResult summarize(const std::string& algorithm,
   r.stats = engine.store().stats();
   r.input_bytes = r.counters.input_bytes;
   r.stored_data_bytes = backend.content_bytes(Ns::kDiskChunk);
-  r.physical_data_bytes = r.stored_data_bytes;
   // With a container layer the data bytes live under Ns::kContainer of the
-  // inner backend; the logical DiskChunk view above stays the stored size.
-  const StorageBackend* phys = &backend;
+  // physical layer; the logical DiskChunk view above stays the stored size.
   Ns data_ns = Ns::kDiskChunk;
-  if (const auto* cb = dynamic_cast<const ContainerBackend*>(&backend)) {
+  if (const ContainerBackend* cb = stack.containers()) {
     r.container_bytes = cb->config().container_bytes;
     r.rewrite_mode = rewrite_mode_name(engine.config().rewrite);
     const ContainerStats cs = cb->stats();
     r.containers_sealed = cs.containers_sealed;
     r.container_packed_bytes = cs.packed_bytes;
-    phys = &cb->inner();
     data_ns = Ns::kContainer;
-    r.physical_data_bytes = phys->content_bytes(data_ns);
   }
-  if (const auto* fb = dynamic_cast<const FramedBackend*>(phys)) {
-    r.framed = true;
-    r.physical_data_bytes = fb->physical_bytes(data_ns);
-  }
+  r.framed = stack.framed();
+  r.physical_data_bytes = stack.bottom().content_bytes(data_ns);
   r.metadata = MetadataBreakdown::from(backend);
   r.manifest_loads = engine.manifest_loads();
   r.index_ram_bytes = engine.index_ram_bytes();

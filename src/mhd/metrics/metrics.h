@@ -14,7 +14,9 @@
 #include <string>
 
 #include "mhd/dedup/engine.h"
+#include "mhd/repo/repository.h"
 #include "mhd/store/disk_model.h"
+#include "mhd/store/memory_backend.h"
 
 namespace mhd {
 
@@ -141,12 +143,21 @@ struct ExperimentResult {
   }
 };
 
-/// Fills the derived/metadata parts of a result from a finished engine.
-/// `cpu_copy_bw` models the memcpy cost of the baseline copy.
+/// Fills the derived/metadata parts of a result from a finished engine
+/// over `stack`. `cpu_copy_bw` models the memcpy cost of the baseline copy.
 ExperimentResult summarize(const std::string& algorithm,
                            const DedupEngine& engine,
-                           const StorageBackend& backend,
+                           const BackendStack& stack,
                            const DiskModel& disk,
                            double cpu_copy_bw = 4.0e9);
+
+/// The same over a bare in-memory backend (no layers).
+inline ExperimentResult summarize(const std::string& algorithm,
+                                  const DedupEngine& engine,
+                                  MemoryBackend& backend, const DiskModel& disk,
+                                  double cpu_copy_bw = 4.0e9) {
+  return summarize(algorithm, engine, BackendStack(backend, EngineConfig{}),
+                   disk, cpu_copy_bw);
+}
 
 }  // namespace mhd

@@ -137,8 +137,14 @@ EngineConfig read_engine_flags(const Flags& flags, EngineConfig cfg) {
   return cfg;
 }
 
+void require_rewrite_layer(const EngineConfig& cfg) {
+  if (cfg.rewrite == RewriteMode::kNone || cfg.container_bytes != 0) return;
+  throw FlagError(std::string("--rewrite=") + rewrite_mode_name(cfg.rewrite) +
+                  " needs a container layer (--container-mb)");
+}
+
 BackendStack::BackendStack(StorageBackend& bottom, const EngineConfig& cfg)
-    : top_(&bottom) {
+    : bottom_(bottom), top_(&bottom) {
   if (!cfg.fault_plan.empty()) {
     faulty_.emplace(*top_, FaultPlan::parse(cfg.fault_plan));
     top_ = &*faulty_;
@@ -181,9 +187,13 @@ Repository open_repository(const fs::path& root, const Flags& flags,
   // the lock, which creates the directory.
   const fs::path path = root / kDescriptorFile;
   const bool legacy = fs::is_directory(root / "diskchunks");
-  if (mode != OpenMode::kCreate && !fs::exists(path) && !legacy) {
+  const bool fresh = !fs::exists(path) && !legacy;
+  if (mode != OpenMode::kCreate && fresh) {
     throw FlagError("no repository at " + root.string());
   }
+  // A new repository takes its layout from the flags: refuse them before
+  // the lock creates its directory.
+  if (fresh) require_rewrite_layer(given);
   std::optional<StoreLock> lock;
   if (mode != OpenMode::kRead) lock.emplace(StoreLock::acquire(root));
 
@@ -204,6 +214,7 @@ Repository open_repository(const fs::path& root, const Flags& flags,
                       " (omit it to use the repository's value)");
     }
   }
+  require_rewrite_layer(cfg);
   return Repository(root, std::move(lock), std::move(cfg),
                     !stored && mode != OpenMode::kRead);
 }

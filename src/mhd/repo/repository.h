@@ -30,20 +30,33 @@ EngineConfig read_ecs_sd_flags(const Flags& flags, EngineConfig cfg);
 /// Throws FlagError on any mistake.
 EngineConfig read_engine_flags(const Flags& flags, EngineConfig cfg);
 
+/// Throws FlagError when `cfg` asks for --rewrite without a container
+/// layer: rewriting decides from container placement.
+void require_rewrite_layer(const EngineConfig& cfg);
+
 /// The durability stack over `bottom`, each layer present when `cfg` asks:
 ///   bottom -> [FaultInjectingBackend] -> [FramedBackend] -> [ContainerBackend]
 /// Faults hit the physical layer, below the framing that exists to detect
-/// them; containers pack logical chunks above both.
+/// them; containers pack logical chunks above both. Consumers take the
+/// layer they need from here instead of probing a backend.
 class BackendStack {
  public:
   BackendStack(StorageBackend& bottom, const EngineConfig& cfg);
 
   StorageBackend& top() { return *top_; }
+  const StorageBackend& top() const { return *top_; }
+  /// The physical layer, which counts framed and packed bytes.
+  const StorageBackend& bottom() const { return bottom_; }
+  bool framed() const { return framed_.has_value(); }
   ContainerBackend* containers() {
+    return containers_ ? &*containers_ : nullptr;
+  }
+  const ContainerBackend* containers() const {
     return containers_ ? &*containers_ : nullptr;
   }
 
  private:
+  StorageBackend& bottom_;
   std::optional<FaultInjectingBackend> faulty_;
   std::optional<FramedBackend> framed_;
   std::optional<ContainerBackend> containers_;
@@ -91,7 +104,8 @@ class Repository {
 /// adopted: its `framed` and `container-size` markers and index objects
 /// give the layout, the flags the chunking. A given creation-time flag
 /// that differs from the repository throws FlagError; an omitted one
-/// takes the repository's value. A damaged descriptor throws StoreError.
+/// takes the repository's value, and so does require_rewrite_layer. A
+/// damaged descriptor throws StoreError.
 Repository open_repository(const std::filesystem::path& root,
                            const Flags& flags, OpenMode mode);
 

@@ -155,6 +155,11 @@ struct DedupDaemon::EngineSession {
 DedupDaemon::DedupDaemon(StorageBackend& active, StorageBackend&,
                          DaemonConfig cfg)
     : sync_(active), cfg_(std::move(cfg)) {
+  // Sessions sit on tenant views, which cannot locate containers.
+  if (cfg_.engine.rewrite != RewriteMode::kNone) {
+    throw std::invalid_argument(std::string("the daemon does not rewrite: ") +
+                                rewrite_mode_name(cfg_.engine.rewrite));
+  }
   if (cfg_.max_sessions == 0) cfg_.max_sessions = 1;
   if (!cfg_.net_fault_plan.empty()) {
     net_fault_plan_ = NetFaultPlan::parse(cfg_.net_fault_plan);
@@ -452,7 +457,6 @@ void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
     const FingerprintIndex& fp = *sess.engine.fingerprint_index();
     const SampledStats sampled_before = fp.sampled_stats();
     sess.engine.add_file(*file_name, src);
-    sess.engine.end_snapshot();
     after = sess.engine.counters();
     put_transient_retries =
         sess.store.stats().transient_retries - retries_before;
@@ -462,7 +466,7 @@ void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
     sampled_missed =
         sampled_after.missed_dup_bytes - sampled_before.missed_dup_bytes;
     sampled_hooks = sampled_after.hook_entries;
-    if (!sess.engine.flush_session()) ts.session.reset();
+    sess.engine.flush_session();
   } catch (const QuotaExceededError&) {
     ts.session.reset();
     std::lock_guard<std::mutex> lock(reg_mu_);

@@ -19,7 +19,7 @@
 // Engines are per-tenant and PERSISTENT (EngineSession): the first PUT
 // constructs the tenant's TenantView → ObjectStore → engine stack and
 // later PUTs reuse it with the manifest cache, bloom filter and index
-// handles warm. Every PUT ends with DedupEngine::flush_session(), which
+// handles warm. Every PUT ends with MhdEngine::flush_session(), which
 // makes the session state bit-identical — on disk and in future dedup
 // decisions — to tearing the engine down and rebuilding it (the fresh-
 // engine baseline the equivalence tests compare against). Sessions are
@@ -142,7 +142,8 @@ class DedupDaemon {
   /// `active` is the top of the repository's backend stack (container/
   /// framed/fault layers applied); the second parameter is unused (online
   /// fsck scrubs tenant views of `active`). The daemon interposes its own
-  /// SyncBackend — the caller's stack need not be thread-safe.
+  /// SyncBackend — the caller's stack need not be thread-safe. Throws
+  /// std::invalid_argument for a malformed net-fault plan or a rewrite mode.
   DedupDaemon(StorageBackend& active, StorageBackend&, DaemonConfig cfg);
   ~DedupDaemon();
 

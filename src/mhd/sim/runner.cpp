@@ -5,7 +5,6 @@
 
 #include "mhd/core/mhd_engine.h"
 #include "mhd/repo/repository.h"
-#include "mhd/store/container_store.h"
 #include "mhd/store/restore_reader.h"
 #include "mhd/util/timer.h"
 #include "mhd/dedup/bimodal_engine.h"
@@ -53,8 +52,8 @@ const std::vector<std::string>& extension_engine_names() {
 }
 
 ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus,
-                                StorageBackend& backend) {
-  ObjectStore store(backend);
+                                BackendStack& stack) {
+  ObjectStore store(stack.top(), stack.containers());
   auto engine = make_engine(spec.algorithm, store, spec.engine);
   for (std::size_t i = 0; i < corpus.files().size(); ++i) {
     // Snapshot boundary: HAR folds the finished generation's container
@@ -70,9 +69,7 @@ ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus,
   engine->finish();
   // Seal the open container so the physical layout summarize() measures
   // (and any fsck of the inner backend) sees only clean streams.
-  if (auto* containers = dynamic_cast<ContainerBackend*>(&backend)) {
-    containers->flush();
-  }
+  if (auto* containers = stack.containers()) containers->flush();
 
   if (spec.verify) {
     for (std::size_t i = 0; i < corpus.files().size(); ++i) {
@@ -85,14 +82,14 @@ ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus,
       }
     }
   }
-  ExperimentResult result = summarize(engine->name(), *engine, backend, spec.disk);
+  ExperimentResult result = summarize(engine->name(), *engine, stack, spec.disk);
   if (spec.measure_restore && !corpus.files().empty()) {
     const std::uint32_t last = corpus.files().back().snapshot;
     std::vector<std::string> names;
     for (const auto& f : corpus.files()) {
       if (f.snapshot == last) names.push_back(f.name);
     }
-    result.restore = measure_restore(backend, names);
+    result.restore = measure_restore(stack, names);
   }
   return result;
 }
@@ -100,13 +97,13 @@ ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus,
 ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus) {
   MemoryBackend backend;
   BackendStack stack(backend, spec.engine);
-  return run_experiment(spec, corpus, stack.top());
+  return run_experiment(spec, corpus, stack);
 }
 
-RestoreMetrics measure_restore(StorageBackend& backend,
+RestoreMetrics measure_restore(BackendStack& stack,
                                const std::vector<std::string>& files) {
   RestoreMetrics m;
-  auto* containers = dynamic_cast<ContainerBackend*>(&backend);
+  ContainerBackend* containers = stack.containers();
   if (containers != nullptr) containers->drop_cache();
   const ContainerStats before =
       containers ? containers->stats() : ContainerStats{};
@@ -114,7 +111,7 @@ RestoreMetrics measure_restore(StorageBackend& backend,
   ByteVec buf(1 << 20);
   const Stopwatch watch;
   for (const auto& file : files) {
-    auto reader = RestoreReader::open(backend, file);
+    auto reader = RestoreReader::open(stack.top(), file);
     if (!reader) throw std::runtime_error("measure_restore: missing " + file);
     std::size_t n;
     while ((n = reader->read({buf.data(), buf.size()})) > 0) m.bytes += n;

@@ -47,19 +47,18 @@ struct RunSpec {
 /// Memory → [Fault] → [Framed] → [Container].
 ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus);
 
-/// Runs against a caller-provided backend (e.g. FileBackend).
+/// Runs against a caller-built stack (e.g. over a FileBackend).
 ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus,
-                                StorageBackend& backend);
+                                BackendStack& stack);
 
-/// Streams a restore of every named file through `backend` (timed, whole
-/// files discarded as read) and, when the backend is a ContainerBackend,
-/// drops its container cache first (cold-cache measurement — the cache
-/// still assists *within* the restore, bounded by --restore-cache-mb),
-/// then diffs its ContainerStats to attribute container traffic and
-/// compute CFL = ceil(bytes / container_bytes) / actual container reads.
-/// Byte verification is the caller's job; a missing or damaged file
-/// throws std::runtime_error.
-RestoreMetrics measure_restore(StorageBackend& backend,
+/// Streams a restore of every named file through the stack (timed, whole
+/// files discarded as read) and, when it has containers, drops their
+/// cache first (cold-cache measurement — the cache still assists *within*
+/// the restore, bounded by --restore-cache-mb), then diffs ContainerStats
+/// to attribute container traffic and compute CFL = ceil(bytes /
+/// container_bytes) / actual container reads. Byte verification is the
+/// caller's job; a missing or damaged file throws std::runtime_error.
+RestoreMetrics measure_restore(BackendStack& stack,
                                const std::vector<std::string>& files);
 
 }  // namespace mhd

@@ -89,8 +89,6 @@ class ContainerBackend final : public StorageBackend {
   std::vector<std::string> list(Ns ns) const override;
   void seal(Ns ns, const std::string& name) override;
 
-  StorageBackend& inner() { return inner_; }
-  const StorageBackend& inner() const { return inner_; }
   const ContainerConfig& config() const { return cfg_; }
 
   /// Seals the open container (if it holds any bytes) so every packed byte

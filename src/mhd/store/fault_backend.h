@@ -78,7 +78,6 @@ class FaultInjectingBackend final : public StorageBackend {
   std::vector<std::string> list(Ns ns) const override;
   void seal(Ns ns, const std::string& name) override;
 
-  StorageBackend& inner() { return inner_; }
   bool crashed() const { return crashed_; }
   std::uint64_t mutation_ops() const { return mutations_; }
   std::uint64_t read_ops() const { return reads_; }

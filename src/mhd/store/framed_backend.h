@@ -72,11 +72,8 @@ class FramedBackend final : public StorageBackend {
   std::vector<std::string> list(Ns ns) const override;
   void seal(Ns ns, const std::string& name) override;
 
-  StorageBackend& inner() { return inner_; }
-  const StorageBackend& inner() const { return inner_; }
-
   /// Framed bytes actually stored below — physical − logical is the
-  /// framing overhead reported by bench/ingest_throughput.
+  /// framing overhead.
   std::uint64_t physical_bytes(Ns ns) const { return inner_.content_bytes(ns); }
 
  private:

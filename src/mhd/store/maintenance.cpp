@@ -158,7 +158,8 @@ bool delete_file(StorageBackend& backend, const std::string& file_name) {
                         Sha1::hash(as_bytes(file_name)).hex());
 }
 
-GcReport collect_garbage(StorageBackend& backend) {
+GcReport collect_garbage(StorageBackend& backend,
+                         ContainerBackend* containers) {
   GcReport report;
 
   // Mark: every DiskChunk referenced by any FileManifest.
@@ -214,7 +215,7 @@ GcReport collect_garbage(StorageBackend& backend) {
 
   // With a container layer, the chunk sweep above released dead chunks'
   // extent maps; containers referenced by no surviving map follow them.
-  if (auto* containers = dynamic_cast<ContainerBackend*>(&backend)) {
+  if (containers != nullptr) {
     const auto [removed, reclaimed] = containers->sweep_containers();
     report.deleted_containers = removed;
     report.container_bytes_reclaimed = reclaimed;

@@ -21,6 +21,8 @@
 
 namespace mhd {
 
+class ContainerBackend;
+
 struct ScrubReport {
   std::uint64_t file_manifests = 0;
   std::uint64_t manifests = 0;
@@ -90,6 +92,9 @@ struct GcReport {
 /// FileManifest. On a framed store a CorruptObjectError propagates: a
 /// FileManifest that cannot be read could reference any chunk, so sweeping
 /// past it would risk deleting live data — run fsck_repository() first.
-GcReport collect_garbage(StorageBackend& backend);
+/// With the stack's container layer (BackendStack::containers()), dead
+/// containers follow their chunks; the daemon's tenant-view gc has none.
+GcReport collect_garbage(StorageBackend& backend,
+                         ContainerBackend* containers = nullptr);
 
 }  // namespace mhd

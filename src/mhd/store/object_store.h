@@ -16,6 +16,7 @@
 
 namespace mhd {
 
+class ContainerBackend;
 class ObjectStore;
 
 /// Sequential writer for a DiskChunk being assembled; accounts a single
@@ -53,7 +54,11 @@ class ChunkWriter {
 
 class ObjectStore {
  public:
-  explicit ObjectStore(StorageBackend& backend) : backend_(backend) {}
+  /// `containers` is the stack's container layer, which rewriting and the
+  /// index's placement hints read; a tenant view has none.
+  explicit ObjectStore(StorageBackend& backend,
+                       const ContainerBackend* containers = nullptr)
+      : backend_(backend), containers_(containers) {}
 
   // --- DiskChunks (immutable once closed) -------------------------------
   ChunkWriter open_chunk(const std::string& name);
@@ -82,12 +87,14 @@ class ObjectStore {
 
   StorageBackend& backend() { return backend_; }
   const StorageBackend& backend() const { return backend_; }
+  const ContainerBackend* containers() const { return containers_; }
   StorageStats& stats() { return stats_; }
   const StorageStats& stats() const { return stats_; }
 
  private:
   friend class ChunkWriter;
   StorageBackend& backend_;
+  const ContainerBackend* containers_;
   StorageStats stats_;
 };
 

@@ -14,7 +14,6 @@
 #include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
 #include "mhd/store/container_store.h"
-#include "mhd/store/file_backend.h"
 #include "mhd/store/framing.h"
 #include "mhd/store/scoped_backend.h"
 #include "mhd/util/hex.h"
@@ -25,13 +24,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Removes the object from its namespace; on a FileBackend the bytes are
-/// preserved under <root>/quarantine/<namespace>/ first. Removal goes
-/// through the backend so its accounting stays exact.
-void quarantine(StorageBackend& raw, Ns ns, const std::string& name,
-                const ByteVec& bytes) {
-  if (auto* file = dynamic_cast<FileBackend*>(&raw)) {
-    const fs::path dir = file->root() / "quarantine" / ns_name(ns);
+/// Removes the object from its namespace; with a quarantine directory the
+/// bytes are preserved under <quarantine_dir>/<namespace>/ first. Removal
+/// goes through the backend so its accounting stays exact.
+void quarantine(StorageBackend& raw, const fs::path& quarantine_dir, Ns ns,
+                const std::string& name, const ByteVec& bytes) {
+  if (!quarantine_dir.empty()) {
+    const fs::path dir = quarantine_dir / ns_name(ns);
     fs::create_directories(dir);
     std::ofstream out(dir / name, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -103,7 +102,8 @@ std::string FsckReport::to_string() const {
   return out.str();
 }
 
-FsckReport fsck_repository(StorageBackend& raw, bool repair) {
+FsckReport fsck_repository(StorageBackend& raw, bool repair,
+                           const fs::path& quarantine_dir) {
   FsckReport rep;
 
   // --- Pass 1a: record-stream namespaces (DiskChunks, containers) -------
@@ -131,7 +131,7 @@ FsckReport fsck_repository(StorageBackend& raw, bool repair) {
         issue.detail = "record CRC/structure mismatch after " +
                        std::to_string(scan.logical_bytes) + " good bytes";
         if (repair) {
-          quarantine(raw, stream_ns, name, *bytes);
+          quarantine(raw, quarantine_dir, stream_ns, name, *bytes);
           issue.action = FsckIssue::Action::kQuarantined;
           ++rep.repaired;
         }
@@ -177,7 +177,7 @@ FsckReport fsck_repository(StorageBackend& raw, bool repair) {
       FsckIssue issue{ns, name, FsckIssue::Kind::kCorrupt,
                       "trailer CRC/structure mismatch", {}};
       if (repair) {
-        quarantine(raw, ns, name, *bytes);
+        quarantine(raw, quarantine_dir, ns, name, *bytes);
         issue.action = FsckIssue::Action::kQuarantined;
         ++rep.repaired;
       }
@@ -208,7 +208,7 @@ FsckReport fsck_repository(StorageBackend& raw, bool repair) {
     FsckIssue issue{Ns::kIndex, name, FsckIssue::Kind::kCorrupt,
                     "trailer CRC/structure mismatch", {}};
     if (repair) {
-      quarantine(raw, Ns::kIndex, name, *bytes);
+      quarantine(raw, quarantine_dir, Ns::kIndex, name, *bytes);
       issue.action = FsckIssue::Action::kQuarantined;
       ++rep.repaired;
     }

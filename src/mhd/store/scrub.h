@@ -21,8 +21,8 @@
 //   * torn chunk tails are truncated to the last intact record and the
 //     stream re-sealed — every byte before the tear is salvaged;
 //   * corrupt objects are quarantined: removed from the namespace, and
-//     when the backend is a FileBackend the bytes are preserved under
-//     <root>/quarantine/<namespace>/ for offline forensics;
+//     with a quarantine directory (the CLIs pass <repo>/quarantine) the
+//     bytes are preserved under <dir>/<namespace>/ for offline forensics;
 //   * dangling hooks are dropped (they are a rebuildable similarity
 //     index, never user data);
 //   * a persistent fingerprint index that is torn, stale (entries naming
@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,7 @@ struct FsckReport {
 
 /// Full fsck pass over a framed repository. With repair=false the backend
 /// is never mutated.
-FsckReport fsck_repository(StorageBackend& raw, bool repair);
+FsckReport fsck_repository(StorageBackend& raw, bool repair,
+                           const std::filesystem::path& quarantine_dir = {});
 
 }  // namespace mhd

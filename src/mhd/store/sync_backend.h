@@ -72,9 +72,6 @@ class SyncBackend final : public StorageBackend {
     return inner_.list(ns);
   }
 
-  StorageBackend& inner() { return inner_; }
-  const StorageBackend& inner() const { return inner_; }
-
  private:
   StorageBackend& inner_;
   mutable std::mutex mu_;

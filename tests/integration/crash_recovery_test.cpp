@@ -321,7 +321,7 @@ bool ingest_all_containers(const Corpus& corpus, StorageBackend& lower) {
   try {
     FramedBackend framed(lower);
     ContainerBackend containers(framed, crash_container_config());
-    ObjectStore store(containers);
+    ObjectStore store(containers, &containers);
     auto engine = make_engine("bf-mhd", store, container_engine_config());
     for (std::size_t i = 0; i < corpus.files().size(); ++i) {
       if (i > 0 &&
@@ -343,7 +343,7 @@ bool ingest_all_containers(const Corpus& corpus, StorageBackend& lower) {
 void verify_container_restores(const Corpus& corpus, StorageBackend& raw) {
   FramedBackend framed(raw);
   ContainerBackend containers(framed, crash_container_config());
-  ObjectStore store(containers);
+  ObjectStore store(containers, &containers);
   auto engine = make_engine("bf-mhd", store, container_engine_config());
   for (std::size_t i = 0; i < corpus.files().size(); ++i) {
     SCOPED_TRACE(corpus.files()[i].name);

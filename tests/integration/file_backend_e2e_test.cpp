@@ -5,6 +5,7 @@
 
 #include <filesystem>
 
+#include "mhd/repo/repository.h"
 #include "mhd/sim/runner.h"
 #include "mhd/store/file_backend.h"
 #include "mhd/workload/presets.h"
@@ -37,7 +38,8 @@ TEST_F(FileBackendE2eTest, MhdCorpusRoundTripOnDisk) {
   spec.verify = true;  // byte-exact reconstruction from real files
 
   FileBackend backend(dir_);
-  const auto r = run_experiment(spec, corpus, backend);
+  BackendStack stack(backend, spec.engine);
+  const auto r = run_experiment(spec, corpus, stack);
   EXPECT_GT(r.counters.dup_bytes, 0u);
 
   // The on-disk layout matches the paper's: four namespaces of

@@ -109,6 +109,21 @@ INSTANTIATE_TEST_SUITE_P(EveryEngine, RestoreFragmentationTest,
                            return name;
                          });
 
+// A rewrite mode decides from container placement, so every engine
+// refuses one whose store carries no container layer instead of admitting
+// every duplicate unseen.
+TEST(RestoreFragmentation, RewriteWithoutContainerLayerIsRefused) {
+  MemoryBackend mem;
+  ObjectStore store(mem);
+  for (const std::string& engine : all_engines()) {
+    for (const RewriteMode mode : {RewriteMode::kCbr, RewriteMode::kHar}) {
+      SCOPED_TRACE(engine + " rewrite=" + rewrite_mode_name(mode));
+      EXPECT_THROW(make_engine(engine, store, container_config(mode)),
+                   std::invalid_argument);
+    }
+  }
+}
+
 TEST(RestoreFragmentation, RewritingNeverWorsensLatestGenerationCfl) {
   const Corpus corpus(generations_corpus());
   const ExperimentResult none = run_mode("cdc", corpus, RewriteMode::kNone);

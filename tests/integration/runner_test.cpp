@@ -82,5 +82,34 @@ TEST(Runner, MhdFindsComparableDuplicationWithLessMetadata) {
   EXPECT_GT(mhd.real_der(), cdc.real_der());
 }
 
+// Physical data bytes are read from the layers run_experiment stacks:
+// framing adds record headers and seals below the logical view, and a
+// container layer moves chunk bytes into packed container streams.
+TEST(Runner, PhysicalBytesFollowTheStack) {
+  const Corpus corpus(test_preset(44));
+  for (const bool framed : {false, true}) {
+    for (const std::uint64_t container_bytes :
+         {std::uint64_t{0}, std::uint64_t{1} << 20}) {
+      SCOPED_TRACE(std::string(framed ? "framed" : "bare") + ", containers " +
+                   std::to_string(container_bytes));
+      RunSpec spec;
+      spec.engine = small_config();
+      spec.engine.framed = framed;
+      spec.engine.container_bytes = container_bytes;
+      const ExperimentResult r = run_experiment(spec, corpus);
+
+      EXPECT_EQ(r.framed, framed);
+      if (framed) {
+        EXPECT_GT(r.physical_data_bytes, r.stored_data_bytes);
+      } else if (container_bytes == 0) {
+        EXPECT_EQ(r.physical_data_bytes, r.stored_data_bytes);
+      } else {
+        EXPECT_EQ(r.physical_data_bytes, r.container_packed_bytes);
+      }
+      EXPECT_EQ(r.containers_sealed > 0, container_bytes != 0);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mhd

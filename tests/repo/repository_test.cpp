@@ -155,6 +155,30 @@ TEST_F(RepositoryTest, BadFlagOnNewPathLeavesNoDescriptor) {
   }
 }
 
+// A rewrite mode decides from container placement: without a container
+// layer, given or recorded, it throws before anything is written.
+TEST_F(RepositoryTest, RewriteWithoutContainersThrowsAndWritesNothing) {
+  for (const char* mode : {"--rewrite=cbr", "--rewrite=har"}) {
+    EXPECT_THROW(open_repository(root_, make_flags({mode}), OpenMode::kCreate),
+                 FlagError)
+        << mode;
+    EXPECT_FALSE(fs::exists(root_)) << mode;
+  }
+  create_and_store({});
+  const auto before = snapshot(root_);
+  EXPECT_THROW(open_repository(root_, make_flags({"--rewrite=cbr"}),
+                               OpenMode::kCreate),
+               FlagError);
+  EXPECT_EQ(snapshot(root_), before);
+
+  // A repository with containers takes the mode without repeating the
+  // flag that made them.
+  fs::remove_all(root_);
+  create_and_store({"--container-mb=1"});
+  EXPECT_NO_THROW(open_repository(root_, make_flags({"--rewrite=cbr"}),
+                                  OpenMode::kCreate));
+}
+
 TEST_F(RepositoryTest, AdoptsLegacyLayout) {
   {
     FileBackend legacy(root_);

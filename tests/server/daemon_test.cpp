@@ -704,5 +704,18 @@ TEST(DaemonTest, StopWhileClientsConnectedShutsDownCleanly) {
   daemon.stop();  // idempotent
 }
 
+// Engines on tenant views cannot locate containers, so a rewrite mode
+// would admit every duplicate unseen: the daemon refuses it outright.
+TEST(DaemonTest, RewriteModesAreRefused) {
+  MemoryBackend repo;
+  for (const RewriteMode mode : {RewriteMode::kCbr, RewriteMode::kHar}) {
+    DaemonConfig dc;
+    dc.engine.rewrite = mode;
+    EXPECT_THROW({ DedupDaemon daemon(repo, repo, dc); },
+                 std::invalid_argument)
+        << rewrite_mode_name(mode);
+  }
+}
+
 }  // namespace
 }  // namespace mhd::server

@@ -189,7 +189,7 @@ TEST(Fsck, QuarantinePreservesOriginalBytesOnFileBackend) {
   flip_middle_byte(backend, Ns::kManifest, repo.manifest);
   const ByteVec corrupted = *backend.get(Ns::kManifest, repo.manifest);
 
-  fsck_repository(backend, /*repair=*/true);
+  fsck_repository(backend, /*repair=*/true, tmp.path() / "quarantine");
   EXPECT_FALSE(backend.exists(Ns::kManifest, repo.manifest));
   const fs::path preserved =
       tmp.path() / "quarantine" / "manifests" / repo.manifest;
