@@ -21,7 +21,7 @@ namespace {
 int run(int argc, char** argv) {
   using namespace mhd;
   const Flags flags(argc, argv);
-  const auto size_mb = static_cast<std::uint64_t>(flags.get_int("size_mb", 48));
+  const auto size_mb = flags.get_uint("size_mb", 48, 1, 1 << 20);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   EngineConfig cfg;

@@ -10,8 +10,9 @@
 //   ./dedup_cli verify  <repo_dir> <file...>     store-then-verify files
 //   ./dedup_cli delete  <repo_dir> <name...>     forget files (then gc)
 //   ./dedup_cli gc      <repo_dir>               reclaim unreferenced data
-//   ./dedup_cli scrub   <repo_dir>               full integrity check
+//                                                (in every tenant scope)
 //   ./dedup_cli stats   <repo_dir>               repository statistics
+//   (fsck_cli checks and repairs any repository: examples/fsck_cli.cpp)
 //
 // Daemon mode (the multi-tenant server, see src/mhd/server/):
 //
@@ -26,8 +27,7 @@
 //                                        fsck with repair, quarantine
 //                                        under <repo>/quarantine) before
 //                                        accepting traffic; refuses to
-//                                        serve a still-damaged repo;
-//                                        exits 2 on an unframed repo
+//                                        serve a still-damaged repo
 //       (serve exits 2 on --rewrite: its engines sit on tenant views,
 //       which cannot locate containers)
 //       --net-fault-plan=SPEC            deterministic network chaos on
@@ -236,7 +236,7 @@ int cmd_restore(const Flags& flags) {
   }
   if (!reader->ok()) {
     std::fprintf(stderr, "RESTORE INCOMPLETE: repository damaged (run "
-                         "'dedup_cli scrub %s')\n", args[1].c_str());
+                         "'fsck_cli check %s')\n", args[1].c_str());
     return 1;
   }
   std::printf("restored %s -> %s (%llu bytes)\n", args[2].c_str(),
@@ -311,55 +311,6 @@ int cmd_gc(const Flags& flags) {
   return 0;
 }
 
-int cmd_scrub(const Flags& flags) {
-  const auto& args = flags.positional();
-  if (args.size() != 2) {
-    std::fprintf(stderr, "usage: dedup_cli scrub <repo>\n");
-    return 2;
-  }
-  Repository repo = open_repository(args[1], flags, OpenMode::kRead);
-  const auto r = scrub_repository(repo.stack().top());
-  std::printf("scrub: %llu filemanifests, %llu manifests (%llu opaque), "
-              "%llu chunks, %llu hooks\n",
-              static_cast<unsigned long long>(r.file_manifests),
-              static_cast<unsigned long long>(r.manifests),
-              static_cast<unsigned long long>(r.opaque_manifests),
-              static_cast<unsigned long long>(r.chunks),
-              static_cast<unsigned long long>(r.hooks));
-  if (r.index_entries != 0 || r.stale_index_entries != 0) {
-    std::printf("scrub: fingerprint index has %llu entries (%llu stale, "
-                "%llu hooks unindexed)\n",
-                static_cast<unsigned long long>(r.index_entries),
-                static_cast<unsigned long long>(r.stale_index_entries),
-                static_cast<unsigned long long>(r.unindexed_hooks));
-  }
-  if (r.sampled_hook_entries != 0 || r.stale_sampled_champions != 0) {
-    std::printf("scrub: sampled hook table has %llu entries (%llu stale "
-                "champions)\n",
-                static_cast<unsigned long long>(r.sampled_hook_entries),
-                static_cast<unsigned long long>(r.stale_sampled_champions));
-  }
-  if (r.clean()) {
-    std::printf("repository is CLEAN\n");
-    return 0;
-  }
-  std::printf("PROBLEMS: %llu broken file ranges, %llu hash mismatches, "
-              "%llu coverage errors, %llu dangling hooks, %llu unparseable, "
-              "%llu corrupt\n",
-              static_cast<unsigned long long>(r.broken_file_ranges),
-              static_cast<unsigned long long>(r.manifest_hash_mismatches),
-              static_cast<unsigned long long>(r.manifest_coverage_errors),
-              static_cast<unsigned long long>(r.dangling_hooks),
-              static_cast<unsigned long long>(r.unparseable),
-              static_cast<unsigned long long>(r.corrupt_objects));
-  if (r.stale_index_entries != 0) {
-    std::printf("PROBLEMS: %llu stale index entries (run 'fsck_cli repair' "
-                "or 'gc' to rebuild the index)\n",
-                static_cast<unsigned long long>(r.stale_index_entries));
-  }
-  return 1;
-}
-
 int cmd_stats(const Flags& flags) {
   const auto& args = flags.positional();
   if (args.size() != 2) {
@@ -418,19 +369,15 @@ int cmd_serve(const Flags& flags) {
   // crash residue before accepting traffic, on the raw layer the offline
   // fsck_cli would use, before the layers above it open.
   if (flags.get_bool("fsck-on-start", false)) {
-    // fsck checks CRC framing: it would quarantine every unframed object.
-    if (!repo.config().framed) {
-      std::fprintf(stderr, "fsck-on-start: %s is not a framed repository; "
-                           "check it with 'dedup_cli scrub %s'\n",
-                   args[1].c_str(), args[1].c_str());
-      return 2;
-    }
     // The repair pass reports what it FOUND (and fixed); a read-only
     // second pass proves what is LEFT.
-    const FsckReport rep = fsck_repository(repo.file(), /*repair=*/true,
-                                           repo.file().root() / "quarantine");
+    const bool framed = repo.config().framed;
+    const FsckReport rep =
+        fsck_repository(repo.file(), /*repair=*/true,
+                        repo.file().root() / "quarantine", framed);
     const bool clean =
-        rep.clean() || fsck_repository(repo.file(), /*repair=*/false).clean();
+        rep.clean() ||
+        fsck_repository(repo.file(), /*repair=*/false, {}, framed).clean();
     std::printf("fsck-on-start: %s (%llu issues found, %llu repaired)\n",
                 clean ? "clean" : "damaged",
                 static_cast<unsigned long long>(rep.issues.size()),
@@ -589,8 +536,8 @@ int main(int argc, char** argv) {
     const auto& args = flags.positional();
     if (args.empty()) {
       std::fprintf(stderr,
-                   "usage: dedup_cli <store|verify|restore|delete|gc|scrub|"
-                   "stats|serve|put|get|ls|dstats|maintain> ...\n");
+                   "usage: dedup_cli <store|verify|restore|delete|gc|stats|"
+                   "serve|put|get|ls|dstats|maintain> ...\n");
       return 2;
     }
     if (args[0] == "store") return cmd_store(flags, /*verify_after=*/false);
@@ -598,7 +545,6 @@ int main(int argc, char** argv) {
     if (args[0] == "restore") return cmd_restore(flags);
     if (args[0] == "delete") return cmd_delete(flags);
     if (args[0] == "gc") return cmd_gc(flags);
-    if (args[0] == "scrub") return cmd_scrub(flags);
     if (args[0] == "stats") return cmd_stats(flags);
     if (args[0] == "serve") return cmd_serve(flags);
     if (args[0] == "put") return cmd_client_put(flags);

@@ -1,4 +1,4 @@
-// fsck_cli — offline checker/repairer for framed repositories.
+// fsck_cli — offline checker/repairer for any repository, framed or not.
 //
 //   ./fsck_cli check  <repo_dir>            verify every object + refs
 //   ./fsck_cli repair <repo_dir>            fix what is fixable:
@@ -6,8 +6,9 @@
 //                                           the last intact record and
 //                                           re-sealed, corrupt objects
 //                                           quarantined under
-//                                           <repo>/quarantine/, dangling
-//                                           hooks dropped
+//                                           <repo>/quarantine/ (framed
+//                                           repositories), dangling hooks
+//                                           dropped, index tiers rebuilt
 //   ./fsck_cli corrupt <repo_dir> [opts]    test fixture: flip one stored
 //                                           byte (--ns=hooks --index=0
 //                                           --byte=-1 for the middle)
@@ -16,13 +17,14 @@
 //
 // check exits 0 on a clean repository, 1 otherwise (orphans are
 // informational and do not dirty the result); a usage or flag mistake
-// exits 2. check and repair take framing from the repository's descriptor
-// (src/mhd/repo/) and exit 2, touching nothing, on a path without one and
-// on a repository stored without --framed: fsck verifies CRC framing and
-// would quarantine every healthy object there (use `dedup_cli scrub`).
-// The corrupt/tear fixtures write through the raw files, bypassing the
-// backend — exactly the bit rot and torn writes the framing exists to
-// catch.
+// exits 2. check and repair take the layout from the repository's
+// descriptor (src/mhd/repo/) and exit 2, touching nothing, on a path
+// without one. A framed repository's CRC framing is verified; on one
+// stored without --framed the check is structural: references, manifest
+// tiling and every manifest entry's SHA-1 against its chunk's bytes, in
+// each daemon tenant's scope as in the root scope. The corrupt/tear
+// fixtures write through the raw files, bypassing the backend — exactly
+// the bit rot and torn writes the checks exist to catch.
 //
 // Container repositories (dedup_cli --container-mb) need no extra flags:
 // fsck truncates torn container tails back to the last intact record,
@@ -57,14 +59,9 @@ int cmd_check(const Flags& flags, bool repair) {
   // fsck takes no engine flags: the descriptor alone gives the layout.
   Repository repo =
       open_repository(args[1], Flags(0, nullptr), OpenMode::kRead);
-  if (!repo.config().framed) {
-    std::fprintf(stderr, "fsck_cli: %s is not a framed repository; check it "
-                         "with 'dedup_cli scrub %s'\n",
-                 args[1].c_str(), args[1].c_str());
-    return 2;
-  }
-  const auto report =
-      fsck_repository(repo.file(), repair, repo.file().root() / "quarantine");
+  const bool framed = repo.config().framed;
+  const auto report = fsck_repository(
+      repo.file(), repair, repo.file().root() / "quarantine", framed);
   std::printf("%s", report.to_string().c_str());
   if (report.clean()) {
     std::printf("repository is CLEAN%s\n",
@@ -74,7 +71,7 @@ int cmd_check(const Flags& flags, bool repair) {
   if (repair && report.repaired != 0) {
     // Everything repairable was repaired; a second pass reports what's left.
     FileBackend reopened(args[1]);
-    const auto after = fsck_repository(reopened, false);
+    const auto after = fsck_repository(reopened, false, {}, framed);
     std::printf("after repair: %s", after.to_string().c_str());
     return after.clean() ? 0 : 1;
   }

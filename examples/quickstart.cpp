@@ -27,7 +27,7 @@ int run(int argc, char** argv) {
   corpus_cfg.snapshots = 3;
   corpus_cfg.os_count = 2;
   corpus_cfg.image_bytes = std::max<std::uint64_t>(
-      (static_cast<std::uint64_t>(flags.get_int("size_mb", 8)) << 20) / 9,
+      (flags.get_uint("size_mb", 8, 1, 1 << 20) << 20) / 9,
       256 << 10);
   const Corpus corpus(corpus_cfg);
 

@@ -1,8 +1,8 @@
 // retention_policy — the operational lifecycle of a deduplicating backup
 // store: nightly backups accumulate, a retention policy expires old ones,
-// garbage collection reclaims the space, and a scrub proves the survivors
-// are intact. Exercises the maintenance subsystem (store/maintenance.h)
-// on top of the BF-MHD engine.
+// garbage collection reclaims the space, and fsck proves the survivors
+// are intact. Exercises the maintenance subsystem (store/maintenance.h,
+// store/scrub.h) on top of the BF-MHD engine.
 //
 //   ./retention_policy [--size_mb=24] [--keep_last=4] [--ecs=1024] [--sd=16]
 #include <cstdio>
@@ -11,6 +11,7 @@
 #include "mhd/repo/repository.h"
 #include "mhd/store/maintenance.h"
 #include "mhd/store/memory_backend.h"
+#include "mhd/store/scrub.h"
 #include "mhd/util/flags.h"
 #include "mhd/workload/presets.h"
 
@@ -19,7 +20,7 @@ namespace {
 int run(int argc, char** argv) {
   using namespace mhd;
   const Flags flags(argc, argv);
-  const auto size_mb = static_cast<std::uint64_t>(flags.get_int("size_mb", 24));
+  const auto size_mb = flags.get_uint("size_mb", 24, 1, 1 << 20);
   const auto keep_last =
       static_cast<std::uint32_t>(flags.get_int("keep_last", 4));
 
@@ -70,7 +71,7 @@ int run(int argc, char** argv) {
               backend.content_bytes(Ns::kDiskChunk) / 1048576.0,
               before_chunks / 1048576.0);
 
-  // Survivors must restore byte-exactly and the repository must scrub
+  // Survivors must restore byte-exactly and the repository must fsck
   // clean. Note: early backups' data that later backups deduplicated
   // against is still referenced, so it survives GC — deleting a backup
   // never harms another.
@@ -89,8 +90,9 @@ int run(int argc, char** argv) {
     }
     ++verified;
   }
-  const auto report = scrub_repository(backend);
-  std::printf("verified %zu surviving backups byte-exactly; scrub: %s\n",
+  const auto report =
+      fsck_repository(backend, /*repair=*/false, {}, /*framed=*/false);
+  std::printf("verified %zu surviving backups byte-exactly; fsck: %s\n",
               verified, report.clean() ? "CLEAN" : "PROBLEMS FOUND");
   return report.clean() ? 0 : 1;
 }

@@ -44,7 +44,7 @@ int run(int argc, char** argv) {
   spec.engine.ecs = 1024;
   spec.engine.sd = 32;
   spec.engine.manifest_cache_bytes =
-      static_cast<std::uint64_t>(flags.get_int("cache_kb", 256)) << 10;
+      flags.get_uint("cache_kb", 256, 0, 1 << 30) << 10;
   spec.engine.manifest_cache_capacity = 4096;
   spec.engine = read_engine_flags(flags, spec.engine);
   spec.engine.cbr_segment_bytes =
@@ -58,7 +58,7 @@ int run(int argc, char** argv) {
   spec.verify = flags.get_bool("verify", false);
   spec.measure_restore = flags.get_bool("measure-restore", false);
 
-  const auto size_mb = static_cast<std::uint64_t>(flags.get_int("size_mb", 48));
+  const auto size_mb = flags.get_uint("size_mb", 48, 1, 1 << 20);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const Corpus corpus(icpp13_preset(size_mb, seed));
 

@@ -74,4 +74,13 @@ bool Manifest::regions_contiguous(std::uint64_t expected_start) const {
   return true;
 }
 
+bool Manifest::tiles(std::uint64_t length) const {
+  std::uint64_t cursor = 0;
+  for (const auto& e : entries_) {
+    if (e.offset != cursor) return false;
+    cursor += e.size;
+  }
+  return cursor == length;
+}
+
 }  // namespace mhd

@@ -63,6 +63,10 @@ class Manifest {
   /// regions of the DiskChunk starting at `expected_start`.
   bool regions_contiguous(std::uint64_t expected_start = 0) const;
 
+  /// True when the entries tile [0, length) exactly: the invariant of a
+  /// standard manifest over its own DiskChunk of `length` bytes.
+  bool tiles(std::uint64_t length) const;
+
  private:
   Digest chunk_name_{};
   std::vector<ManifestEntry> entries_;

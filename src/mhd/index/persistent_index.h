@@ -230,7 +230,7 @@ class PersistentIndex final : public FingerprintIndex {
 };
 
 /// Read-only cross-check of the persistent index against the live
-/// hooks/manifests (scrub integration; never mutates the backend).
+/// hooks/manifests (fsck integration; never mutates the backend).
 struct IndexCheckReport {
   bool meta_ok = false;
   std::uint64_t entries = 0;

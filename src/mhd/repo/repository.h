@@ -66,7 +66,7 @@ class BackendStack {
 enum class OpenMode {
   kCreate,  ///< store/verify/serve: creates a missing repository
   kWrite,   ///< delete/gc: an existing repository; records an adoption
-  kRead,    ///< restore/scrub/stats/fsck_cli: an existing one; writes nothing
+  kRead,    ///< restore/stats/fsck_cli: an existing one; writes nothing
 };
 
 /// An opened repository. Nothing under its root is written before the

@@ -5,7 +5,6 @@
 
 #include <chrono>
 #include <exception>
-#include <set>
 #include <vector>
 
 #include "mhd/core/mhd_engine.h"
@@ -679,23 +678,6 @@ void DedupDaemon::handle_ls(int fd, ByteSpan payload) {
   write_frame(fd, MsgType::kOk, json);
 }
 
-std::vector<std::string> DedupDaemon::discover_tenants() const {
-  // Every daemon-written object carries a `<tenant>.` prefix; union the
-  // prefixes across the namespaces a tenant can leave objects in (a
-  // tenant whose files were all deleted still has chunks until gc runs).
-  std::set<std::string> ids;
-  for (const Ns ns : {Ns::kFileManifest, Ns::kManifest, Ns::kHook,
-                      Ns::kDiskChunk}) {
-    for (const auto& name : sync_.list(ns)) {
-      const auto dot = name.find('.');
-      if (dot == std::string::npos) continue;
-      const std::string id = name.substr(0, dot);
-      if (!validate_tenant(id)) ids.insert(id);
-    }
-  }
-  return {ids.begin(), ids.end()};
-}
-
 void DedupDaemon::handle_maintain(int fd, ByteSpan payload) {
   if (payload.size() != 1) throw ProtocolError("malformed Maintain");
   const auto op = static_cast<MaintainOp>(payload[0]);
@@ -707,57 +689,38 @@ void DedupDaemon::handle_maintain(int fd, ByteSpan payload) {
   std::unique_lock<std::shared_mutex> maint(maint_mu_);
   drop_engine_sessions();
   maintenance_runs_.fetch_add(1);
-  // Maintenance runs PER TENANT, through the same namespace view the
-  // sessions use: hooks, manifests and index objects reference each other
-  // by unprefixed digest names, so only a view resolves them correctly.
-  // (Physical container reclamation needs the ContainerBackend itself and
-  // stays an offline `dedup_cli gc` operation.)
-  const auto tenants = discover_tenants();
+  // Maintenance walks the repository one scope at a time (list_scopes):
+  // hooks, manifests and index objects reference each other by bare names
+  // within a tenant's scope. gc sweeps no containers here: that needs the
+  // ContainerBackend itself, so it stays an offline `dedup_cli gc`.
+  const std::string tenants = std::to_string(list_scopes(sync_).size() - 1);
   if (op == MaintainOp::kGc) {
-    GcReport total;
-    for (const auto& id : tenants) {
-      TenantView view(sync_, id);
-      const auto r = collect_garbage(view);
-      total.live_chunks += r.live_chunks;
-      total.deleted_chunks += r.deleted_chunks;
-      total.reclaimed_bytes += r.reclaimed_bytes;
-      total.deleted_manifests += r.deleted_manifests;
-      total.deleted_hooks += r.deleted_hooks;
-      total.index_rebuilt = total.index_rebuilt || r.index_rebuilt;
-    }
+    const GcReport r = collect_garbage(sync_);
     write_frame(
         fd, MsgType::kOk,
-        "{\"op\":\"gc\",\"tenants\":" + std::to_string(tenants.size()) +
-            ",\"live_chunks\":" + std::to_string(total.live_chunks) +
-            ",\"deleted_chunks\":" + std::to_string(total.deleted_chunks) +
-            ",\"reclaimed_bytes\":" + std::to_string(total.reclaimed_bytes) +
-            ",\"index_rebuilt\":" +
-            (total.index_rebuilt ? "true" : "false") + "}");
+        "{\"op\":\"gc\",\"tenants\":" + tenants +
+            ",\"live_chunks\":" + std::to_string(r.live_chunks) +
+            ",\"deleted_chunks\":" + std::to_string(r.deleted_chunks) +
+            ",\"reclaimed_bytes\":" + std::to_string(r.reclaimed_bytes) +
+            ",\"index_rebuilt\":" + (r.index_rebuilt ? "true" : "false") +
+            "}");
     return;
   }
   if (op == MaintainOp::kFsck) {
-    // Read-only integrity pass (scrub semantics) — safe on every repo
-    // flavour; repairing fsck remains an offline fsck_cli operation.
-    bool clean = true;
-    std::uint64_t file_manifests = 0, chunks = 0, corrupt = 0, dangling = 0;
-    for (const auto& id : tenants) {
-      TenantView view(sync_, id);
-      const auto r = scrub_repository(view);
-      clean = clean && r.clean();
-      file_manifests += r.file_manifests;
-      chunks += r.chunks;
-      corrupt += r.corrupt_objects;
-      dangling += r.dangling_hooks;
-    }
+    // Read-only. The stack's reads verify themselves, so the check takes
+    // its bytes as plain; repairing fsck stays an offline fsck_cli run.
+    const FsckReport r =
+        fsck_repository(sync_, /*repair=*/false, {}, /*framed=*/false);
     write_frame(
         fd, MsgType::kOk,
-        std::string("{\"op\":\"fsck\",\"tenants\":") +
-            std::to_string(tenants.size()) +
-            ",\"clean\":" + (clean ? "true" : "false") +
-            ",\"file_manifests\":" + std::to_string(file_manifests) +
-            ",\"chunks\":" + std::to_string(chunks) +
-            ",\"corrupt_objects\":" + std::to_string(corrupt) +
-            ",\"dangling_hooks\":" + std::to_string(dangling) + "}");
+        std::string("{\"op\":\"fsck\",\"tenants\":") + tenants +
+            ",\"clean\":" + (r.clean() ? "true" : "false") +
+            ",\"objects\":" + std::to_string(r.objects) +
+            ",\"corrupt_objects\":" + std::to_string(r.corrupt) +
+            ",\"broken_refs\":" + std::to_string(r.broken_refs) +
+            ",\"hash_mismatches\":" + std::to_string(r.hash_mismatches) +
+            ",\"dangling_hooks\":" + std::to_string(r.dangling_hooks) +
+            ",\"index_issues\":" + std::to_string(r.index_issues) + "}");
     return;
   }
   write_frame(fd, MsgType::kErr, std::string("unknown maintenance op"));

@@ -141,9 +141,10 @@ class DedupDaemon {
  public:
   /// `active` is the top of the repository's backend stack (container/
   /// framed/fault layers applied); the second parameter is unused (online
-  /// fsck scrubs tenant views of `active`). The daemon interposes its own
-  /// SyncBackend — the caller's stack need not be thread-safe. Throws
-  /// std::invalid_argument for a malformed net-fault plan or a rewrite mode.
+  /// fsck checks `active` itself, one tenant scope at a time). The daemon
+  /// interposes its own SyncBackend — the caller's stack need not be
+  /// thread-safe. Throws std::invalid_argument for a malformed net-fault
+  /// plan or a rewrite mode.
   DedupDaemon(StorageBackend& active, StorageBackend&, DaemonConfig cfg);
   ~DedupDaemon();
 
@@ -216,8 +217,6 @@ class DedupDaemon {
   std::string build_stats_json(bool reset_histograms) const;
 
   TenantState& tenant(const std::string& id);
-  /// Tenant ids present in the repository (from object-name prefixes).
-  std::vector<std::string> discover_tenants() const;
   /// First-touch quota seeding from the repository (caller holds the
   /// tenant's write_mu or is otherwise the only accessor).
   void seed_tenant(const std::string& id, TenantState& ts);

@@ -35,9 +35,9 @@
 //
 // Contract: every byte a range read returns was CRC-checked by that read.
 // The seal and the other records were checked when the table was built;
-// damage outside the range after that point is found by get, scrub or
-// fsck. Sealed objects (hooks, manifests, index) are read and checked
-// whole on every read.
+// damage outside the range after that point is found by get or fsck.
+// Sealed objects (hooks, manifests, index) are read and checked whole on
+// every read.
 #pragma once
 
 #include <array>

@@ -2,10 +2,11 @@
 //
 // Every object name is prefixed with `prefix` on the way down and
 // stripped on the way up, in every namespace. The daemon scopes each
-// tenant this way (server::TenantView, prefix `<tenant>.`), and fsck
-// scopes each tenant's index objects to check and rebuild them with the
-// same code path as a single-tenant repository (the empty prefix is the
-// single-tenant scope).
+// tenant this way (server::TenantView, prefix `<tenant>.`). References
+// inside objects are bare names that resolve within the referencing
+// object's own scope, so fsck and gc walk a repository one scope at a
+// time (list_scopes) through this view, with the same code path as a
+// single-tenant repository (the empty prefix is the root scope).
 //
 // '.' separates a scope from a bare name and appears in neither: tenant
 // ids exclude it (server::validate_tenant) and bare object names are hex
@@ -17,12 +18,31 @@
 // paths.
 #pragma once
 
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mhd/store/backend.h"
 
 namespace mhd {
+
+/// The scopes present in `backend`: the root scope "" first, then every
+/// `<prefix>.` that begins an object name in any namespace, sorted.
+/// Containers have no prefix: they sit below the scopes, and every scope's
+/// chunks may share them.
+inline std::vector<std::string> list_scopes(const StorageBackend& backend) {
+  std::set<std::string> prefixes;
+  for (int ns = 0; ns < static_cast<int>(Ns::kCount); ++ns) {
+    for (const auto& name : backend.list(static_cast<Ns>(ns))) {
+      const auto dot = name.find('.');
+      if (dot != std::string::npos) prefixes.insert(name.substr(0, dot + 1));
+    }
+  }
+  std::vector<std::string> scopes{""};
+  scopes.insert(scopes.end(), prefixes.begin(), prefixes.end());
+  return scopes;
+}
 
 class ScopedBackend : public StorageBackend {
  public:

@@ -1,37 +1,47 @@
-// fsck for framed repositories — the recovery half of the durability story.
+// fsck — the repository's one integrity checker, and its repair pass.
 //
-// Operates on the RAW backend (the physical framed bytes *below*
-// FramedBackend), where torn and corrupt structure is visible, and walks
-// the whole repository:
+// FileManifests point at DiskChunks, Hooks at Manifests, and each standard
+// Manifest tiles its DiskChunk, all by bare names within one scope: the
+// daemon prefixes each tenant's objects with `<tenant>.`. So fsck walks
+// the repository one scope at a time (list_scopes, scoped_backend.h).
+// Containers sit below the scopes, shared by all, and are checked once.
 //
-//   1. Framing pass: every DiskChunk and container record stream is
-//      scanned (clean / torn-tail / corrupt), every sealed object's
-//      trailer CRC is checked (clean / corrupt). Committed chunk maps
-//      (Ns::kChunkMap) must resolve every extent into an intact container
-//      region; fully resolvable maps contribute their chunks' logical
-//      lengths alongside legacy DiskChunk streams.
-//   2. Reference pass: FileManifest entries must resolve to existing
-//      chunks within their logical size; hooks must point at an existing
-//      manifest; standard manifests must cover an existing chunk. Clean
-//      chunks referenced by no FileManifest — and containers referenced by
-//      no chunk map — are reported as orphans (informational — reclaiming
-//      them is collect_garbage()'s / sweep_containers()'s job).
+// The caller says, from the repository's descriptor, what `backend` holds:
+//   * framed: the RAW layer below FramedBackend. Every DiskChunk and
+//     container record stream is scanned (clean / torn-tail / corrupt)
+//     and every sealed object's trailer CRC checked.
+//   * plain: the physical layer of an unframed repository, or a logical
+//     stack such as the daemon's, whose reads verify themselves (a
+//     CorruptObjectError counts as a corrupt object). A chunk
+//     Ns::kDiskChunk lists is read through it, so a container layer above
+//     serves its still-open container from RAM.
+//
+// The reference pass, per scope: committed chunk maps must resolve every
+// extent into an intact container (a chunk Ns::kDiskChunk does not list
+// takes its length from its map); FileManifest entries must resolve to
+// existing chunks within their logical size; each standard manifest must
+// tile its chunk, and every entry's SHA-1 must match the chunk's bytes
+// (checked holding one chunk, or one container, at a time, never a
+// container cache); hooks must point at an existing manifest; an index
+// tier must name only live manifests. Clean chunks referenced by no
+// FileManifest, and containers referenced by no chunk map, are orphans:
+// informational, collect_garbage() reclaims them.
 //
 // With `repair`:
-//   * torn chunk tails are truncated to the last intact record and the
-//     stream re-sealed — every byte before the tear is salvaged;
-//   * corrupt objects are quarantined: removed from the namespace, and
-//     with a quarantine directory (the CLIs pass <repo>/quarantine) the
-//     bytes are preserved under <dir>/<namespace>/ for offline forensics;
-//   * dangling hooks are dropped (they are a rebuildable similarity
-//     index, never user data);
-//   * a persistent fingerprint index that is torn, stale (entries naming
-//     quarantined manifests), or missing its meta is rebuilt from the
-//     hooks namespace — the index is advisory and never user data.
-// Broken references and orphans are reported, never auto-deleted.
+//   * torn stream tails are truncated to the last intact record and
+//     re-sealed, so every byte before the tear is salvaged (framed);
+//   * corrupt objects are quarantined: removed, and with a quarantine
+//     directory (the CLIs pass <repo>/quarantine) preserved under
+//     <dir>/<namespace>/ for forensics. Only framed: without framing no
+//     verdict says which bytes are wrong;
+//   * dangling hooks are dropped and an inconsistent index tier is
+//     rebuilt from its scope's hooks — both are rebuildable indexes,
+//     never user data.
+// Broken references, hash mismatches and orphans are only reported.
 //
-// Used by examples/fsck_cli.cpp and the crash-recovery harness: crash at
-// op k → reopen → fsck --repair → resume → restore byte-identical.
+// Used by fsck_cli, `dedup_cli serve --fsck-on-start`, the daemon's
+// `maintain fsck` and the crash-recovery harness (crash at op k → reopen
+// → fsck --repair → resume → restore byte-identical).
 #pragma once
 
 #include <cstdint>
@@ -51,6 +61,7 @@ struct FsckIssue {
     kBrokenRef,     ///< FileManifest/Manifest -> missing or short chunk
     kOrphan,        ///< clean chunk unreachable from any FileManifest
     kIndexInconsistent,  ///< fingerprint index stale/torn vs live objects
+    kHashMismatch,  ///< manifest entry's SHA-1 differs from its chunk bytes
   };
   enum class Action {
     kNone,             ///< reported only
@@ -77,6 +88,7 @@ struct FsckReport {
   std::uint64_t corrupt = 0;
   std::uint64_t dangling_hooks = 0;
   std::uint64_t broken_refs = 0;
+  std::uint64_t hash_mismatches = 0;  ///< manifests with a mismatching entry
   std::uint64_t orphans = 0;
   std::uint64_t repaired = 0;
   std::uint64_t salvaged_bytes = 0;  ///< logical bytes kept from torn tails
@@ -92,15 +104,17 @@ struct FsckReport {
   /// Orphans are informational; everything else dirties the repository.
   bool clean() const {
     return torn == 0 && corrupt == 0 && dangling_hooks == 0 &&
-           broken_refs == 0 && index_issues == 0;
+           broken_refs == 0 && hash_mismatches == 0 && index_issues == 0;
   }
 
   std::string to_string() const;
 };
 
-/// Full fsck pass over a framed repository. With repair=false the backend
-/// is never mutated.
-FsckReport fsck_repository(StorageBackend& raw, bool repair,
-                           const std::filesystem::path& quarantine_dir = {});
+/// Full fsck pass over a repository whose bytes are framed (the raw layer
+/// of a framed repository) or plain (see the file comment). With
+/// repair=false the backend is never mutated.
+FsckReport fsck_repository(StorageBackend& backend, bool repair,
+                           const std::filesystem::path& quarantine_dir = {},
+                           bool framed = true);
 
 }  // namespace mhd

@@ -15,8 +15,9 @@
 //   * Releasing (destructor or release()) unlinks the file. Only the
 //     owning acquisition unlinks; a moved-from lock is inert.
 //
-// Readers (restore/scrub/stats) do not take the lock: they never mutate,
-// and a half-written object is detected by framing, not by locking.
+// Readers (restore/stats/fsck_cli check) do not take the lock: they never
+// mutate, and a half-written object is detected by framing, not by
+// locking.
 #pragma once
 
 #include <filesystem>

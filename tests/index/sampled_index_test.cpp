@@ -388,8 +388,9 @@ TEST(SampledGcInteraction, SweptChampionsAreDroppedAndRepoReusable) {
   const auto final_report = check_sampled_index(backend);
   EXPECT_TRUE(final_report.meta_ok);
   EXPECT_EQ(final_report.stale_champions, 0u);
-  const auto scrub = scrub_repository(backend);
-  EXPECT_TRUE(scrub.clean());
+  const auto fsck =
+      fsck_repository(backend, /*repair=*/false, {}, /*framed=*/false);
+  EXPECT_TRUE(fsck.clean()) << fsck.to_string();
 }
 
 // ---------------------------------------------------------------------------

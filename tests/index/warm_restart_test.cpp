@@ -18,6 +18,7 @@
 #include "mhd/sim/runner.h"
 #include "mhd/store/maintenance.h"
 #include "mhd/store/memory_backend.h"
+#include "mhd/store/scrub.h"
 #include "mhd/workload/presets.h"
 
 namespace mhd {
@@ -228,8 +229,9 @@ TEST(GcIndexInteraction, SweptManifestsDoNotResurrectAfterReopen) {
   const auto final_report = check_index(backend);
   EXPECT_TRUE(final_report.meta_ok);
   EXPECT_EQ(final_report.stale_entries, 0u);
-  const auto scrub = scrub_repository(backend);
-  EXPECT_TRUE(scrub.clean());
+  const auto fsck =
+      fsck_repository(backend, /*repair=*/false, {}, /*framed=*/false);
+  EXPECT_TRUE(fsck.clean()) << fsck.to_string();
 }
 
 }  // namespace

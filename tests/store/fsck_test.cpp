@@ -1,6 +1,8 @@
 // fsck_repository: detection and repair across every damage class —
 // torn chunk tails (truncate + reseal), bit rot (quarantine), dangling
-// hooks (drop), broken references (report only), orphans (informational).
+// hooks (drop), broken references and manifest hash mismatches (report
+// only), orphans (informational) — and no issue at all on a healthy
+// repository of any engine and layout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,12 +11,16 @@
 #include <fstream>
 
 #include "mhd/format/file_manifest.h"
+#include "mhd/format/manifest.h"
 #include "mhd/hash/sha1.h"
+#include "mhd/repo/repository.h"
+#include "mhd/sim/runner.h"
 #include "mhd/store/file_backend.h"
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/framing.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/store/scrub.h"
+#include "mhd/workload/presets.h"
 
 namespace mhd {
 namespace {
@@ -199,6 +205,106 @@ TEST(Fsck, QuarantinePreservesOriginalBytesOnFileBackend) {
                   std::istreambuf_iterator<char>());
   EXPECT_EQ(on_disk, corrupted);
 }
+
+TEST(Fsck, WrongManifestHashUnderAValidSealIsReported) {
+  MemoryBackend raw;
+  Repo repo(raw);
+  // A standard manifest for the chunk: its entries tile both records and
+  // its trailer CRC is valid, but the second entry's SHA-1 is not the
+  // hash of the bytes it covers.
+  Manifest m(Sha1::hash(as_bytes(std::string("chunk"))));
+  m.add({Sha1::hash(repo.rec1), 0,
+         static_cast<std::uint32_t>(repo.rec1.size())});
+  m.add({Sha1::hash(repo.rec1), repo.rec1.size(),
+         static_cast<std::uint32_t>(repo.rec2.size())});
+  FramedBackend(raw).put(Ns::kManifest, repo.chunk, m.serialize(false));
+
+  const auto report = fsck_repository(raw, /*repair=*/false);
+  EXPECT_EQ(report.corrupt, 0u) << "the seal is valid";
+  EXPECT_EQ(report.hash_mismatches, 1u) << report.to_string();
+  EXPECT_FALSE(report.clean());
+  EXPECT_TRUE(std::any_of(
+      report.issues.begin(), report.issues.end(), [&](const FsckIssue& i) {
+        return i.kind == FsckIssue::Kind::kHashMismatch &&
+               i.ns == Ns::kManifest && i.name == repo.chunk;
+      }))
+      << report.to_string();
+
+  // With the right hash the same manifest is clean.
+  m.entries()[1].hash = Sha1::hash(repo.rec2);
+  FramedBackend(raw).put(Ns::kManifest, repo.chunk, m.serialize(false));
+  EXPECT_TRUE(fsck_repository(raw, /*repair=*/false).clean());
+}
+
+TEST(Fsck, ManifestThatDoesNotTileItsChunkIsABrokenRef) {
+  MemoryBackend raw;
+  Repo repo(raw);
+  Manifest m(Sha1::hash(as_bytes(std::string("chunk"))));
+  m.add({Sha1::hash(repo.rec1), 0,
+         static_cast<std::uint32_t>(repo.rec1.size())});
+  FramedBackend(raw).put(Ns::kManifest, repo.chunk, m.serialize(false));
+
+  const auto report = fsck_repository(raw, /*repair=*/false);
+  EXPECT_EQ(report.broken_refs, 1u) << report.to_string();
+  EXPECT_EQ(report.hash_mismatches, 0u);
+}
+
+// Every engine writes a repository fsck finds without a single issue
+// (orphans included), bare and framed, with and without containers.
+struct Layout {
+  bool framed;
+  bool containers;
+};
+
+class FsckHealthyTest
+    : public ::testing::TestWithParam<std::tuple<std::string, Layout>> {};
+
+TEST_P(FsckHealthyTest, HealthyRepositoryHasNoIssue) {
+  const auto& [engine_name, layout] = GetParam();
+  EngineConfig cfg;
+  cfg.ecs = 512;
+  cfg.sd = 8;
+  cfg.framed = layout.framed;
+  cfg.container_bytes = layout.containers ? 256u << 10 : 0;
+  const Corpus corpus(test_preset(77));
+  MemoryBackend raw;
+  {
+    BackendStack stack(raw, cfg);
+    ObjectStore store(stack.top(), stack.containers());
+    auto engine = make_engine(engine_name, store, cfg);
+    for (std::size_t i = 0; i < corpus.files().size(); ++i) {
+      auto src = corpus.open(i);
+      engine->add_file(corpus.files()[i].name, *src);
+    }
+    engine->finish();
+  }
+  const auto report =
+      fsck_repository(raw, /*repair=*/false, {}, layout.framed);
+  EXPECT_TRUE(report.issues.empty()) << report.to_string();
+  EXPECT_GT(report.objects, 0u);
+  EXPECT_EQ(report.clean_objects, report.objects);
+}
+
+std::vector<std::string> all_engines() {
+  std::vector<std::string> names = engine_names();
+  for (const auto& n : extension_engine_names()) names.push_back(n);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, FsckHealthyTest,
+    ::testing::Combine(::testing::ValuesIn(all_engines()),
+                       ::testing::Values(Layout{false, false},
+                                         Layout{true, false},
+                                         Layout{false, true},
+                                         Layout{true, true})),
+    [](const auto& info) {
+      const Layout& l = std::get<1>(info.param);
+      std::string name = std::get<0>(info.param);
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name + (l.framed ? "_framed" : "_bare") +
+             (l.containers ? "_containers" : "");
+    });
 
 }  // namespace
 }  // namespace mhd

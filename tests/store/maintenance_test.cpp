@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../dedup/engine_test_util.h"
 #include "mhd/core/mhd_engine.h"
 #include "mhd/dedup/cdc_engine.h"
 #include "mhd/sim/runner.h"
 #include "mhd/store/memory_backend.h"
+#include "mhd/store/scrub.h"
 #include "mhd/workload/presets.h"
 
 namespace mhd {
@@ -23,6 +26,16 @@ EngineConfig small_config() {
   return cfg;
 }
 
+/// fsck of an unframed in-memory repository: its bytes are plain.
+FsckReport check(StorageBackend& backend) {
+  return fsck_repository(backend, /*repair=*/false, {}, /*framed=*/false);
+}
+
+bool has_issue(const FsckReport& report, FsckIssue::Kind kind) {
+  return std::any_of(report.issues.begin(), report.issues.end(),
+                     [&](const FsckIssue& i) { return i.kind == kind; });
+}
+
 TEST(Scrub, CleanRepositoryPasses) {
   MemoryBackend backend;
   {
@@ -35,11 +48,11 @@ TEST(Scrub, CleanRepositoryPasses) {
     const std::vector<NamedFile> files = {{"a", a}, {"b", b}};
     testutil::run_files(engine, files);
   }
-  const auto report = scrub_repository(backend);
-  EXPECT_TRUE(report.clean());
-  EXPECT_GT(report.file_manifests, 0u);
-  EXPECT_GT(report.manifests, 0u);
-  EXPECT_GT(report.hooks, 0u);
+  const auto report = check(backend);
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_TRUE(report.issues.empty()) << report.to_string();
+  EXPECT_EQ(report.objects, backend.total_objects());
+  EXPECT_EQ(report.clean_objects, report.objects);
 }
 
 TEST(Scrub, DetectsCorruptedChunkBytes) {
@@ -57,9 +70,10 @@ TEST(Scrub, DetectsCorruptedChunkBytes) {
   chunk[chunk.size() / 2] ^= 0xFF;
   backend.put(Ns::kDiskChunk, names[0], chunk);
 
-  const auto report = scrub_repository(backend);
+  const auto report = check(backend);
   EXPECT_FALSE(report.clean());
-  EXPECT_GT(report.manifest_hash_mismatches, 0u);
+  EXPECT_GT(report.hash_mismatches, 0u);
+  EXPECT_TRUE(has_issue(report, FsckIssue::Kind::kHashMismatch));
 }
 
 TEST(Scrub, DetectsMissingChunk) {
@@ -73,9 +87,20 @@ TEST(Scrub, DetectsMissingChunk) {
   for (const auto& name : backend.list(Ns::kDiskChunk)) {
     backend.remove(Ns::kDiskChunk, name);
   }
-  const auto report = scrub_repository(backend);
-  EXPECT_GT(report.broken_file_ranges, 0u);
-  EXPECT_GT(report.manifest_coverage_errors, 0u);
+  // FileManifest ranges and the chunks' standard manifests both name
+  // missing chunks.
+  const auto report = check(backend);
+  EXPECT_FALSE(report.clean());
+  EXPECT_GT(report.broken_refs, 0u);
+  const auto broken = [&](Ns ns) {
+    return std::any_of(report.issues.begin(), report.issues.end(),
+                       [&](const FsckIssue& i) {
+                         return i.ns == ns &&
+                                i.kind == FsckIssue::Kind::kBrokenRef;
+                       });
+  };
+  EXPECT_TRUE(broken(Ns::kFileManifest)) << report.to_string();
+  EXPECT_TRUE(broken(Ns::kManifest)) << report.to_string();
 }
 
 TEST(Scrub, DetectsDanglingHooks) {
@@ -89,8 +114,10 @@ TEST(Scrub, DetectsDanglingHooks) {
   for (const auto& name : backend.list(Ns::kManifest)) {
     backend.remove(Ns::kManifest, name);
   }
-  const auto report = scrub_repository(backend);
+  const auto report = check(backend);
+  EXPECT_FALSE(report.clean());
   EXPECT_GT(report.dangling_hooks, 0u);
+  EXPECT_TRUE(has_issue(report, FsckIssue::Kind::kDanglingHook));
 }
 
 TEST(Gc, DeleteFileThenCollectReclaimsSpace) {
@@ -118,7 +145,7 @@ TEST(Gc, DeleteFileThenCollectReclaimsSpace) {
   const auto restored = engine2.reconstruct("keep");
   ASSERT_TRUE(restored.has_value());
   EXPECT_TRUE(equal(*restored, unique1));
-  EXPECT_TRUE(scrub_repository(backend).clean());
+  EXPECT_TRUE(check(backend).clean());
 }
 
 TEST(Gc, SharedChunksSurviveDeletion) {
@@ -160,7 +187,7 @@ TEST(Gc, DedupStillWorksAfterCollection) {
 }
 
 // GC across every engine family: delete half the files, collect, and the
-// remaining files must still restore byte-exactly with a clean scrub.
+// remaining files must still restore byte-exactly with a clean fsck.
 class GcEngineTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GcEngineTest, SurvivorsRestoreAfterGc) {
@@ -196,9 +223,8 @@ TEST_P(GcEngineTest, SurvivorsRestoreAfterGc) {
     ASSERT_TRUE(restored.has_value()) << corpus.files()[i].name;
     EXPECT_TRUE(equal(*restored, original)) << corpus.files()[i].name;
   }
-  const auto report = scrub_repository(backend);
-  EXPECT_EQ(report.broken_file_ranges, 0u);
-  EXPECT_EQ(report.manifest_hash_mismatches, 0u);
+  const auto report = check(backend);
+  EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, GcEngineTest,
