@@ -17,14 +17,17 @@
 //
 // check exits 0 on a clean repository, 1 otherwise (orphans are
 // informational and do not dirty the result); a usage or flag mistake
-// exits 2. check and repair take the layout from the repository's
-// descriptor (src/mhd/repo/) and exit 2, touching nothing, on a path
-// without one. A framed repository's CRC framing is verified; on one
-// stored without --framed the check is structural: references, manifest
-// tiling and every manifest entry's SHA-1 against its chunk's bytes, in
-// each daemon tenant's scope as in the root scope. The corrupt/tear
-// fixtures write through the raw files, bypassing the backend — exactly
-// the bit rot and torn writes the checks exist to catch.
+// exits 2. repair holds the repository's writer lock (store.lock) for its
+// whole run and exits 4, touching nothing, while another live process
+// holds it; check takes no lock. check and repair take the layout from
+// the repository's descriptor (src/mhd/repo/) and exit 2, touching
+// nothing, on a path without one. A framed repository's CRC framing is
+// verified; on one stored without --framed the check is structural:
+// references, manifest tiling and every manifest entry's SHA-1 against
+// its chunk's bytes, in each daemon tenant's scope as in the root scope.
+// The corrupt/tear fixtures write through the raw files, bypassing the
+// backend — exactly the bit rot and torn writes the checks exist to
+// catch.
 //
 // Container repositories (dedup_cli --container-mb) need no extra flags:
 // fsck truncates torn container tails back to the last intact record,
@@ -56,9 +59,14 @@ int cmd_check(const Flags& flags, bool repair) {
                  repair ? "repair" : "check");
     return 2;
   }
-  // fsck takes no engine flags: the descriptor alone gives the layout.
+  // fsck takes no engine flags: the descriptor alone gives the layout, and
+  // a repository older than descriptors is adopted in memory only (no
+  // flags here could give its chunking).
   Repository repo =
       open_repository(args[1], Flags(0, nullptr), OpenMode::kRead);
+  // Repair mutates objects, so it holds the writer lock for its whole run.
+  std::optional<StoreLock> lock;
+  if (repair) lock.emplace(StoreLock::acquire(args[1]));
   const bool framed = repo.config().framed;
   const auto report = fsck_repository(
       repo.file(), repair, repo.file().root() / "quarantine", framed);
@@ -177,6 +185,9 @@ int main(int argc, char** argv) {
   } catch (const mhd::FlagError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
+  } catch (const mhd::StoreLockedError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 4;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

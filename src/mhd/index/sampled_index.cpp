@@ -35,9 +35,17 @@ Digest read_digest(const Byte* p) {
   return d;
 }
 
-/// Reads and unseals one index object, peeling double framing exactly like
-/// the disk index's reader (works on the raw backend for fsck and on the
-/// logical view for engines alike).
+/// Unseals an index object's bytes, peeling double framing exactly like
+/// the disk index's reader (works on the raw backend's bytes for fsck and
+/// on the logical view's for engines alike).
+std::optional<ByteVec> unseal_all(ByteSpan framed) {
+  auto payload = framing::unseal_object(framed);
+  if (!payload) return std::nullopt;
+  while (auto inner = framing::unseal_object(*payload)) payload = inner;
+  return payload;
+}
+
+/// Reads and unseals one index object.
 std::optional<ByteVec> get_unsealed(const StorageBackend& backend,
                                     const std::string& name) {
   std::optional<ByteVec> framed;
@@ -46,11 +54,7 @@ std::optional<ByteVec> get_unsealed(const StorageBackend& backend,
   } catch (const StoreError&) {
     return std::nullopt;
   }
-  if (!framed) return std::nullopt;
-  auto payload = framing::unseal_object(*framed);
-  if (!payload) return std::nullopt;
-  while (auto inner = framing::unseal_object(*payload)) payload = inner;
-  return payload;
+  return framed ? unseal_all(*framed) : std::nullopt;
 }
 
 struct MetaView {
@@ -104,6 +108,14 @@ SampledIndex::SampledIndex(StorageBackend& backend, SampledIndexConfig config)
 
 bool SampledIndex::present(const StorageBackend& backend) {
   return backend.exists(Ns::kIndex, kMetaName);
+}
+
+std::optional<std::uint32_t> SampledIndex::recorded_sample_bits(
+    ByteSpan stored) {
+  const auto payload = unseal_all(stored);
+  const auto meta = payload ? parse_meta(*payload) : std::nullopt;
+  if (!meta) return std::nullopt;
+  return meta->sample_bits;
 }
 
 void SampledIndex::open() {

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,6 +76,9 @@ class SampledIndex final : public FingerprintIndex {
 
   /// True when `backend` holds a sampled tier (its sampled-meta object).
   static bool present(const StorageBackend& backend);
+  /// The sample bits a sampled-meta object records, from its stored bytes
+  /// (framed or not); nullopt when they do not parse.
+  static std::optional<std::uint32_t> recorded_sample_bits(ByteSpan stored);
 
   const char* impl_name() const override { return "sampled"; }
   std::optional<IndexEntry> lookup(const Digest& fp) override;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "mhd/index/sampled_index.h"
 #include "mhd/store/framing.h"
 
 namespace mhd {
@@ -35,6 +36,32 @@ void adopt_legacy(const fs::path& root, EngineConfig& cfg) {
     } else if (name.ends_with(".sampled-meta") &&
                cfg.index_impl == IndexImpl::kMem) {
       cfg.index_impl = IndexImpl::kSampled;
+    }
+  }
+}
+
+/// Throws FlagError when --sample-bits differs from the rate a sampled
+/// tier at `root` records in its meta object, in any scope: the tier owns
+/// its rate, and would otherwise ignore the flag. The descriptor keeps no
+/// copy of it.
+void check_sample_bits(const fs::path& root, const Flags& flags,
+                       const EngineConfig& cfg, std::uint32_t given) {
+  if (!flags.has("sample-bits") || cfg.index_impl != IndexImpl::kSampled) {
+    return;
+  }
+  std::error_code ec;
+  for (const auto& e : fs::directory_iterator(root / "index", ec)) {
+    const std::string name = "." + e.path().filename().string();
+    if (!name.ends_with(".sampled-meta")) continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    const auto bits = SampledIndex::recorded_sample_bits(
+        ByteVec{std::istreambuf_iterator<char>(in), {}});
+    if (bits && *bits != given) {
+      throw FlagError("--sample-bits: repository " + root.string() +
+                      " was created with sample_bits=" +
+                      std::to_string(*bits) + ", the flag gives sample_bits=" +
+                      std::to_string(given) +
+                      " (omit it to use the repository's value)");
     }
   }
 }
@@ -214,6 +241,7 @@ Repository open_repository(const fs::path& root, const Flags& flags,
                       " (omit it to use the repository's value)");
     }
   }
+  check_sample_bits(root, flags, cfg, given.sample_bits);
   require_rewrite_layer(cfg);
   return Repository(root, std::move(lock), std::move(cfg),
                     !stored && mode != OpenMode::kRead);

@@ -104,8 +104,9 @@ class Repository {
 /// adopted: its `framed` and `container-size` markers and index objects
 /// give the layout, the flags the chunking. A given creation-time flag
 /// that differs from the repository throws FlagError; an omitted one
-/// takes the repository's value, and so does require_rewrite_layer. A
-/// damaged descriptor throws StoreError.
+/// takes the repository's value, and so does require_rewrite_layer. So
+/// does a --sample-bits that differs from a sampled tier's meta object,
+/// which owns the rate. A damaged descriptor throws StoreError.
 Repository open_repository(const std::filesystem::path& root,
                            const Flags& flags, OpenMode mode);
 

@@ -321,7 +321,7 @@ void DedupDaemon::serve_connection(SessionSlot& slot) {
         }
         case MsgType::kPutBegin: {
           std::shared_lock<std::shared_mutex> maint(maint_mu_);
-          handle_put(fd, reader, ByteSpan{frame.payload});
+          if (!handle_put(fd, reader, ByteSpan{frame.payload})) return;
           break;
         }
         case MsgType::kGet: {
@@ -386,7 +386,7 @@ void DedupDaemon::seed_tenant(const std::string& id, TenantState& ts) {
   ts.logical_bytes = bytes;
 }
 
-void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
+bool DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
   const auto start = Clock::now();
   std::size_t pos = 0;
   const auto tenant_id = read_string(payload, pos);
@@ -506,32 +506,35 @@ void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
                  reinterpret_cast<const Byte*>(reason.data()) +
                      reason.size());
     write_frame(fd, MsgType::kRetry, ByteSpan{retry});
-    return;
+    return true;
   } catch (const IdleTimeoutError&) {
     ts.session.reset();
     {
       std::lock_guard<std::mutex> lock(reg_mu_);
       ++ts.counters.idle_timeout_reaps;
     }
-    throw;  // serve loop reaps the connection and counts it globally
+    idle_timeout_reaps_.fetch_add(1);
+    return false;
   } catch (const PeerDisconnectedError&) {
     ts.session.reset();
     {
       std::lock_guard<std::mutex> lock(reg_mu_);
       ++ts.counters.peer_disconnects;
     }
-    throw;
+    peer_disconnects_.fetch_add(1);
+    return false;
   } catch (const ProtocolError&) {
     ts.session.reset();
     {
       std::lock_guard<std::mutex> lock(reg_mu_);
       ++ts.counters.protocol_errors;
     }
-    throw;  // connection-level failure: serve loop drops the connection
+    protocol_errors_.fetch_add(1);
+    return false;
   } catch (const std::exception& e) {
     ts.session.reset();
     write_frame(fd, MsgType::kErr, std::string(e.what()));
-    return;  // stray PutData frames will end the serve loop
+    return true;  // stray PutData frames will end the serve loop
   }
 
   const std::uint64_t input_bytes = after.input_bytes - before.input_bytes;
@@ -563,6 +566,7 @@ void DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
                         ",\"dup_bytes\":" + std::to_string(dup_bytes) +
                         ",\"micros\":" + std::to_string(us) + "}";
   write_frame(fd, MsgType::kOk, summary);
+  return true;
 }
 
 void DedupDaemon::handle_get(int fd, ByteSpan payload, ByteVec& buf) {

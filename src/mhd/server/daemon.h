@@ -205,7 +205,11 @@ class DedupDaemon {
   void accept_loop();
   void serve_connection(SessionSlot& slot);
   /// Request handlers; each runs under the maintenance lock (shared).
-  void handle_put(int fd, FrameReader& reader, ByteSpan payload);
+  /// handle_put returns false when the connection died mid-PUT. It counts
+  /// that drop, per tenant and globally, while it still holds the tenant's
+  /// writer lock, so a retried PUT (which waits for the lock) finds the
+  /// drop in stats; the serve loop then closes without counting again.
+  bool handle_put(int fd, FrameReader& reader, ByteSpan payload);
   /// `buf` is the connection's GET staging buffer (kStreamFrameBytes).
   void handle_get(int fd, ByteSpan payload, ByteVec& buf);
   void handle_ls(int fd, ByteSpan payload);

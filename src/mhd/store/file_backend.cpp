@@ -37,20 +37,14 @@ void write_all_or_throw(const fs::path& p, ByteSpan data,
 
 FileBackend::FileBackend(fs::path root) : root_(std::move(root)) {
   for (int i = 0; i < static_cast<int>(Ns::kCount); ++i) {
-    const Ns ns = static_cast<Ns>(i);
-    fs::create_directories(root_ / ns_name(ns));
-    // Adopt pre-existing content (e.g. resuming a backup repository).
+    const fs::path dir = root_ / ns_name(static_cast<Ns>(i));
+    fs::create_directories(dir);
     // Orphaned temp files are debris from an interrupted atomic put: the
     // rename never happened, so the old object (if any) is still intact.
+    // Their names alone mark them, so the sweep stats nothing.
     std::vector<fs::path> stale_tmps;
-    for (const auto& entry : fs::directory_iterator(root_ / ns_name(ns))) {
-      if (!entry.is_regular_file()) continue;
-      if (is_tmp(entry.path())) {
-        stale_tmps.push_back(entry.path());
-        continue;
-      }
-      ++counts_[i];
-      bytes_[i] += entry.file_size();
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (is_tmp(entry.path())) stale_tmps.push_back(entry.path());
     }
     for (const auto& tmp : stale_tmps) fs::remove(tmp);
   }
@@ -78,38 +72,13 @@ void write_file_atomically(const fs::path& p, ByteSpan data) {
 }
 
 void FileBackend::put(Ns ns, const std::string& name, ByteSpan data) {
-  const fs::path p = path_for(ns, name);
-  const bool existed = fs::exists(p);
-  const std::uint64_t old_size = existed ? fs::file_size(p) : 0;
-  write_file_atomically(p, data);
-  const int i = static_cast<int>(ns);
-  if (!existed) ++counts_[i];
-  bytes_[i] += data.size();
-  bytes_[i] -= old_size;
+  write_file_atomically(path_for(ns, name), data);
 }
 
 void FileBackend::append(Ns ns, const std::string& name, ByteSpan data) {
-  const fs::path p = path_for(ns, name);
-  const bool existed = fs::exists(p);
-  const std::uint64_t old_size = existed ? fs::file_size(p) : 0;
-  try {
-    write_all_or_throw(p, data, std::ios::app);
-  } catch (...) {
-    // A failed append may have landed a prefix; resync the counters from
-    // the filesystem so accounting stays truthful, then surface the error
-    // (the framing layer makes the partial tail detectable).
-    const int i = static_cast<int>(ns);
-    std::error_code ec;
-    const bool exists_now = fs::exists(p, ec) && !ec;
-    const std::uint64_t new_size = exists_now ? fs::file_size(p, ec) : 0;
-    if (!existed && exists_now) ++counts_[i];
-    bytes_[i] += new_size;
-    bytes_[i] -= old_size;
-    throw;
-  }
-  const int i = static_cast<int>(ns);
-  if (!existed) ++counts_[i];
-  bytes_[i] += data.size();
+  // A failed append may have landed a prefix; the framing layer makes the
+  // partial tail detectable.
+  write_all_or_throw(path_for(ns, name), data, std::ios::app);
 }
 
 std::optional<ByteVec> FileBackend::get(Ns ns, const std::string& name) const {
@@ -146,22 +115,21 @@ bool FileBackend::exists(Ns ns, const std::string& name) const {
 }
 
 bool FileBackend::remove(Ns ns, const std::string& name) {
-  const fs::path p = path_for(ns, name);
-  if (!fs::exists(p)) return false;
-  const std::uint64_t size = fs::file_size(p);
-  fs::remove(p);
-  const int i = static_cast<int>(ns);
-  --counts_[i];
-  bytes_[i] -= size;
-  return true;
+  return fs::remove(path_for(ns, name));
 }
 
 std::uint64_t FileBackend::object_count(Ns ns) const {
-  return counts_[static_cast<int>(ns)];
+  return list(ns).size();
 }
 
 std::uint64_t FileBackend::content_bytes(Ns ns) const {
-  return bytes_[static_cast<int>(ns)];
+  std::uint64_t bytes = 0;
+  for (const auto& entry : fs::directory_iterator(root_ / ns_name(ns))) {
+    if (entry.is_regular_file() && !is_tmp(entry.path())) {
+      bytes += entry.file_size();
+    }
+  }
+  return bytes;
 }
 
 std::vector<std::string> FileBackend::list(Ns ns) const {

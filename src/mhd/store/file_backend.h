@@ -3,7 +3,6 @@
 // and the integration tests. Mirrors the paper's user-space Ext3 prototype.
 #pragma once
 
-#include <array>
 #include <filesystem>
 
 #include "mhd/store/backend.h"
@@ -12,7 +11,8 @@ namespace mhd {
 
 class FileBackend final : public StorageBackend {
  public:
-  /// Creates <root>/<namespace>/ directories as needed.
+  /// Creates <root>/<namespace>/ directories as needed and sweeps stale
+  /// temp files; reads and stats no object.
   explicit FileBackend(std::filesystem::path root);
 
   void put(Ns ns, const std::string& name, ByteSpan data) override;
@@ -23,6 +23,8 @@ class FileBackend final : public StorageBackend {
                                    std::uint64_t length) const override;
   bool exists(Ns ns, const std::string& name) const override;
   bool remove(Ns ns, const std::string& name) override;
+  /// Both walk the namespace directory on every call (content_bytes also
+  /// stats each file): stats paths, not hot paths.
   std::uint64_t object_count(Ns ns) const override;
   std::uint64_t content_bytes(Ns ns) const override;
   std::vector<std::string> list(Ns ns) const override;
@@ -33,10 +35,6 @@ class FileBackend final : public StorageBackend {
   std::filesystem::path path_for(Ns ns, const std::string& name) const;
 
   std::filesystem::path root_;
-  // Cached counters so object_count/content_bytes stay O(1); kept in sync
-  // by the mutating operations (the backend owns its directories).
-  std::array<std::uint64_t, static_cast<int>(Ns::kCount)> counts_{};
-  std::array<std::uint64_t, static_cast<int>(Ns::kCount)> bytes_{};
 };
 
 /// Atomic replace: writes `<path>.tmp`, then renames it over `path`, so a

@@ -25,22 +25,26 @@ std::string table_key(Ns ns, const std::string& name) {
 FramedBackend::FramedBackend(StorageBackend& inner)
     : inner_(inner),
       tables_(kTableCacheRecords, nullptr, kTableCacheRecords,
-              [](const TablePtr& t) { return t->size(); }) {
-  for (int i = 0; i < static_cast<int>(Ns::kCount); ++i) {
-    const Ns ns = static_cast<Ns>(i);
-    for (const auto& name : inner_.list(ns)) {
-      const auto framed = inner_.get(ns, name);
-      if (!framed) continue;
-      std::uint64_t logical = 0;
-      if (is_stream(ns)) {
-        logical = framing::scan_records(*framed).logical_bytes;
-      } else if (const auto payload = framing::unseal_object(*framed)) {
-        logical = payload->size();
-      }
-      sizes(ns)[name] = logical;
-      bytes_[i] += logical;
-    }
-  }
+              [](const TablePtr& t) { return t->size(); }) {}
+
+std::uint64_t FramedBackend::stored_size(Ns ns, const std::string& name) const {
+  const auto framed = inner_.get(ns, name);
+  if (!framed) return 0;
+  if (is_stream(ns)) return framing::scan_records(*framed).logical_bytes;
+  const auto payload = framing::unseal_object(*framed);
+  return payload ? payload->size() : 0;
+}
+
+std::uint64_t& FramedBackend::known_size(Ns ns,
+                                         const std::string& name) const {
+  const int i = static_cast<int>(ns);
+  auto& map = sizes_[i];
+  if (const auto it = map.find(name); it != map.end()) return it->second;
+  // Entered only once sized: a read that throws leaves no wrong entry.
+  const std::uint64_t size =
+      !sized_[i] && inner_.exists(ns, name) ? stored_size(ns, name) : 0;
+  bytes_[i] += size;
+  return map.emplace(name, size).first->second;
 }
 
 void FramedBackend::put(Ns ns, const std::string& name, ByteSpan data) {
@@ -52,8 +56,9 @@ void FramedBackend::put(Ns ns, const std::string& name, ByteSpan data) {
     framed = framing::seal_object(data);
   }
   drop_table(ns, name);
+  std::lock_guard<std::mutex> lock(sizes_mu_);
   inner_.put(ns, name, framed);
-  auto& size = sizes(ns)[name];
+  auto& size = sizes_[static_cast<int>(ns)][name];
   bytes_[static_cast<int>(ns)] += data.size() - size;
   size = data.size();
 }
@@ -61,8 +66,10 @@ void FramedBackend::put(Ns ns, const std::string& name, ByteSpan data) {
 void FramedBackend::append(Ns ns, const std::string& name, ByteSpan data) {
   if (is_stream(ns)) {
     drop_table(ns, name);
+    std::lock_guard<std::mutex> lock(sizes_mu_);
+    std::uint64_t& size = known_size(ns, name);
     inner_.append(ns, name, framing::frame_record(data));
-    sizes(ns)[name] += data.size();
+    size += data.size();
     bytes_[static_cast<int>(ns)] += data.size();
     return;
   }
@@ -189,8 +196,9 @@ bool FramedBackend::exists(Ns ns, const std::string& name) const {
 
 bool FramedBackend::remove(Ns ns, const std::string& name) {
   drop_table(ns, name);
+  std::lock_guard<std::mutex> lock(sizes_mu_);
   if (!inner_.remove(ns, name)) return false;
-  auto& map = sizes(ns);
+  auto& map = sizes_[static_cast<int>(ns)];
   if (const auto it = map.find(name); it != map.end()) {
     bytes_[static_cast<int>(ns)] -= it->second;
     map.erase(it);
@@ -203,7 +211,13 @@ std::uint64_t FramedBackend::object_count(Ns ns) const {
 }
 
 std::uint64_t FramedBackend::content_bytes(Ns ns) const {
-  return bytes_[static_cast<int>(ns)];
+  const int i = static_cast<int>(ns);
+  std::lock_guard<std::mutex> lock(sizes_mu_);
+  if (!sized_[i]) {
+    for (const auto& name : inner_.list(ns)) known_size(ns, name);
+    sized_[i] = true;
+  }
+  return bytes_[i];
 }
 
 std::vector<std::string> FramedBackend::list(Ns ns) const {
@@ -212,11 +226,9 @@ std::vector<std::string> FramedBackend::list(Ns ns) const {
 
 void FramedBackend::seal(Ns ns, const std::string& name) {
   if (!is_stream(ns)) return;  // sealed namespaces are sealed at put
-  const auto& map = sizes(ns);
-  const auto it = map.find(name);
-  const std::uint64_t logical = it == map.end() ? 0 : it->second;
   drop_table(ns, name);
-  inner_.append(ns, name, framing::seal_record(logical));
+  std::lock_guard<std::mutex> lock(sizes_mu_);
+  inner_.append(ns, name, framing::seal_record(known_size(ns, name)));
 }
 
 }  // namespace mhd

@@ -38,6 +38,14 @@
 // damage outside the range after that point is found by get or fsck.
 // Sealed objects (hooks, manifests, index) are read and checked whole on
 // every read.
+//
+// Opening reads nothing. Logical sizes are known for the objects written
+// through this instance; a stream it did not write is sized from its own
+// records before its first append or seal (a DiskChunk or container
+// resumed after a reopen), and only when it exists. The first
+// content_bytes(ns) reads and sizes the rest of `ns` once (torn or corrupt
+// objects count their salvageable logical prefix) and keeps the running
+// total from then on. Verifying is fsck's job, not opening's.
 #pragma once
 
 #include <array>
@@ -53,9 +61,7 @@ namespace mhd {
 
 class FramedBackend final : public StorageBackend {
  public:
-  /// Adopts pre-existing framed content in `inner` (reopening a
-  /// repository): scans every object to rebuild logical sizes. Torn or
-  /// corrupt objects count their salvageable logical prefix.
+  /// Reads nothing: pre-existing objects in `inner` are sized on demand.
   explicit FramedBackend(StorageBackend& inner);
 
   void put(Ns ns, const std::string& name, ByteSpan data) override;
@@ -67,7 +73,8 @@ class FramedBackend final : public StorageBackend {
   bool exists(Ns ns, const std::string& name) const override;
   bool remove(Ns ns, const std::string& name) override;
   std::uint64_t object_count(Ns ns) const override;
-  /// Logical payload bytes (framing overhead excluded).
+  /// Logical payload bytes (framing overhead excluded). The first call
+  /// per namespace reads the objects this instance has not sized.
   std::uint64_t content_bytes(Ns ns) const override;
   std::vector<std::string> list(Ns ns) const override;
   void seal(Ns ns, const std::string& name) override;
@@ -78,8 +85,13 @@ class FramedBackend final : public StorageBackend {
 
  private:
   using SizeMap = std::unordered_map<std::string, std::uint64_t>;
-  SizeMap& sizes(Ns ns) { return sizes_[static_cast<int>(ns)]; }
-  const SizeMap& sizes(Ns ns) const { return sizes_[static_cast<int>(ns)]; }
+
+  /// Logical size of the stored object; 0 when absent.
+  std::uint64_t stored_size(Ns ns, const std::string& name) const;
+  /// The size entry of `name`, first sized from the stored object when
+  /// this instance has neither written it nor sized all of `ns`. Called
+  /// with sizes_mu_ held.
+  std::uint64_t& known_size(Ns ns, const std::string& name) const;
 
   /// Bound on the record tables kept for range reads, in records: 8 MiB.
   /// The most recently used table is kept even when it alone is larger.
@@ -108,8 +120,13 @@ class FramedBackend final : public StorageBackend {
   void drop_table(Ns ns, const std::string& name) const;
 
   StorageBackend& inner_;
-  std::array<SizeMap, static_cast<int>(Ns::kCount)> sizes_;
-  std::array<std::uint64_t, static_cast<int>(Ns::kCount)> bytes_{};
+
+  mutable std::mutex sizes_mu_;
+  /// Per namespace, guarded by sizes_mu_: the sizes known so far, their
+  /// sum, and whether every stored object has been sized.
+  mutable std::array<SizeMap, static_cast<int>(Ns::kCount)> sizes_;
+  mutable std::array<std::uint64_t, static_cast<int>(Ns::kCount)> bytes_{};
+  mutable std::array<bool, static_cast<int>(Ns::kCount)> sized_{};
 
   mutable std::mutex tables_mu_;
   /// Keyed by namespace byte + name, weighted by record count.

@@ -1,10 +1,13 @@
 // SyncBackend — mutual exclusion for a shared storage stack.
 //
-// The physical backends (FileBackend's cached counters, FramedBackend's
-// logical-size maps) were written for single-owner use. The multi-tenant
-// daemon runs many sessions over one stack, so it interposes this
-// decorator at the top of the *shared* portion: every call forwards to
-// the inner backend under one mutex, turning the stack below into a
+// The layers below were written for single-owner use: MemoryBackend's
+// maps and FaultInjectingBackend's operation counters are unguarded, and
+// a read of an object that a FileBackend or FramedBackend append is still
+// extending can see a torn stream. (FileBackend keeps no state of its
+// own; FramedBackend guards its size accounting and record tables.) The
+// multi-tenant daemon runs many sessions over one stack, so it interposes
+// this decorator at the top of the *shared* portion: every call forwards
+// to the inner backend under one mutex, turning the stack below into a
 // linearizable object store. Chunking and hashing happen above this
 // layer, outside the lock. Everything below it runs under the lock: in
 // the daemon that includes FramedBackend, so framing on writes and CRC

@@ -146,6 +146,35 @@ TEST_F(RepositoryTest, EachCreationTimeFlagConflictThrowsAndWritesNothing) {
       root_, make_flags({"--framed", "--ecs=8192"}), OpenMode::kRead));
 }
 
+// The sampled tier's meta object owns its sample rate (the descriptor
+// keeps no copy): a different --sample-bits throws before anything is
+// written, framed (the meta is sealed twice) or not.
+TEST_F(RepositoryTest, SampleBitsConflictThrowsAndWritesNothing) {
+  for (const bool framed : {false, true}) {
+    fs::remove_all(root_);
+    std::vector<std::string> args{"--index-impl=sampled", "--sample-bits=4"};
+    if (framed) args.push_back("--framed");
+    create_and_store(args);
+    const auto before = snapshot(root_);
+    for (const OpenMode mode :
+         {OpenMode::kCreate, OpenMode::kWrite, OpenMode::kRead}) {
+      try {
+        open_repository(root_, make_flags({"--sample-bits=9"}), mode);
+        ADD_FAILURE() << "no conflict reported";
+      } catch (const FlagError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("sample_bits=4"), std::string::npos) << what;
+        EXPECT_NE(what.find("sample_bits=9"), std::string::npos) << what;
+      }
+    }
+    EXPECT_EQ(snapshot(root_), before);
+    // The recorded rate, or none, is no conflict.
+    EXPECT_NO_THROW(open_repository(root_, make_flags({"--sample-bits=4"}),
+                                    OpenMode::kRead));
+    EXPECT_NO_THROW(open_repository(root_, make_flags({}), OpenMode::kRead));
+  }
+}
+
 TEST_F(RepositoryTest, BadFlagOnNewPathLeavesNoDescriptor) {
   for (const char* flag : {"--sd=0", "--ecs=-1", "--ecs=0", "--chunker=x"}) {
     EXPECT_THROW(open_repository(root_, make_flags({flag}), OpenMode::kCreate),

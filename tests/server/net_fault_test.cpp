@@ -76,6 +76,17 @@ ByteVec get_with_retry(const std::string& spec, const std::string& tenant,
   return bytes;
 }
 
+/// One counter of `tenant` in a stats JSON snapshot; -1 when absent.
+std::int64_t tenant_counter(const std::string& stats, const std::string& tenant,
+                            const std::string& key) {
+  const auto at = stats.find("\"" + tenant + "\":{");
+  if (at == std::string::npos) return -1;
+  const std::string field = "\"" + key + "\":";
+  const auto value = stats.find(field, at);
+  if (value == std::string::npos) return -1;
+  return std::stoll(stats.substr(value + field.size()));
+}
+
 TEST(NetFaultPlanTest, ParsesTheWholeGrammar) {
   const auto plan = NetFaultPlan::parse(
       "torn@3:0.25,stall@2:150,reset@7,garbage@1,short@4,torn@9,"
@@ -121,13 +132,18 @@ TEST(NetFaultPlanTest, RejectsMalformedAtoms) {
 TEST(NetFaultTest, TornPutRetriesToZeroDataLoss) {
   DaemonConfig dc;
   dc.listen = "tcp:0";
-  // put_bytes streams PutBegin(1), one 96 KB PutData(2), PutEnd(3).
-  dc.net_fault_plan = "torn@2:0.5,conn@1";
+  // put_bytes streams PutBegin(1), eight 1 MiB PutData(2..9), PutEnd(10).
+  // The tear comes after 7 MiB, more than the socket buffers and the
+  // daemon's read-ahead hold, so the torn session is already ingesting
+  // under the tenant's writer lock when the client sees the tear; the
+  // retried PUT waits for that lock. (With a tear in the first PutData,
+  // the retry could overtake a session that had not yet reached the lock.)
+  dc.net_fault_plan = "torn@9:0.5,conn@1";
   MemoryBackend repo;
   DedupDaemon daemon(repo, repo, dc);
   daemon.start();
 
-  const ByteVec data = make_blob(1, 96 << 10);
+  const ByteVec data = make_blob(1, 8 << 20);
   auto client = DedupClient::connect(daemon.listen_spec());
   ASSERT_TRUE(client);
   client->set_retry_policy(test_policy());
@@ -135,15 +151,18 @@ TEST(NetFaultTest, TornPutRetriesToZeroDataLoss) {
   ASSERT_TRUE(r.ok) << r.message;
   EXPECT_GE(client->retries(), 1u);
 
-  EXPECT_EQ(get_with_retry(daemon.listen_spec(), "t0", "disk0.img"), data);
-  // The torn connection's session thread counts its disconnect after it
-  // releases the tenant, so the retried PUT can finish first; stop() joins
-  // every session thread before the counters are read.
-  daemon.stop();
-  EXPECT_GE(daemon.peer_disconnects(), 1u);
+  // The torn session counts its disconnect, per tenant and globally,
+  // before it releases the writer lock the retried PUT waited for: the
+  // counts are in place as soon as the retry returns.
+  EXPECT_EQ(daemon.peer_disconnects(), 1u);
   EXPECT_EQ(daemon.protocol_errors(), 0u);
-  const std::string stats = daemon.stats_json();
-  EXPECT_NE(stats.find("\"peer_disconnects\":"), std::string::npos);
+  EXPECT_EQ(tenant_counter(daemon.stats_json(), "t0", "peer_disconnects"), 1);
+
+  EXPECT_EQ(get_with_retry(daemon.listen_spec(), "t0", "disk0.img"), data);
+  daemon.stop();
+  EXPECT_EQ(daemon.peer_disconnects(), 1u);
+  EXPECT_EQ(daemon.protocol_errors(), 0u);
+  EXPECT_EQ(tenant_counter(daemon.stats_json(), "t0", "peer_disconnects"), 1);
 }
 
 // A garbage frame header is a hostile/corrupted peer: typed and counted

@@ -1,9 +1,12 @@
-// CountingBackend — a MemoryBackend that counts the bytes its reads
-// return, so a test can bound what the layers above pull from storage.
-// raw() reaches the bytes underneath, to damage or remove an object behind
-// a decorator's back. Reads are safe from several threads at once.
+// CountingBackend — a backend that counts what its reads return, so a test
+// can bound what the layers above pull from storage: bytes overall, and
+// get/get_range calls per namespace. It counts the reads of its own
+// MemoryBackend, or of any backend it is given. raw() reaches the backend
+// underneath, to damage or remove an object behind a decorator's back.
+// Reads are safe from several threads at once.
 #pragma once
 
+#include <array>
 #include <atomic>
 
 #include "mhd/store/memory_backend.h"
@@ -12,48 +15,57 @@ namespace mhd {
 
 class CountingBackend final : public StorageBackend {
  public:
+  CountingBackend() : inner_(mem_) {}
+  explicit CountingBackend(StorageBackend& inner) : inner_(inner) {}
+
   void put(Ns ns, const std::string& name, ByteSpan data) override {
-    mem_.put(ns, name, data);
+    inner_.put(ns, name, data);
   }
   void append(Ns ns, const std::string& name, ByteSpan data) override {
-    mem_.append(ns, name, data);
+    inner_.append(ns, name, data);
   }
   std::optional<ByteVec> get(Ns ns, const std::string& name) const override {
-    return counted(mem_.get(ns, name));
+    return counted(ns, inner_.get(ns, name));
   }
   std::optional<ByteVec> get_range(Ns ns, const std::string& name,
                                    std::uint64_t offset,
                                    std::uint64_t length) const override {
-    return counted(mem_.get_range(ns, name, offset, length));
+    return counted(ns, inner_.get_range(ns, name, offset, length));
   }
   bool exists(Ns ns, const std::string& name) const override {
-    return mem_.exists(ns, name);
+    return inner_.exists(ns, name);
   }
   bool remove(Ns ns, const std::string& name) override {
-    return mem_.remove(ns, name);
+    return inner_.remove(ns, name);
   }
   std::uint64_t object_count(Ns ns) const override {
-    return mem_.object_count(ns);
+    return inner_.object_count(ns);
   }
   std::uint64_t content_bytes(Ns ns) const override {
-    return mem_.content_bytes(ns);
+    return inner_.content_bytes(ns);
   }
   std::vector<std::string> list(Ns ns) const override {
-    return mem_.list(ns);
+    return inner_.list(ns);
   }
 
-  MemoryBackend& raw() { return mem_; }
+  StorageBackend& raw() { return inner_; }
   std::uint64_t read_bytes() const { return read_bytes_; }
   void reset_read_bytes() { read_bytes_ = 0; }
+  /// get and get_range calls on `ns`, found or not.
+  std::uint64_t reads(Ns ns) const { return reads_[static_cast<int>(ns)]; }
 
  private:
-  std::optional<ByteVec> counted(std::optional<ByteVec> bytes) const {
+  std::optional<ByteVec> counted(Ns ns, std::optional<ByteVec> bytes) const {
+    ++reads_[static_cast<int>(ns)];
     if (bytes) read_bytes_ += bytes->size();
     return bytes;
   }
 
   MemoryBackend mem_;
+  StorageBackend& inner_;
   mutable std::atomic<std::uint64_t> read_bytes_{0};
+  mutable std::array<std::atomic<std::uint64_t>, static_cast<int>(Ns::kCount)>
+      reads_{};
 };
 
 }  // namespace mhd

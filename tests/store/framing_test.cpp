@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "counting_backend.h"
+#include "mhd/store/fault_backend.h"
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/store/store_errors.h"
@@ -234,26 +235,80 @@ TEST(FramedBackend, RangeBeyondLogicalSizeIsNullopt) {
 }
 
 TEST(FramedBackend, ReopenAdoptsLogicalAccounting) {
-  MemoryBackend raw;
-  {
-    FramedBackend framed(raw);
+  // The same history twice: once through one instance, once with a reopen
+  // in the middle. The reopened instance sizes pre-existing objects only on
+  // demand, so its totals must still match the never-reopened one's.
+  const auto before_reopen = [](FramedBackend& framed) {
     framed.append(Ns::kDiskChunk, "c0", bytes_of("0123456789"));
     framed.seal(Ns::kDiskChunk, "c0");
+    framed.append(Ns::kDiskChunk, "c2", bytes_of("resumed-"));
+    framed.append(Ns::kDiskChunk, "c3", bytes_of("sealed late"));
     framed.put(Ns::kManifest, "m0", bytes_of("manifest"));
+    framed.put(Ns::kManifest, "m1", bytes_of("manifest one"));
     framed.put(Ns::kHook, "h0", bytes_of("hook"));
     framed.put(Ns::kHook, "h1", bytes_of("hook2"));
     framed.remove(Ns::kHook, "h0");
+  };
+  // Put-replace one pre-existing object and remove another before any
+  // content_bytes call; resume one unsealed stream and seal another.
+  const auto after_reopen = [](FramedBackend& framed) {
+    framed.put(Ns::kManifest, "m0", bytes_of("a longer manifest"));
+    EXPECT_TRUE(framed.remove(Ns::kManifest, "m1"));
+    framed.append(Ns::kDiskChunk, "c2", bytes_of("and sealed"));
+    framed.seal(Ns::kDiskChunk, "c2");
+    framed.seal(Ns::kDiskChunk, "c3");
+  };
+
+  MemoryBackend raw;
+  {
+    FramedBackend framed(raw);
+    before_reopen(framed);
   }
   FramedBackend reopened(raw);
-  EXPECT_EQ(reopened.content_bytes(Ns::kDiskChunk), 10u);
-  EXPECT_EQ(reopened.content_bytes(Ns::kManifest), 8u);
   EXPECT_EQ(reopened.content_bytes(Ns::kHook), 5u);
   EXPECT_EQ(reopened.object_count(Ns::kHook), 1u);
   EXPECT_EQ(reopened.get(Ns::kDiskChunk, "c0"), bytes_of("0123456789"));
+  after_reopen(reopened);
+
+  MemoryBackend twin_raw;
+  FramedBackend never_reopened(twin_raw);
+  before_reopen(never_reopened);
+  after_reopen(never_reopened);
+  for (int i = 0; i < static_cast<int>(Ns::kCount); ++i) {
+    const Ns ns = static_cast<Ns>(i);
+    EXPECT_EQ(reopened.content_bytes(ns), never_reopened.content_bytes(ns))
+        << ns_name(ns);
+    EXPECT_EQ(reopened.object_count(ns), never_reopened.object_count(ns))
+        << ns_name(ns);
+  }
+  EXPECT_EQ(reopened.content_bytes(Ns::kDiskChunk), 10u + 18u + 11u);
+  EXPECT_EQ(reopened.content_bytes(Ns::kManifest), 17u);
+  EXPECT_EQ(reopened.get(Ns::kDiskChunk, "c2"), bytes_of("resumed-and sealed"));
+  EXPECT_EQ(reopened.get(Ns::kDiskChunk, "c3"), bytes_of("sealed late"));
   // Appending more after reopen continues the stream correctly.
   reopened.append(Ns::kDiskChunk, "c1", bytes_of("more"));
   reopened.seal(Ns::kDiskChunk, "c1");
   EXPECT_EQ(reopened.get(Ns::kDiskChunk, "c1"), bytes_of("more"));
+  EXPECT_EQ(reopened.content_bytes(Ns::kDiskChunk), 10u + 18u + 11u + 4u);
+}
+
+// A read that fails while sizing a resumed stream leaves no size behind:
+// the retried append sizes the stream again, so its seal covers every
+// record.
+TEST(FramedBackend, FailedSizingReadIsRetried) {
+  MemoryBackend raw;
+  {
+    FramedBackend framed(raw);
+    framed.append(Ns::kDiskChunk, "c0", bytes_of("before-"));
+  }
+  FaultInjectingBackend faulty(raw, FaultPlan::parse("readerr@1"));
+  FramedBackend reopened(faulty);
+  EXPECT_THROW(reopened.append(Ns::kDiskChunk, "c0", bytes_of("after")),
+               TransientReadError);
+  reopened.append(Ns::kDiskChunk, "c0", bytes_of("after"));
+  reopened.seal(Ns::kDiskChunk, "c0");
+  EXPECT_EQ(reopened.get(Ns::kDiskChunk, "c0"), bytes_of("before-after"));
+  EXPECT_EQ(reopened.content_bytes(Ns::kDiskChunk), 12u);
 }
 
 TEST(FramedBackend, PutReplaceAndRemoveKeepAccountingExact) {
