@@ -1,26 +1,17 @@
-// index_throughput — fingerprint-index op throughput, mem vs. disk, plus
-// the sampled similarity tier at 10–100× corpus scale:
+// index_throughput — fingerprint-index op throughput of the in-RAM map
+// the exact tiers share, plus the sampled similarity tier at 10–100×
+// corpus scale:
 //
-//   ./index_throughput [--keys=200000] [--index-cache-mb=8]
-//                      [--shards=256] [--reps=3]
+//   ./index_throughput [--keys=200000] [--reps=3]
 //                      [--sampled-scales=10,100] [--sampled-bits=8,10]
 //                      [--segment-chunks=8192] [--resident-entries=8192]
 //                      [--json=BENCH_index.json]
 //
 // Measures, best-of-reps, millions of ops/s for the three access patterns
 // a dedup ingest generates — insert (new fingerprint), lookup-hit (a
-// duplicate), lookup-miss (unique data, the common case the bloom front
-// exists for) — against:
-//
-//   mem         MemIndex, the historical always-resident map
-//   disk-cold   PersistentIndex populated in this process (delta + pages)
-//   disk-warm   the same backend reopened: bloom snapshot loaded, pages
-//               faulted through the bounded cache (the warm-restart path)
-//
-// RAM accounting is printed alongside: the disk index's high-water must
-// sit near its configured page-cache budget + bloom, not near the
-// MemIndex's O(keys) footprint — that bounded-RAM-at-speed trade is the
-// whole point of --index-impl=disk.
+// duplicate), lookup-miss (unique data) — against MemIndex. The disk tier
+// (--index-impl=disk) is the same map plus a persisted warm list, so it
+// has no row of its own.
 //
 // The sampled sweep streams scale×keys fingerprints through a SampledIndex
 // the way an engine would: fingerprints arrive in segments of
@@ -29,9 +20,9 @@
 // manifest-cache mirror), and hooks accumulate in the sparse table. A
 // second pass replays the identical stream as duplicates: a hit is either
 // resident or reached by loading the hook's champion segment — everything
-// else is the tier's measured dedup loss. RAM is compared against a disk
-// index actually populated at the same scale (measured up to 4M keys,
-// modeled as page-cache budget + bloom above that).
+// else is the tier's measured dedup loss. RAM is compared against a
+// MemIndex holding the same keys: MemIndex accounts kEntryRamBytes per
+// entry, so that figure is computed rather than built (100× is 20M keys).
 //
 // BENCH_index.json at the repo root is the recorded baseline (see --json).
 #include <algorithm>
@@ -39,13 +30,13 @@
 #include <deque>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "mhd/hash/sha1.h"
 #include "mhd/index/mem_index.h"
-#include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/util/flags.h"
@@ -131,8 +122,7 @@ struct SampledRun {
   std::uint64_t hook_entries = 0;
   std::uint64_t champion_loads = 0;
   std::uint64_t dup_found = 0;
-  std::uint64_t disk_ram = 0;  ///< same-scale disk index RAM high-water
-  bool disk_ram_measured = false;  ///< false = budget+bloom model
+  std::uint64_t mem_ram = 0;  ///< a MemIndex holding the same keys
 
   double detected() const {
     return total == 0 ? 0.0
@@ -142,20 +132,32 @@ struct SampledRun {
   double loss() const { return 1.0 - detected(); }
   double ram_reduction() const {
     return ram_hw == 0 ? 0.0
-                       : static_cast<double>(disk_ram) /
+                       : static_cast<double>(mem_ram) /
                              static_cast<double>(ram_hw);
   }
 };
+
+/// `git describe --always --dirty` of the working directory, for the
+/// JSON record; "unknown" outside a git checkout.
+std::string git_rev() {
+  std::string rev;
+  if (std::FILE* p = ::popen("git describe --always --dirty 2>/dev/null",
+                             "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) rev += buf;
+    ::pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto keys_n = flags.get_uint("keys", 200000, 1000, 50u << 20);
-  const auto cache_bytes = flags.get_size("index-cache-mb", 8ull << 20,
-                                          64u << 10, 1ull << 40, 1ull << 20);
-  const auto shards =
-      static_cast<std::uint32_t>(flags.get_uint("shards", 256, 1, 4096));
   const int reps = static_cast<int>(flags.get_uint("reps", 3, 1, 100));
 
   std::vector<Digest> present, absent;
@@ -169,59 +171,18 @@ int main(int argc, char** argv) {
   Xoshiro256 rng(11);
   std::shuffle(present.begin(), present.end(), rng);
 
-  const auto entry_for = [](const Digest& fp) {
-    return IndexEntry{Sha1::hash(fp.span()), fp.prefix64() % 4096};
-  };
-
   std::vector<Row> rows;
 
   // --- mem --------------------------------------------------------------
   MemIndex mem;
   rows.push_back(time_phase("mem", "insert", keys_n, 1, [&] {
-    for (const Digest& fp : present) mem.put(fp, entry_for(fp));
+    for (const Digest& fp : present) mem.put(fp, Sha1::hash(fp.span()));
   }));
   rows.push_back(time_phase("mem", "lookup-hit", keys_n, reps,
                             [&] { run_lookups(mem, present, true); }));
   rows.push_back(time_phase("mem", "lookup-miss", keys_n, reps,
                             [&] { run_lookups(mem, absent, false); }));
   const std::uint64_t mem_ram = mem.ram_high_water();
-
-  // --- disk, cold (populate + compact in-process) -----------------------
-  PersistentIndexConfig cfg;
-  cfg.shards = shards;
-  cfg.cache_bytes = cache_bytes;
-  cfg.expected_keys = keys_n;
-  MemoryBackend backend;
-  std::uint64_t cold_ram = 0, cold_page_ram = 0;
-  {
-    PersistentIndex disk(backend, cfg);
-    rows.push_back(time_phase("disk-cold", "insert", keys_n, 1, [&] {
-      for (const Digest& fp : present) disk.put(fp, entry_for(fp));
-    }));
-    disk.compact();
-    disk.flush();
-    rows.push_back(time_phase("disk-cold", "lookup-hit", keys_n, reps,
-                              [&] { run_lookups(disk, present, true); }));
-    rows.push_back(time_phase("disk-cold", "lookup-miss", keys_n, reps,
-                              [&] { run_lookups(disk, absent, false); }));
-    cold_ram = disk.ram_high_water();
-    cold_page_ram = disk.page_cache_ram_high_water();
-  }
-
-  // --- disk, warm reopen (the restart path) -----------------------------
-  PersistentIndex warm(backend, cfg);
-  if (warm.entry_count() != keys_n) {
-    std::fprintf(stderr, "FATAL: reopen lost entries (%llu != %llu)\n",
-                 static_cast<unsigned long long>(warm.entry_count()),
-                 static_cast<unsigned long long>(keys_n));
-    return 1;
-  }
-  rows.push_back(time_phase("disk-warm", "lookup-hit", keys_n, reps,
-                            [&] { run_lookups(warm, present, true); }));
-  rows.push_back(time_phase("disk-warm", "lookup-miss", keys_n, reps,
-                            [&] { run_lookups(warm, absent, false); }));
-  const std::uint64_t warm_ram = warm.ram_high_water();
-  const std::uint64_t warm_page_ram = warm.page_cache_ram_high_water();
 
   // --- sampled similarity tier, 10–100× corpus scale --------------------
   const auto scales = parse_u32_list(flags.get("sampled-scales", "10,100"));
@@ -230,31 +191,16 @@ int main(int argc, char** argv) {
       flags.get_uint("segment-chunks", 8192, 64, 1u << 20);
   const std::uint64_t resident_cap = std::max<std::uint64_t>(
       flags.get_uint("resident-entries", 8192, 64, 1u << 24), seg_chunks);
-  // A disk index populated at the same scale is the RAM yardstick;
-  // measured up to 4M keys, modeled (page-cache budget + bloom) above.
-  std::unordered_map<std::uint32_t, std::uint64_t> disk_at_scale;
   std::vector<SampledRun> sruns;
   for (const std::uint32_t scale : scales) {
     const std::uint64_t total = static_cast<std::uint64_t>(scale) * keys_n;
-    const bool measure_disk = total <= 4'000'000;
-    if (measure_disk && disk_at_scale.find(scale) == disk_at_scale.end()) {
-      PersistentIndexConfig dcfg = cfg;
-      dcfg.expected_keys = total;
-      MemoryBackend dbackend;
-      PersistentIndex scaled_disk(dbackend, dcfg);
-      for (std::uint64_t i = 0; i < total; ++i) {
-        scaled_disk.put(digest_of(i), entry_for(digest_of(i)));
-      }
-      scaled_disk.compact();
-      scaled_disk.flush();
-      disk_at_scale[scale] = scaled_disk.ram_high_water();
-    }
     for (const std::uint32_t bits : bits_list) {
       SampledRun run;
       run.scale = scale;
       run.bits = bits;
       run.total = total;
       run.segments = (total + seg_chunks - 1) / seg_chunks;
+      run.mem_ram = total * MemIndex::kEntryRamBytes;
 
       MemoryBackend sbackend;
       SampledIndexConfig scfg;
@@ -297,8 +243,7 @@ int main(int argc, char** argv) {
         const std::uint64_t base = s * seg_chunks, n = seg_len(s);
         evict_for(n);
         for (std::uint64_t j = 0; j < n; ++j) {
-          sampled.put(digest_of(base + j),
-                      IndexEntry{manifest_of[s], j * 4096});
+          sampled.put(digest_of(base + j), manifest_of[s]);
         }
         window.push_back(s);
         resident_segs.insert(s);
@@ -343,36 +288,19 @@ int main(int argc, char** argv) {
       run.hook_table_bytes = stats.hook_table_bytes;
       run.hook_entries = stats.hook_entries;
       run.champion_loads = stats.champion_loads;
-      if (const auto it = disk_at_scale.find(scale);
-          it != disk_at_scale.end()) {
-        run.disk_ram = it->second;
-        run.disk_ram_measured = true;
-      } else {
-        run.disk_ram =
-            cache_bytes + total * cfg.bloom_bits_per_key / 8;
-      }
       sruns.push_back(run);
     }
   }
 
-  std::printf("fingerprint index throughput, %llu keys (shards=%u, "
-              "cache=%0.1f MB)\n\n",
-              static_cast<unsigned long long>(keys_n), shards,
-              cache_bytes / 1048576.0);
+  std::printf("fingerprint index throughput, %llu keys\n\n",
+              static_cast<unsigned long long>(keys_n));
   TextTable t({"Impl", "Phase", "Mops/s"});
   for (const auto& r : rows) {
     t.add_row({r.impl, r.phase, TextTable::num(r.mops(), 2)});
   }
   std::printf("%s\n", t.to_string().c_str());
-  TextTable m({"Impl", "RAM high-water KB", "page cache KB", "budget KB"});
-  m.add_row({"mem", TextTable::num(mem_ram / 1024), "-", "-"});
-  m.add_row({"disk-cold", TextTable::num(cold_ram / 1024),
-             TextTable::num(cold_page_ram / 1024),
-             TextTable::num(cache_bytes / 1024)});
-  m.add_row({"disk-warm", TextTable::num(warm_ram / 1024),
-             TextTable::num(warm_page_ram / 1024),
-             TextTable::num(cache_bytes / 1024)});
-  std::printf("%s", m.to_string().c_str());
+  std::printf("mem RAM high-water: %llu KB\n",
+              static_cast<unsigned long long>(mem_ram / 1024));
 
   if (!sruns.empty()) {
     std::printf("\nsampled similarity tier (segment=%llu chunks, resident "
@@ -380,7 +308,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(seg_chunks),
                 static_cast<unsigned long long>(resident_cap));
     TextTable s({"Scale", "Bits", "Keys", "Ingest Mops/s", "Replay Mops/s",
-                 "RAM KB", "Hook KB", "Dup found", "Loss", "vs disk RAM"});
+                 "RAM KB", "Hook KB", "Dup found", "Loss", "vs mem RAM"});
     for (const auto& r : sruns) {
       s.add_row({TextTable::num(static_cast<std::uint64_t>(r.scale)) + "x",
                  TextTable::num(static_cast<std::uint64_t>(r.bits)),
@@ -391,24 +319,19 @@ int main(int argc, char** argv) {
                  TextTable::num(r.hook_table_bytes / 1024),
                  TextTable::num(r.detected() * 100, 1) + "%",
                  TextTable::num(r.loss() * 100, 1) + "%",
-                 TextTable::num(r.ram_reduction(), 1) + "x" +
-                     (r.disk_ram_measured ? "" : " (model)")});
+                 TextTable::num(r.ram_reduction(), 1) + "x"});
     }
     std::printf("%s", s.to_string().c_str());
-  }
-
-  if (cold_page_ram > cache_bytes || warm_page_ram > cache_bytes) {
-    std::fprintf(stderr, "FATAL: page cache exceeded its budget\n");
-    return 1;
   }
 
   const std::string json = flags.get("json", "");
   if (!json.empty()) {
     std::ofstream out(json);
     out << "{\n  \"bench\": \"index_throughput\",\n"
-        << "  \"keys\": " << keys_n << ",\n"
-        << "  \"shards\": " << shards << ",\n"
-        << "  \"cache_bytes\": " << cache_bytes << ",\n  \"rows\": [\n";
+        << "  \"git_rev\": \"" << git_rev() << "\",\n"
+        << "  \"build_type\": \"" << MHD_BUILD_TYPE << "\",\n"
+        << "  \"host_cpus\": " << std::thread::hardware_concurrency()
+        << ",\n  \"keys\": " << keys_n << ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
@@ -419,9 +342,7 @@ int main(int argc, char** argv) {
       out << buf;
     }
     out << "  ],\n  \"ram_high_water_bytes\": {\"mem\": " << mem_ram
-        << ", \"disk_cold\": " << cold_ram
-        << ", \"disk_warm\": " << warm_ram
-        << ", \"disk_page_cache_budget\": " << cache_bytes << "},\n";
+        << "},\n";
     out << "  \"sampled\": {\n    \"segment_chunks\": " << seg_chunks
         << ",\n    \"resident_entries\": " << resident_cap
         << ",\n    \"runs\": [\n";
@@ -435,16 +356,15 @@ int main(int argc, char** argv) {
           "\"ram_high_water_bytes\": %llu, \"hook_table_bytes\": %llu, "
           "\"hook_entries\": %llu, \"champion_loads\": %llu, "
           "\"dup_detected_ratio\": %.4f, \"missed_dup_ratio\": %.4f, "
-          "\"disk_ram_bytes\": %llu, \"disk_ram_measured\": %s, "
-          "\"ram_reduction_vs_disk\": %.1f}%s\n",
+          "\"mem_ram_bytes\": %llu, \"ram_reduction_vs_mem\": %.1f}%s\n",
           r.scale, r.bits, static_cast<unsigned long long>(r.total),
           r.total / r.ingest_seconds / 1e6, r.total / r.replay_seconds / 1e6,
           static_cast<unsigned long long>(r.ram_hw),
           static_cast<unsigned long long>(r.hook_table_bytes),
           static_cast<unsigned long long>(r.hook_entries),
           static_cast<unsigned long long>(r.champion_loads), r.detected(),
-          r.loss(), static_cast<unsigned long long>(r.disk_ram),
-          r.disk_ram_measured ? "true" : "false", r.ram_reduction(),
+          r.loss(), static_cast<unsigned long long>(r.mem_ram),
+          r.ram_reduction(),
           i + 1 < sruns.size() ? "," : "");
       out << buf;
     }

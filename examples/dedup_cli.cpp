@@ -63,8 +63,9 @@
 //
 // Options: --ecs=4096 --sd=64 --chunker=rabin|tttd|gear|fixed
 //          --chunker-impl=auto|scalar|simd --hash-impl=auto|shani|simd|portable
-//          --index-impl=mem|disk|sampled: `disk` persists the index under
-//          index/ behind a --index-cache-mb=8 page cache; `sampled` keeps a
+//          --index-impl=mem|disk|sampled: `disk` keeps the manifest
+//          cache's residency list under index/, so the next command resumes
+//          with the same working set; `sampled` keeps a
 //          hook table of fingerprints with --sample-bits=6 low zero bits,
 //          loads up to --champions=10 similar segments per hit and counts
 //          the duplicates it misses (its meta object keeps the sample rate)
@@ -295,12 +296,6 @@ int cmd_gc(const Flags& flags) {
                 "copies)\n",
                 static_cast<unsigned long long>(r.deleted_containers),
                 r.container_bytes_reclaimed / 1048576.0);
-  }
-  if (r.index_rebuilt) {
-    std::printf("gc: fingerprint index rebuilt, %llu entries kept, %llu "
-                "dropped\n",
-                static_cast<unsigned long long>(r.index_entries),
-                static_cast<unsigned long long>(r.dropped_index_entries));
   }
   if (r.sampled_index_rebuilt) {
     std::printf("gc: sampled hook table rebuilt, %llu hook entries, %llu "

@@ -8,7 +8,9 @@
 //                                           quarantined under
 //                                           <repo>/quarantine/ (framed
 //                                           repositories), dangling hooks
-//                                           dropped, index tiers rebuilt
+//                                           and damaged disk-tier index
+//                                           objects dropped, a stale
+//                                           sampled tier rebuilt
 //   ./fsck_cli corrupt <repo_dir> [opts]    test fixture: flip one stored
 //                                           byte (--ns=hooks --index=0
 //                                           --byte=-1 for the middle)

@@ -6,7 +6,7 @@
 //                    [--chunker=rabin|tttd|gear|fixed]
 //                    [--chunker-impl=auto|scalar|simd]
 //                    [--hash-impl=auto|shani|simd|portable] [--cache_kb=256]
-//                    [--index-impl=mem|disk|sampled] [--index-cache-mb=8]
+//                    [--index-impl=mem|disk|sampled]
 //                    [--sample-bits=6] [--champions=10]
 //                    [--framed] [--fault-plan=SPEC]
 //                    [--container-mb=N] [--rewrite=none|cbr|har]

@@ -46,10 +46,10 @@ void BloomFilter::insert(std::uint64_t key) {
   }
   // Count only inserts that set a new bit: the load estimate then depends
   // solely on the SET of keys ever inserted, not on how many times each
-  // was re-inserted. That determinism is load-bearing — a journal replay
-  // or warm-restart re-learn re-inserts known keys, and the serialized
-  // filter must stay bit-identical to one that never went through the
-  // replay (the daemon's warm-engine-vs-fresh-engine equivalence).
+  // was re-inserted. That determinism is load-bearing — a warm-restart
+  // re-learn re-inserts known keys, and the serialized filter must stay
+  // bit-identical to one that never went through the re-learn (the
+  // daemon's warm-engine-vs-fresh-engine equivalence).
   if (changed) ++inserted_;
 }
 

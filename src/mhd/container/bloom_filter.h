@@ -31,9 +31,8 @@ class BloomFilter {
 
   std::size_t size_bytes() const { return bits_.size() * sizeof(std::uint64_t); }
   /// Inserts that set at least one new bit — effectively the distinct-key
-  /// load. Re-inserting a known key (journal replay, warm-restart
-  /// re-learn) does not move it, so the serialized filter is a pure
-  /// function of the key set.
+  /// load. Re-inserting a known key (a warm-restart re-learn) does not
+  /// move it, so the serialized filter is a pure function of the key set.
   std::uint64_t inserted_count() const { return inserted_; }
   int probes() const { return k_; }
 
@@ -43,8 +42,6 @@ class BloomFilter {
   /// Versioned, CRC32C-framed snapshot:
   ///   [magic "MBF1"][version u32][k u32][inserted u64][words u64]
   ///   [bit words...][crc32c u32 over everything before]
-  /// Lets the persistent fingerprint index rehydrate its filter on reopen
-  /// instead of rescanning every bucket page.
   ByteVec serialize() const;
 
   /// Rebuilds a filter from serialize() output. nullopt on wrong magic or

@@ -1,7 +1,6 @@
 #include "mhd/core/manifest_cache.h"
 
 #include "mhd/index/mem_index.h"
-#include "mhd/store/container_store.h"
 #include "mhd/store/store_errors.h"
 
 namespace mhd {
@@ -10,7 +9,6 @@ ManifestCache::ManifestCache(ObjectStore& store, std::size_t capacity,
                              bool hook_flags, std::uint64_t max_bytes,
                              FingerprintIndex* index)
     : store_(store),
-      containers_(store.containers()),
       hook_flags_(hook_flags),
       lru_(
           capacity,
@@ -33,7 +31,7 @@ void ManifestCache::write_back(const Digest& name, Slot& slot) {
 void ManifestCache::drop_from_index(const Digest& name, const Slot& slot) {
   for (const auto& entry : slot.manifest.entries()) {
     const auto hit = index_->lookup(entry.hash);
-    if (hit && hit->manifest == name) index_->erase(entry.hash);
+    if (hit && *hit == name) index_->erase(entry.hash);
   }
   // Hashes HHR removed from this manifest were already erased by
   // ensure_index's removed-hash pass, so nothing can linger.
@@ -51,25 +49,14 @@ void ManifestCache::ensure_index(const Digest& name, Slot& slot) {
   slot.by_hash.clear();
   const auto& entries = slot.manifest.entries();
   slot.by_hash.reserve(entries.size());
-  const std::string chunk_hex =
-      containers_ ? slot.manifest.chunk_name().hex() : std::string();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     slot.by_hash.emplace(entries[i].hash, i);
-    IndexEntry ie{name, entries[i].offset};
-    if (containers_ != nullptr) {
-      // Location record: resolve the chunk's physical container so
-      // index-only consumers see placement (ContainerBackend::locate stays
-      // the authoritative query; nullopt leaves the kNoContainer sentinel).
-      if (const auto c = containers_->locate(chunk_hex, entries[i].offset)) {
-        ie.container = *c;
-      }
-    }
-    index_->put(entries[i].hash, ie);
+    index_->put(entries[i].hash, name);
   }
   for (const auto& hash : previous) {
     if (slot.by_hash.count(hash) > 0) continue;
     const auto hit = index_->lookup(hash);
-    if (hit && hit->manifest == name) index_->erase(hash);
+    if (hit && *hit == name) index_->erase(hash);
   }
   slot.index_stale = false;
 }
@@ -78,7 +65,7 @@ std::optional<ManifestCache::Located> ManifestCache::lookup_hash(
     const Digest& chunk_hash) {
   const auto hit = index_->lookup(chunk_hash);
   if (!hit) return std::nullopt;
-  const Digest owner = hit->manifest;
+  const Digest owner = *hit;
   Slot* slot = lru_.get(owner);
   if (slot == nullptr) {
     // Owner was evicted and the index entry is stale.

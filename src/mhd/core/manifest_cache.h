@@ -8,7 +8,7 @@
 //
 // This class implements exactly that: per-manifest hash tables plus a
 // chunk-hash -> owning-manifest index (a FingerprintIndex — in-RAM by
-// default, or the persistent disk index when the engine injects one) for
+// default, or the engine's configured tier when it injects one) for
 // O(1) duplicate detection across the whole cached set, LRU eviction with
 // dirty write-back through the ObjectStore (counting kManifestOut), and
 // lazy index rebuilds after HHR mutates a manifest's entries.
@@ -18,7 +18,10 @@
 // table is built and erased on eviction or when HHR removes the hash.
 // That mirror is what makes the mem and disk index implementations
 // behaviorally identical, and (with the warm list) what lets a reopened
-// process resume with the same cache/index state it closed with.
+// process resume with the same cache/index state it closed with: the disk
+// tier persists only the warm list, because warm_load re-puts every entry
+// of every listed manifest, and a hit on a manifest that is not resident
+// is erased, so a persisted copy of the map could never decide a lookup.
 #pragma once
 
 #include <memory>
@@ -32,8 +35,6 @@
 #include "mhd/store/object_store.h"
 
 namespace mhd {
-
-class ContainerBackend;
 
 class ManifestCache {
  public:
@@ -121,9 +122,6 @@ class ManifestCache {
   void drop_from_index(const Digest& name, const Slot& slot);
 
   ObjectStore& store_;
-  /// Non-null when the store packs containers: index entries then carry
-  /// the chunk's container id as a location record (advisory hint).
-  const ContainerBackend* containers_ = nullptr;
   bool hook_flags_;
   LruCache<Digest, Slot, DigestHasher> lru_;
   std::unique_ptr<FingerprintIndex> owned_index_;  ///< when none injected

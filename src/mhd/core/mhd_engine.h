@@ -42,10 +42,9 @@ class MhdEngine final : public DedupEngine {
   ///    hook set (a bloom is an order-independent OR-set);
   ///  * mem index: the cache is reset — eviction write-back empties the
   ///    mirror MemIndex, matching a fresh engine's empty cache/index;
-  ///  * disk index: the cache is flushed and the index persisted while
-  ///    both stay resident — PR 5's warm-restart proof shows a reopened
-  ///    index + warm_load of the residency list reconstructs exactly this
-  ///    state (warm_load's re-puts are no-op on disk);
+  ///  * disk index: the cache is flushed and its residency list saved
+  ///    while it stays resident — the warm-restart proof shows warm_load
+  ///    of that list reconstructs exactly this cache and index state;
   ///  * per-file state (FileCtx, MatchExtender) never outlives add_file.
   /// (The daemon refuses rewrite modes, whose history is not on disk.)
   void flush_session();

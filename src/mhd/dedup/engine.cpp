@@ -26,12 +26,7 @@ FingerprintIndex& DedupEngine::fp_index() {
   if (!fp_index_) {
     if (cfg_.index_impl == IndexImpl::kDisk) {
       index_was_present_ = PersistentIndex::present(store_.backend());
-      PersistentIndexConfig pc;
-      pc.shards = cfg_.index_shards;
-      pc.cache_bytes = cfg_.index_cache_bytes;
-      pc.journal_batch = cfg_.index_journal_batch;
-      pc.compact_threshold = cfg_.index_compact_threshold;
-      fp_index_ = std::make_unique<PersistentIndex>(store_.backend(), pc);
+      fp_index_ = std::make_unique<PersistentIndex>(store_.backend());
     } else if (cfg_.index_impl == IndexImpl::kSampled) {
       index_was_present_ = SampledIndex::present(store_.backend());
       SampledIndexConfig sc;

@@ -70,9 +70,8 @@ struct EngineConfig {
   /// metadata-heavy algorithms fit fewer manifests and lose locality.
   std::uint64_t manifest_cache_bytes = 0;
 
-  // SparseIndexing parameters (Section V: segment = ECS*SD*5, <=10
-  // champions, a hook maps to <=5 manifests).
-  std::uint32_t segment_factor = 5;
+  // SparseIndexing parameters (Section V: <=10 champions, a hook maps to
+  // <=5 manifests; its segment is fixed at ECS*SD*5).
   std::uint32_t max_champions = 10;
   std::uint32_t max_manifests_per_hook = 5;
 
@@ -82,9 +81,9 @@ struct EngineConfig {
   bool enable_shm = true;
 
   // Fingerprint-index routing (DESIGN.md "Fingerprint index"). kMem keeps
-  // the historical always-resident map; kDisk stores the index under
-  // Ns::kIndex with bounded RAM and warm restart (--index-impl). The two
-  // make bit-identical dedup decisions — kDisk additionally survives
+  // the historical always-resident map; kDisk adds the warm residency list
+  // under Ns::kIndex (--index-impl). The two make bit-identical dedup
+  // decisions — kDisk additionally resumes its manifest cache across
   // process restarts. kSampled is the similarity tier (DESIGN.md "Sampled
   // similarity index"): index RAM scales with the sample rate, dedup
   // decisions may miss duplicates (measured, never hidden), restores stay
@@ -95,14 +94,11 @@ struct EngineConfig {
   /// (--sample-bits). Champion fan-out reuses max_champions (--champions)
   /// and max_manifests_per_hook caps each hook's champion list.
   std::uint32_t sample_bits = 6;
-  /// Weight budget of the disk index's hot bucket-page cache
-  /// (--index-cache-mb).
+  /// Inert: nothing in the library reads it, since the disk tier keeps no
+  /// page cache. It stays only because the benchmark harness still assigns
+  /// and prints it; the next change to the benchmark removes both uses and
+  /// the field.
   std::uint64_t index_cache_bytes = 8ull << 20;
-  // Disk-index geometry knobs (programmatic; tests shrink them to force
-  // many journal segments and compactions on tiny corpora).
-  std::uint32_t index_shards = 64;
-  std::uint32_t index_journal_batch = 64;
-  std::uint64_t index_compact_threshold = 4096;
 
   // Durability stack (DESIGN.md "Durability model"), built by BackendStack
   // (repo/repository.h). `framed` layers FramedBackend (CRC32C
@@ -276,7 +272,7 @@ class DedupEngine {
   void open_anchor_path(ManifestCache& cache);
 
   /// End-of-run persistence: saves the cache residency list into the
-  /// index and flushes it (journal tail, bloom snapshot, meta). Call from
+  /// index and flushes it (the sampled tier's hook table). Call from
   /// finish() after the cache flush. MemIndex keeps nothing.
   void persist_index_state(ManifestCache& cache);
 

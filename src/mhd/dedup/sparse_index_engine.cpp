@@ -198,8 +198,9 @@ void SparseIndexEngine::process_file(const std::string& file_name,
   FileManifest fm(file_name);
   bool stored_anything = false;
 
-  const std::uint64_t segment_bytes = static_cast<std::uint64_t>(cfg_.ecs) *
-                                      cfg_.sd * cfg_.segment_factor;
+  // Paper Section V: a segment is ECS * SD * 5 bytes.
+  const std::uint64_t segment_bytes =
+      static_cast<std::uint64_t>(cfg_.ecs) * cfg_.sd * 5;
   auto stream = open_ingest(data, cfg_.ecs);
 
   std::vector<SegChunk> segment;

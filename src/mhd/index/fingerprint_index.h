@@ -7,10 +7,10 @@
 //  * MemIndex — a plain in-RAM hash map with byte accounting. This is the
 //    historical behavior (ManifestCache's global map / the engines' hook
 //    map) extracted behind the interface; it vanishes on process exit.
-//  * PersistentIndex — sharded on-disk bucket pages + an append-only
-//    CRC-framed journal under Ns::kIndex, fronted by a BloomFilter for
-//    negative lookups and a weight-bounded LruCache of hot pages. It
-//    survives restarts with bounded RAM (see persistent_index.h).
+//  * PersistentIndex — MemIndex's map plus the manifest cache's warm
+//    residency list and the engines' aux blobs, sealed under Ns::kIndex,
+//    so a reopened engine resumes with the working set it closed with
+//    (see persistent_index.h for why nothing else is persisted).
 //  * SampledIndex — a sampled similarity tier (sparse-indexing style): an
 //    exact map only for cache-resident manifests plus a sparse hook table
 //    over min-hash-sampled fingerprints pointing at champion manifests.
@@ -43,23 +43,6 @@ namespace mhd {
 /// (--index-impl). kMem is bit-identical to the pre-index behavior.
 enum class IndexImpl { kMem, kDisk, kSampled };
 
-/// What a fingerprint resolves to: the manifest that indexes the chunk,
-/// plus the chunk's offset in its DiskChunk (advisory; rebuilt entries
-/// carry offset 0 — engines confirm through the manifest anyway).
-struct IndexEntry {
-  /// Sentinel for `container`: placement unknown / legacy layout.
-  static constexpr std::uint64_t kNoContainer = ~0ull;
-
-  Digest manifest{};
-  std::uint64_t offset = 0;
-  /// Location record: the container holding the chunk's bytes at `offset`
-  /// when the store packs containers (kNoContainer otherwise). Advisory
-  /// like everything here — ContainerBackend::locate() on the extent maps
-  /// is the authoritative placement query; this copy lets index-only
-  /// consumers (stats, future routing) see placement without a map walk.
-  std::uint64_t container = kNoContainer;
-};
-
 /// Counters of the sampled similarity tier; all zero on the exact tiers.
 struct SampledStats {
   std::uint32_t sample_bits = 0;       ///< hook sampling rate (1/2^bits)
@@ -78,25 +61,18 @@ class FingerprintIndex {
 
   virtual const char* impl_name() const = 0;
 
-  /// Resolves a fingerprint; nullopt when absent. Never throws:
-  /// PersistentIndex treats a CRC-failing bucket page as empty (and counts
-  /// it), so a damaged index entry degrades to "not a duplicate" — stored
-  /// fresh, always correct.
-  virtual std::optional<IndexEntry> lookup(const Digest& fp) = 0;
+  /// The manifest that indexes the chunk `fp`; nullopt when absent.
+  virtual std::optional<Digest> lookup(const Digest& fp) = 0;
 
-  /// Inserts or replaces the entry for `fp`.
-  virtual void put(const Digest& fp, const IndexEntry& entry) = 0;
+  /// Inserts or replaces the owning manifest of `fp`.
+  virtual void put(const Digest& fp, const Digest& manifest) = 0;
 
   /// Removes the entry; returns false when it was absent.
   virtual bool erase(const Digest& fp) = 0;
 
-  /// Cheap negative gate (bloom front on the persistent index, exact on
-  /// MemIndex): false means lookup() would definitely miss.
-  virtual bool maybe_contains(const Digest& fp) const = 0;
-
-  /// Durably persists all buffered state (journal tail, bucket pages,
-  /// bloom snapshot). No-op for MemIndex.
-  virtual void flush() = 0;
+  /// Durably persists the tier's buffered state (the sampled tier's hook
+  /// table). No-op for the exact tiers.
+  virtual void flush() {}
 
   virtual std::uint64_t entry_count() const = 0;
 
@@ -108,7 +84,7 @@ class FingerprintIndex {
   // ---- Tier behaviour. Every default does nothing. ----
 
   /// Warm-restart residency snapshot: manifest names, MRU first. The
-  /// persistent tiers store it beside the index; MemIndex keeps nothing
+  /// persistent tiers store it under Ns::kIndex; MemIndex keeps nothing
   /// and loads an empty list.
   virtual void save_warm_list(const std::vector<Digest>& /*names*/) {}
   virtual std::vector<Digest> load_warm_list() const { return {}; }

@@ -4,21 +4,17 @@
 
 namespace mhd {
 
-std::optional<IndexEntry> MemIndex::lookup(const Digest& fp) {
+std::optional<Digest> MemIndex::lookup(const Digest& fp) {
   const auto it = map_.find(fp);
   if (it == map_.end()) return std::nullopt;
   return it->second;
 }
 
-void MemIndex::put(const Digest& fp, const IndexEntry& entry) {
-  map_.insert_or_assign(fp, entry);
+void MemIndex::put(const Digest& fp, const Digest& manifest) {
+  map_.insert_or_assign(fp, manifest);
   high_water_ = std::max(high_water_, ram_bytes());
 }
 
 bool MemIndex::erase(const Digest& fp) { return map_.erase(fp) > 0; }
-
-bool MemIndex::maybe_contains(const Digest& fp) const {
-  return map_.count(fp) > 0;
-}
 
 }  // namespace mhd

@@ -1,7 +1,8 @@
 // MemIndex — the always-resident FingerprintIndex (today's behavior behind
 // the interface). A plain unordered_map plus byte accounting, so callers
 // that used to grow an anonymous global map now get an index_ram_bytes
-// high-water for the paper's Table 3 comparison.
+// high-water for the paper's Table 3 comparison. PersistentIndex is this
+// map plus its persisted warm list and aux blobs.
 #pragma once
 
 #include <unordered_map>
@@ -10,19 +11,19 @@
 
 namespace mhd {
 
-class MemIndex final : public FingerprintIndex {
+class MemIndex : public FingerprintIndex {
  public:
-  /// Estimated resident bytes per entry: the 48-byte key/value payload
-  /// plus unordered_map node and bucket overhead on a 64-bit libstdc++.
+  /// Estimated resident bytes per entry: the 40-byte key/value payload
+  /// (two digests) plus unordered_map node, cached hash, bucket and
+  /// allocator overhead on a 64-bit libstdc++. Kept at the value earlier
+  /// reports used, so index_ram_bytes stays comparable across versions.
   static constexpr std::uint64_t kEntryRamBytes = 80;
 
   const char* impl_name() const override { return "mem"; }
 
-  std::optional<IndexEntry> lookup(const Digest& fp) override;
-  void put(const Digest& fp, const IndexEntry& entry) override;
+  std::optional<Digest> lookup(const Digest& fp) override;
+  void put(const Digest& fp, const Digest& manifest) override;
   bool erase(const Digest& fp) override;
-  bool maybe_contains(const Digest& fp) const override;
-  void flush() override {}
 
   std::uint64_t entry_count() const override { return map_.size(); }
   std::uint64_t ram_bytes() const override {
@@ -31,7 +32,7 @@ class MemIndex final : public FingerprintIndex {
   std::uint64_t ram_high_water() const override { return high_water_; }
 
  private:
-  std::unordered_map<Digest, IndexEntry, DigestHasher> map_;
+  std::unordered_map<Digest, Digest, DigestHasher> map_;
   std::uint64_t high_water_ = 0;
 };
 

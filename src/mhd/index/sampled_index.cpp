@@ -17,9 +17,9 @@ constexpr std::uint32_t kStateMagic = 0x3153534Du;  // "MSS1"
 constexpr std::uint32_t kWarmMagic = 0x3157534Du;   // "MSW1"
 constexpr std::uint32_t kFormatVersion = 1;
 
-// The "sampled-" prefix keeps this family disjoint from the disk index's
-// objects inside the shared Ns::kIndex namespace: each family's rebuild
-// clears only its own names.
+// The "sampled-" prefix keeps this family disjoint from the disk tier's
+// objects inside the shared Ns::kIndex namespace: each family's clearing
+// touches only its own names.
 constexpr char kMetaName[] = "sampled-meta";
 constexpr char kWarmName[] = "sampled-warm";
 constexpr char kStatePrefix[] = "sampled-state-g";
@@ -35,9 +35,9 @@ Digest read_digest(const Byte* p) {
   return d;
 }
 
-/// Unseals an index object's bytes, peeling double framing exactly like
-/// the disk index's reader (works on the raw backend's bytes for fsck and
-/// on the logical view's for engines alike).
+/// Unseals an index object's bytes, peeling double framing (works on the
+/// raw backend's bytes for fsck and on the logical view's for engines
+/// alike).
 std::optional<ByteVec> unseal_all(ByteSpan framed) {
   auto payload = framing::unseal_object(framed);
   if (!payload) return std::nullopt;
@@ -122,9 +122,9 @@ void SampledIndex::open() {
   const auto meta_payload = get_unsealed(backend_, kMetaName);
   const auto meta = meta_payload ? parse_meta(*meta_payload) : std::nullopt;
   if (meta) {
-    // Geometry is owned by the repository (like the disk index's shards):
-    // adopting it keeps the hook predicate stable across reopen even when
-    // the caller passes different knobs.
+    // Geometry is owned by the repository: adopting it keeps the hook
+    // predicate stable across reopen even when the caller passes different
+    // knobs.
     cfg_.sample_bits = meta->sample_bits;
     cfg_.max_manifests_per_hook = meta->max_per_hook;
     hooks_ = similarity::HookTable(cfg_.max_manifests_per_hook);
@@ -200,26 +200,22 @@ void SampledIndex::flush() {
   generation_ = next;
 }
 
-std::optional<IndexEntry> SampledIndex::lookup(const Digest& fp) {
+std::optional<Digest> SampledIndex::lookup(const Digest& fp) {
   const auto found = resident_.find(fp);
   if (found == resident_.end()) return std::nullopt;
   return found->second;
 }
 
-void SampledIndex::put(const Digest& fp, const IndexEntry& entry) {
-  resident_.insert_or_assign(fp, entry);
+void SampledIndex::put(const Digest& fp, const Digest& manifest) {
+  resident_.insert_or_assign(fp, manifest);
   if (similarity::is_hook(fp, cfg_.sample_bits)) {
-    hooks_.associate(fp.prefix64(), entry.manifest);
+    hooks_.associate(fp.prefix64(), manifest);
   }
   note_ram();
 }
 
 bool SampledIndex::erase(const Digest& fp) {
   return resident_.erase(fp) > 0;
-}
-
-bool SampledIndex::maybe_contains(const Digest& fp) const {
-  return resident_.find(fp) != resident_.end();
 }
 
 std::uint64_t SampledIndex::entry_count() const { return resident_.size(); }
@@ -352,17 +348,17 @@ SampledCheckReport check_sampled_index(const StorageBackend& backend) {
 
 void rebuild_sampled_index(StorageBackend& backend,
                            SampledIndexConfig config) {
-  // Preserve the persisted geometry when the old meta is readable, exactly
-  // like the disk index's rebuild preserves its shard count.
+  // Preserve the persisted geometry when the old meta is readable.
   if (const auto meta_payload = get_unsealed(backend, kMetaName)) {
     if (const auto meta = parse_meta(*meta_payload)) {
       config.sample_bits = meta->sample_bits;
       config.max_manifests_per_hook = meta->max_per_hook;
     }
   }
-  // Clear only this family's objects (the disk index may coexist under the
-  // same namespace), keeping the meta until it is atomically overwritten —
-  // the geometry must survive every kill window (see rebuild_index).
+  // Clear only this family's objects (the disk tier may coexist under the
+  // same namespace), keeping the meta until it is atomically overwritten:
+  // were it removed first, a kill before the rewrite would make the next
+  // rebuild invent the default geometry, a silent, permanent divergence.
   for (const auto& name : backend.list(Ns::kIndex)) {
     if (name.rfind("sampled-", 0) != 0) continue;
     if (name == kMetaName) continue;

@@ -1,10 +1,11 @@
 // SampledIndex — the sampled similarity FingerprintIndex
 // (--index-impl=sampled; DESIGN.md "Sampled similarity index").
 //
-// Exact indexes (MemIndex, PersistentIndex) hold one entry per stored
-// fingerprint, which at the ROADMAP's billion-fingerprint scale blows the
-// RAM/IOPS budget. This tier instead composes, per the sparse-indexing /
-// extreme-binning family:
+// The exact tiers (MemIndex, PersistentIndex) find an anchor outside the
+// manifest cache through the engine's Hook bloom and an on-disk Hook read,
+// and the bloom must cover every stored Hook, which at the ROADMAP's
+// billion-fingerprint scale blows the RAM/IOPS budget. This tier instead
+// composes, per the sparse-indexing / extreme-binning family:
 //
 //  * a RESIDENT MAP — an exact map covering only the ManifestCache's
 //    resident manifests (the mirror invariant's normal put/erase flow);
@@ -17,8 +18,9 @@
 //    are stored again and MEASURED (sampled_missed_dup_bytes), not hidden.
 //
 // Persistence, all under Ns::kIndex with a "sampled-" name prefix (the
-// disk index's objects coexist; its rebuild spares this family and vice
-// versa), each CRC-sealed via framing::seal_object:
+// disk tier's objects coexist; gc's clearing of that tier spares this
+// family and this family's rebuild spares that tier), each CRC-sealed via
+// framing::seal_object:
 //
 //   sampled-meta            sample_bits + max_manifests_per_hook (geometry
 //                           owned by the repository), live state
@@ -63,12 +65,11 @@ class SampledIndex final : public FingerprintIndex {
  public:
   /// Opens (or initializes) the sampled tier over `backend`. When a
   /// sampled-meta exists its geometry (sample_bits, max_manifests_per_hook)
-  /// OVERRIDES the config — geometry is owned by the repository, exactly
-  /// like the disk index's shard count.
+  /// OVERRIDES the config — geometry is owned by the repository.
   explicit SampledIndex(StorageBackend& backend,
                         SampledIndexConfig config = {});
   /// Deliberately does NOT flush (crash-equivalent close; engines flush in
-  /// finish(), matching PersistentIndex).
+  /// finish()).
   ~SampledIndex() override = default;
 
   SampledIndex(const SampledIndex&) = delete;
@@ -81,11 +82,10 @@ class SampledIndex final : public FingerprintIndex {
   static std::optional<std::uint32_t> recorded_sample_bits(ByteSpan stored);
 
   const char* impl_name() const override { return "sampled"; }
-  std::optional<IndexEntry> lookup(const Digest& fp) override;
-  void put(const Digest& fp, const IndexEntry& entry) override;
+  std::optional<Digest> lookup(const Digest& fp) override;
+  void put(const Digest& fp, const Digest& manifest) override;
   /// Resident map only: champions deliberately survive eviction.
   bool erase(const Digest& fp) override;
-  bool maybe_contains(const Digest& fp) const override;
   /// Shadow-paged persistence of hook table + loss meter + counters.
   void flush() override;
   /// Resident-map entries (the exact, cache-mirroring part). The sparse
@@ -129,7 +129,7 @@ class SampledIndex final : public FingerprintIndex {
 
   StorageBackend& backend_;
   SampledIndexConfig cfg_;
-  std::unordered_map<Digest, IndexEntry, DigestHasher> resident_;
+  std::unordered_map<Digest, Digest, DigestHasher> resident_;
   similarity::HookTable hooks_;
   similarity::LossMeter meter_;
   std::uint32_t generation_ = 0;  ///< live sampled-state generation
@@ -154,7 +154,7 @@ SampledCheckReport check_sampled_index(const StorageBackend& backend);
 /// hooks namespace (sampled fingerprints only; the loss meter is seeded so
 /// already-stored chunks do not read as future misses), preserving the
 /// persisted geometry when the old meta is readable. Spares every
-/// non-"sampled-" index object — the disk index may coexist.
+/// non-"sampled-" index object — the disk tier may coexist.
 void rebuild_sampled_index(StorageBackend& backend,
                            SampledIndexConfig config = {});
 

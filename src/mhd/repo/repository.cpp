@@ -144,9 +144,6 @@ EngineConfig read_engine_flags(const Flags& flags, EngineConfig cfg) {
   cfg.index_impl = index == "disk"      ? IndexImpl::kDisk
                    : index == "sampled" ? IndexImpl::kSampled
                                         : IndexImpl::kMem;
-  cfg.index_cache_bytes =
-      flags.get_size("index-cache-mb", cfg.index_cache_bytes, 64ull << 10,
-                     1ull << 40, /*unit=*/1ull << 20);
   cfg.sample_bits = static_cast<std::uint32_t>(
       flags.get_uint("sample-bits", cfg.sample_bits, 0, 64));
   cfg.max_champions = static_cast<std::uint32_t>(

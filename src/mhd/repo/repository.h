@@ -25,8 +25,8 @@ EngineConfig read_ecs_sd_flags(const Flags& flags, EngineConfig cfg);
 
 /// Reads the engine flags dedup_cli and run_experiment share into `cfg`,
 /// which carries the CLI's defaults: --ecs --sd --chunker --chunker-impl
-/// --hash-impl --index-impl --index-cache-mb --sample-bits --champions
-/// --framed --fault-plan --container-mb --restore-cache-mb --rewrite.
+/// --hash-impl --index-impl --sample-bits --champions --framed
+/// --fault-plan --container-mb --restore-cache-mb --rewrite.
 /// Throws FlagError on any mistake.
 EngineConfig read_engine_flags(const Flags& flags, EngineConfig cfg);
 

@@ -411,6 +411,9 @@ bool DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
     base_bytes = ts.logical_bytes;
     base_files = ts.files;
   }
+  // A quota rejection is counted while the writer lock is held, answered
+  // with a Quota frame, and ends the connection (the client's data frames
+  // follow); it is the tenant's limit, not a protocol error.
   const auto& quota = cfg_.quota;
   if (quota.max_files != 0 && base_files + 1 > quota.max_files) {
     std::lock_guard<std::mutex> lock(reg_mu_);
@@ -419,7 +422,7 @@ bool DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
                 "file count limit " + std::to_string(quota.max_files) +
                     " reached");
     drain_rejected(fd);
-    throw ProtocolError("quota: file count");
+    return false;
   }
 
   // Remaining byte budget for this PUT (base + streamed > max aborts).
@@ -476,7 +479,7 @@ bool DedupDaemon::handle_put(int fd, FrameReader& reader, ByteSpan payload) {
     // Partially written chunks are unreferenced garbage; the next gc
     // maintenance pass reclaims them.
     drain_rejected(fd);
-    throw ProtocolError("quota: logical bytes");
+    return false;
   } catch (const TransientReadError& e) {
     // Store retries exhausted — a RETRYABLE failure, not a connection
     // death. The warm session is poisoned (half-ingested cache state) and
@@ -706,7 +709,6 @@ void DedupDaemon::handle_maintain(int fd, ByteSpan payload) {
             ",\"live_chunks\":" + std::to_string(r.live_chunks) +
             ",\"deleted_chunks\":" + std::to_string(r.deleted_chunks) +
             ",\"reclaimed_bytes\":" + std::to_string(r.reclaimed_bytes) +
-            ",\"index_rebuilt\":" + (r.index_rebuilt ? "true" : "false") +
             "}");
     return;
   }

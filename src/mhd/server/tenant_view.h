@@ -10,9 +10,9 @@
 //     is stored twice) — isolation beats ratio here, and it makes
 //     "N parallel tenants == N serial runs" a well-defined bit-level
 //     equivalence the tests assert;
-//   * the persistent fingerprint index is per tenant too (its meta/shard
-//     objects carry the prefix), so engines opened for different tenants
-//     never share index state;
+//   * the index tiers are per tenant too (their warm lists, aux blobs and
+//     sampled-* objects carry the prefix), so engines opened for different
+//     tenants never share index state;
 //   * container packing happens BELOW this layer, so physical containers
 //     may interleave chunks of different tenants — shared bandwidth,
 //     private namespaces.

@@ -22,9 +22,10 @@ enum class Ns : int {
   kHook,
   kManifest,
   kFileManifest,
-  /// Persistent fingerprint-index objects (bucket pages, journal, bloom
-  /// snapshot, meta — see index/persistent_index.h). Advisory: never
-  /// needed to restore data, rebuildable from the hooks namespace.
+  /// Index-tier objects: the disk tier's warm residency list and engine
+  /// aux blobs (index/persistent_index.h), the sampled tier's "sampled-"
+  /// family (index/sampled_index.h). Advisory: never needed to restore
+  /// data; a lost one costs missed duplicates at most.
   kIndex,
   /// Fixed-size containers packing chunk bytes in write order (record
   /// streams, like DiskChunks). Only present when the repository runs a

@@ -5,7 +5,6 @@
 #include "mhd/format/file_manifest.h"
 #include "mhd/format/manifest.h"
 #include "mhd/hash/sha1.h"
-#include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
 #include "mhd/store/container_store.h"
 #include "mhd/store/scoped_backend.h"
@@ -69,16 +68,12 @@ void collect_scope(StorageBackend& backend, GcReport& report) {
     }
   }
 
-  // The persistent fingerprint index (when present) may still map the
-  // swept manifests' fingerprints; rebuild it from the surviving hooks so
-  // no stale entry can ever resurrect a deleted chunk.
-  if (PersistentIndex::present(backend)) {
-    const std::uint64_t before = check_index(backend).entries;
-    rebuild_index(backend);
-    const std::uint64_t after = check_index(backend).entries;
-    report.index_rebuilt = true;
-    report.index_entries += after;
-    report.dropped_index_entries += before > after ? before - after : 0;
+  // The disk tier's warm list may name swept manifests, and its aux blobs
+  // describe data that may be gone: delete the tier (every index object
+  // outside the sampled family, including the page, journal and bloom
+  // objects earlier versions wrote), so the next open starts cold.
+  for (const auto& name : backend.list(Ns::kIndex)) {
+    if (name.rfind("sampled-", 0) != 0) backend.remove(Ns::kIndex, name);
   }
 
   // Same for the sampled similarity tier: swept champions must drop out

@@ -40,13 +40,9 @@ struct GcReport {
   std::uint64_t deleted_manifests = 0;
   std::uint64_t deleted_hooks = 0;
   std::uint64_t reclaimed_bytes = 0;
-  /// Persistent fingerprint index, when one exists: GC rebuilds it from
-  /// the surviving hooks so swept manifests leave no stale entries.
-  bool index_rebuilt = false;
-  std::uint64_t index_entries = 0;
-  std::uint64_t dropped_index_entries = 0;
-  /// Sampled similarity tier, when one exists: rebuilt the same way so
-  /// swept champions drop out of the hook table.
+  /// Sampled similarity tier, when one exists: rebuilt from the surviving
+  /// hooks so swept champions drop out of the hook table. (gc deletes the
+  /// disk tier's objects and reports nothing about them.)
   bool sampled_index_rebuilt = false;
   std::uint64_t sampled_hook_entries = 0;
   std::uint64_t dropped_sampled_champions = 0;
@@ -59,9 +55,10 @@ struct GcReport {
 };
 
 /// Mark-and-sweep garbage collection of every scope of `backend` (see file
-/// comment), each scope's index tiers rebuilt after its sweep. Safe to run
-/// at any time between backups; never touches objects reachable from a
-/// FileManifest of the same scope. On a framed store a CorruptObjectError
+/// comment); after each scope's sweep, its disk-tier index objects are
+/// deleted and its sampled tier is rebuilt. Safe to run at any time
+/// between backups; never touches objects reachable from a FileManifest
+/// of the same scope. On a framed store a CorruptObjectError
 /// propagates: a FileManifest that cannot be read could reference any
 /// chunk, so sweeping past it would risk deleting live data — run
 /// fsck_repository() first. With the stack's container layer

@@ -10,8 +10,9 @@
 //
 // '.' separates a scope from a bare name and appears in neither: tenant
 // ids exclude it (server::validate_tenant) and bare object names are hex
-// digests, "meta", "shard-…". So list() drops any stripped name that
-// still holds a '.': the empty scope does not see other scopes' objects.
+// digests, "warm", "aux-…", "sampled-meta". So list() drops any stripped
+// name that still holds a '.': the empty scope does not see other scopes'
+// objects.
 //
 // list()/object_count()/content_bytes() filter the full physical listing
 // (content_bytes by reading each object) — stats and fsck paths, not hot

@@ -11,7 +11,6 @@
 #include "mhd/format/file_manifest.h"
 #include "mhd/format/manifest.h"
 #include "mhd/hash/sha1.h"
-#include "mhd/index/persistent_index.h"
 #include "mhd/index/sampled_index.h"
 #include "mhd/store/container_store.h"
 #include "mhd/store/framing.h"
@@ -297,53 +296,48 @@ class Checker {
     }
   }
 
-  /// The scope's index tiers against its live hooks and manifests. The
-  /// disk index and the sampled tier ("sampled-" objects) share Ns::kIndex;
-  /// each one present is checked and rebuilt on its own, so a scope with
-  /// one tier is never "repaired" into having the other.
+  /// The scope's index tiers. The disk tier and the sampled tier
+  /// ("sampled-" objects) share Ns::kIndex. Every disk-tier object is
+  /// advisory (its warm list, aux blobs, or an earlier version's pages), so
+  /// each only has to be sealed, and repair deletes a damaged one. The
+  /// sampled tier is checked against the live manifests and rebuilt from
+  /// the hooks, so a scope with one tier is never "repaired" into having
+  /// the other.
   void check_tiers(ScopedBackend& view, const std::string& scope) {
-    bool present[2] = {false, false}, damaged[2] = {false, false};
+    bool sampled = false, sampled_damaged = false;
     for (const auto& name : view.list(Ns::kIndex)) {
-      const int tier = name.rfind("sampled-", 0) == 0 ? 1 : 0;
-      present[tier] = true;
-      if (!sealed(Ns::kIndex, scope + name)) damaged[tier] = true;
-    }
-    if (present[0]) {
-      IndexCheckReport r = check_index(view);
-      if (rebuild_tier(scope + "meta", damaged[0], r.meta_ok, r.stale_entries,
-                       r.corrupt_objects, " stale entries, ")) {
-        rebuild_index(view);
-        r = check_index(view);
+      const auto payload = sealed(Ns::kIndex, scope + name);
+      if (name.rfind("sampled-", 0) == 0) {
+        sampled = true;
+        sampled_damaged |= !payload;
+      } else if (payload && !framing::unseal_object(*payload)) {
+        auto& issue = add(Kind::kIndexInconsistent, Ns::kIndex, scope + name,
+                          "index object fails its seal");
+        if (repair_) {
+          raw_.remove(Ns::kIndex, scope + name);
+          fixed(issue, Action::kRemoved);
+        }
       }
-      rep_.index_entries += r.entries;
-      rep_.stale_index_entries += r.stale_entries;
     }
-    if (present[1]) {
-      SampledCheckReport r = check_sampled_index(view);
-      if (rebuild_tier(scope + "sampled-meta", damaged[1], r.meta_ok,
-                       r.stale_champions, r.corrupt_objects,
-                       " stale champions, ")) {
+    if (!sampled) return;
+    SampledCheckReport r = check_sampled_index(view);
+    if (!r.meta_ok || r.stale_champions != 0 || r.corrupt_objects != 0 ||
+        sampled_damaged) {
+      auto& issue = add(
+          Kind::kIndexInconsistent, Ns::kIndex, scope + "sampled-meta",
+          !r.meta_ok ? "objects present but meta unreadable"
+                     : std::to_string(r.stale_champions) +
+                           " stale champions, " +
+                           std::to_string(r.corrupt_objects) +
+                           " corrupt objects");
+      if (repair_) {
         rebuild_sampled_index(view);
+        fixed(issue, Action::kRebuilt);
         r = check_sampled_index(view);
       }
-      rep_.sampled_hook_entries += r.hook_entries;
-      rep_.stale_sampled_champions += r.stale_champions;
     }
-  }
-
-  /// Reports an inconsistent index tier; true when repair should rebuild
-  /// it from the hooks.
-  bool rebuild_tier(std::string meta, bool damaged, bool meta_ok,
-                    std::uint64_t stale, std::uint64_t corrupt,
-                    const char* stale_what) {
-    if (meta_ok && stale == 0 && corrupt == 0 && !damaged) return false;
-    auto& issue = add(Kind::kIndexInconsistent, Ns::kIndex, std::move(meta),
-                      !meta_ok ? "objects present but meta unreadable"
-                               : std::to_string(stale) + stale_what +
-                                     std::to_string(corrupt) +
-                                     " corrupt objects");
-    if (repair_) fixed(issue, Action::kRebuilt);
-    return repair_;
+    rep_.sampled_hook_entries += r.hook_entries;
+    rep_.stale_sampled_champions += r.stale_champions;
   }
 
   /// The object's stored bytes; nullopt when absent, or when the backend

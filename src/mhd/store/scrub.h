@@ -22,8 +22,9 @@
 // existing chunks within their logical size; each standard manifest must
 // tile its chunk, and every entry's SHA-1 must match the chunk's bytes
 // (checked holding one chunk, or one container, at a time, never a
-// container cache); hooks must point at an existing manifest; an index
-// tier must name only live manifests. Clean chunks referenced by no
+// container cache); hooks must point at an existing manifest; every
+// disk-tier index object must be sealed, and a sampled tier must name only
+// live manifests. Clean chunks referenced by no
 // FileManifest, and containers referenced by no chunk map, are orphans:
 // informational, collect_garbage() reclaims them.
 //
@@ -34,9 +35,9 @@
 //     directory (the CLIs pass <repo>/quarantine) preserved under
 //     <dir>/<namespace>/ for forensics. Only framed: without framing no
 //     verdict says which bytes are wrong;
-//   * dangling hooks are dropped and an inconsistent index tier is
-//     rebuilt from its scope's hooks — both are rebuildable indexes,
-//     never user data.
+//   * dangling hooks and damaged disk-tier index objects are dropped, and
+//     an inconsistent sampled tier is rebuilt from its scope's hooks —
+//     all advisory indexes, never user data.
 // Broken references, hash mismatches and orphans are only reported.
 //
 // Used by fsck_cli, `dedup_cli serve --fsck-on-start`, the daemon's
@@ -60,15 +61,15 @@ struct FsckIssue {
     kDanglingHook,  ///< hook -> missing manifest
     kBrokenRef,     ///< FileManifest/Manifest -> missing or short chunk
     kOrphan,        ///< clean chunk unreachable from any FileManifest
-    kIndexInconsistent,  ///< fingerprint index stale/torn vs live objects
+    kIndexInconsistent,  ///< index object unsealed, or sampled tier stale
     kHashMismatch,  ///< manifest entry's SHA-1 differs from its chunk bytes
   };
   enum class Action {
     kNone,             ///< reported only
     kTruncatedSealed,  ///< torn tail cut at last intact record + resealed
     kQuarantined,      ///< removed; bytes preserved under quarantine/
-    kRemoved,          ///< dropped (dangling hooks)
-    kRebuilt,          ///< fingerprint index rebuilt from the hooks
+    kRemoved,          ///< dropped (dangling hooks, disk-tier objects)
+    kRebuilt,          ///< sampled tier rebuilt from the hooks
   };
 
   Ns ns;
@@ -92,10 +93,7 @@ struct FsckReport {
   std::uint64_t orphans = 0;
   std::uint64_t repaired = 0;
   std::uint64_t salvaged_bytes = 0;  ///< logical bytes kept from torn tails
-  /// Persistent fingerprint index (zero when no index is present).
-  std::uint64_t index_entries = 0;
-  std::uint64_t stale_index_entries = 0;  ///< entry -> missing manifest
-  std::uint64_t index_issues = 0;  ///< inconsistent index structures found
+  std::uint64_t index_issues = 0;  ///< inconsistent index objects found
   /// Sampled similarity tier (zero when none is present).
   std::uint64_t sampled_hook_entries = 0;
   std::uint64_t stale_sampled_champions = 0;  ///< champion -> missing manifest

@@ -46,7 +46,7 @@ class Flags {
   /// Byte-size flag accepting K/M/G suffixes (powers of 1024): "--x=4M",
   /// "--x=128K", "--x=1G". A plain number is multiplied by `unit` (1 for
   /// flags taking bytes; 1<<20 for flags whose bare number means MB, like
-  /// --index-cache-mb). Returns `def` (already in bytes) when absent;
+  /// --container-mb). Returns `def` (already in bytes) when absent;
   /// throws FlagError — get_uint conventions — on malformed
   /// values, overflow, or a scaled result outside [min_value, max_value].
   std::uint64_t get_size(const std::string& key, std::uint64_t def,

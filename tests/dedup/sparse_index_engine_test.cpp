@@ -15,8 +15,7 @@ using testutil::random_bytes;
 EngineConfig small_config() {
   EngineConfig cfg;
   cfg.ecs = 512;
-  cfg.sd = 4;             // sample 1/4 of hashes as hooks
-  cfg.segment_factor = 5; // segments of ~10 KB
+  cfg.sd = 4;  // sample 1/4 of hashes as hooks; segments of ~10 KB
   cfg.bloom_bytes = 64 * 1024;
   return cfg;
 }
@@ -85,9 +84,10 @@ TEST(SparseIndexEngine, ChampionCapBoundsManifestLoadsPerSegment) {
   SparseIndexEngine engine(store, cfg);
   const Corpus corpus(test_preset(6));
   testutil::run_corpus(engine, corpus);
-  // Loads can never exceed champions * segments processed.
+  // Loads can never exceed champions * segments processed (a segment is
+  // ECS * SD * 5 bytes, paper Section V).
   const std::uint64_t segment_bytes =
-      static_cast<std::uint64_t>(cfg.ecs) * cfg.sd * cfg.segment_factor;
+      static_cast<std::uint64_t>(cfg.ecs) * cfg.sd * 5;
   const std::uint64_t segments =
       corpus.total_bytes() / segment_bytes + corpus.files().size();
   EXPECT_LE(engine.manifest_loads(), segments * cfg.max_champions);

@@ -18,8 +18,9 @@
 //    and restores correctly afterwards;
 //  * GC rebuilds the hook table so swept manifests cannot resurrect via
 //    stale champion references;
-//  * the sampled tier and the disk index coexist under Ns::kIndex —
-//    rebuilding either one spares the other.
+//  * the sampled tier and the disk tier coexist under Ns::kIndex —
+//    rebuilding the sampled tier spares the disk tier's warm list, and
+//    gc's deletion of the disk tier spares the sampled family.
 #include <algorithm>
 #include <string>
 #include <tuple>
@@ -54,10 +55,6 @@ EngineConfig engine_config(IndexImpl impl, std::uint32_t sample_bits = 4) {
   cfg.bloom_bytes = 64 * 1024;
   cfg.manifest_cache_bytes = 32 << 10;  // small enough to force evictions
   cfg.index_impl = impl;
-  cfg.index_cache_bytes = 256 << 10;
-  cfg.index_shards = 8;
-  cfg.index_journal_batch = 8;
-  cfg.index_compact_threshold = 64;
   cfg.sample_bits = sample_bits;
   return cfg;
 }
@@ -394,7 +391,7 @@ TEST(SampledGcInteraction, SweptChampionsAreDroppedAndRepoReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// Namespace coexistence: disk index and sampled tier share Ns::kIndex.
+// Namespace coexistence: disk tier and sampled tier share Ns::kIndex.
 
 TEST(SampledDiskCoexistence, RebuildingEitherTierSparesTheOther) {
   const Corpus corpus(sampled_corpus());
@@ -402,8 +399,8 @@ TEST(SampledDiskCoexistence, RebuildingEitherTierSparesTheOther) {
   MemoryBackend backend;
 
   // Generation 1 builds the sampled tier; generation 2 (a disk-index
-  // engine over the same repository) builds the persistent index next to
-  // it under the same namespace.
+  // engine over the same repository) saves the disk tier's warm list next
+  // to it under the same namespace.
   ingest_range("bf-mhd", engine_config(IndexImpl::kSampled, 4), corpus, 0,
                split, backend);
   ingest_range("bf-mhd", engine_config(IndexImpl::kDisk), corpus, split,
@@ -411,22 +408,25 @@ TEST(SampledDiskCoexistence, RebuildingEitherTierSparesTheOther) {
   ASSERT_TRUE(SampledIndex::present(backend));
   ASSERT_TRUE(PersistentIndex::present(backend));
   EXPECT_TRUE(check_sampled_index(backend).meta_ok);
-  EXPECT_TRUE(check_index(backend).meta_ok);
+  const auto warm = PersistentIndex(backend).load_warm_list();
+  ASSERT_FALSE(warm.empty());
 
-  // Rebuilding the disk index must not disturb the sampled tier...
-  rebuild_index(backend);
-  EXPECT_TRUE(check_index(backend).meta_ok);
+  // Rebuilding the sampled tier must not disturb the disk tier...
+  rebuild_sampled_index(backend);
+  EXPECT_TRUE(check_sampled_index(backend).meta_ok);
+  EXPECT_EQ(PersistentIndex(backend).load_warm_list(), warm);
+
+  // ...and gc, which deletes the disk tier, must leave the sampled tier
+  // whole.
+  collect_garbage(backend);
+  EXPECT_FALSE(PersistentIndex::present(backend));
   const auto sampled_after = check_sampled_index(backend);
   EXPECT_TRUE(sampled_after.meta_ok);
   EXPECT_EQ(sampled_after.corrupt_objects, 0u);
   EXPECT_GT(sampled_after.hook_entries, 0u);
-
-  // ...and vice versa.
-  rebuild_sampled_index(backend);
-  EXPECT_TRUE(check_sampled_index(backend).meta_ok);
-  const auto disk_after = check_index(backend);
-  EXPECT_TRUE(disk_after.meta_ok);
-  EXPECT_EQ(disk_after.corrupt_objects, 0u);
+  for (const auto& name : backend.list(Ns::kIndex)) {
+    EXPECT_EQ(name.rfind("sampled-", 0), 0u) << name;
+  }
 
   expect_all_restores_byte_exact(
       "bf-mhd", engine_config(IndexImpl::kSampled, 4), corpus, backend);

@@ -1,23 +1,33 @@
-// Engine-level acceptance for the persistent fingerprint index.
+// Engine-level acceptance for the disk index tier.
 //
 // The headline property: ingesting generation 1, closing the process, and
 // reopening with --index-impl=disk for generation 2 produces bit-identical
 // stored objects and dedup counters to one uninterrupted in-RAM run —
-// the warm restart restores the manifest-cache residency and the index
-// restores every learned fingerprint, so nothing is re-discovered the
-// expensive way. Also pinned here: the disk index's RAM stays within its
-// configured page-cache budget, and GC leaves no index entry behind that
-// could resurrect a swept manifest.
+// the warm restart restores the manifest-cache residency, and with it
+// (the mirror invariant) every fingerprint the uninterrupted run still
+// held, so nothing is re-discovered the expensive way. Also pinned here:
+// the tier stores only its warm list (and FBC's aux blob), a repository
+// holding an earlier version's index objects reopens, checks clean and
+// loses them to gc, and gc leaves no warm list behind that could reload
+// a swept manifest.
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mhd/index/persistent_index.h"
+#include "mhd/index/sampled_index.h"
 #include "mhd/sim/runner.h"
+#include "mhd/store/file_backend.h"
+#include "mhd/store/framed_backend.h"
+#include "mhd/store/framing.h"
 #include "mhd/store/maintenance.h"
 #include "mhd/store/memory_backend.h"
+#include "mhd/store/scoped_backend.h"
 #include "mhd/store/scrub.h"
 #include "mhd/workload/presets.h"
 
@@ -38,12 +48,6 @@ EngineConfig engine_config(IndexImpl impl) {
   cfg.bloom_bytes = 64 * 1024;
   cfg.manifest_cache_bytes = 32 << 10;  // small enough to see evictions
   cfg.index_impl = impl;
-  cfg.index_cache_bytes = 256 << 10;
-  // Shrunk geometry so a test-sized corpus exercises journal segment
-  // rollover AND compaction, not just the in-RAM delta.
-  cfg.index_shards = 8;
-  cfg.index_journal_batch = 8;
-  cfg.index_compact_threshold = 64;
   return cfg;
 }
 
@@ -145,10 +149,9 @@ TEST_P(WarmRestartTest, ReopenedDiskIndexMatchesUninterruptedMemRun) {
   EXPECT_EQ(mem_loads, gen1_loads + gen2_loads);
 
   // The disk side is self-consistent on top of being equivalent.
-  const auto report = check_index(disk_backend);
-  EXPECT_TRUE(report.meta_ok);
-  EXPECT_EQ(report.stale_entries, 0u);
-  EXPECT_EQ(report.corrupt_objects, 0u);
+  const auto report =
+      fsck_repository(disk_backend, /*repair=*/false, {}, /*framed=*/false);
+  EXPECT_TRUE(report.issues.empty()) << report.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -160,35 +163,12 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(DiskIndexBudget, PageCacheHighWaterStaysWithinConfiguredBudget) {
-  const Corpus corpus(two_generation_corpus());
-  MemoryBackend backend;
-  ObjectStore store(backend);
-  EngineConfig cfg = engine_config(IndexImpl::kDisk);
-  cfg.index_cache_bytes = 8 << 10;  // deliberately tiny: force churn
-  cfg.index_shards = 64;
-  auto engine = make_engine("bf-mhd", store, cfg);
-  for (std::size_t i = 0; i < corpus.files().size(); ++i) {
-    auto src = corpus.open(i);
-    engine->add_file(corpus.files()[i].name, *src);
-  }
-  engine->finish();
-
-  const auto* index =
-      dynamic_cast<const PersistentIndex*>(engine->fingerprint_index());
-  ASSERT_NE(index, nullptr);
-  EXPECT_GT(index->entry_count(), 0u);
-  EXPECT_LE(index->page_cache_ram_high_water(), index->page_cache_budget());
-  // The reported RAM high-water covers at least the bounded page cache.
-  EXPECT_GE(engine->index_ram_bytes(), index->page_cache_ram_high_water());
-}
-
 TEST(GcIndexInteraction, SweptManifestsDoNotResurrectAfterReopen) {
   const Corpus corpus(two_generation_corpus());
   MemoryBackend backend;
   ingest_range("bf-mhd", IndexImpl::kDisk, corpus, 0, corpus.files().size(),
                backend);
-  ASSERT_EQ(check_index(backend).stale_entries, 0u);
+  ASSERT_FALSE(PersistentIndex(backend).load_warm_list().empty());
 
   // Forget every snapshot, then sweep: cross-snapshot sharing would keep
   // a partially-deleted repository's manifests alive, and this test needs
@@ -199,16 +179,11 @@ TEST(GcIndexInteraction, SweptManifestsDoNotResurrectAfterReopen) {
     deleted.push_back(i);
   }
   const GcReport gc = collect_garbage(backend);
-  EXPECT_TRUE(gc.index_rebuilt);
   EXPECT_GT(gc.deleted_manifests, 0u);
-  EXPECT_GT(gc.dropped_index_entries, 0u);
 
-  // No index entry may survive pointing at a swept manifest — that entry
-  // could hand a reopened engine a dangling duplicate reference.
-  const auto after_gc = check_index(backend);
-  EXPECT_TRUE(after_gc.meta_ok);
-  EXPECT_EQ(after_gc.stale_entries, 0u);
-  EXPECT_EQ(after_gc.entries, gc.index_entries);
+  // No warm list may survive naming a swept manifest: the tier is gone,
+  // and the reopened engine starts cold.
+  EXPECT_EQ(backend.object_count(Ns::kIndex), 0u);
 
   // Reopen and re-ingest the deleted files: the index must re-learn them
   // (not "remember" them), and every file must restore byte-exactly.
@@ -226,12 +201,123 @@ TEST(GcIndexInteraction, SweptManifestsDoNotResurrectAfterReopen) {
     ASSERT_TRUE(restored.has_value()) << corpus.files()[i].name;
     ASSERT_TRUE(equal(*restored, original)) << corpus.files()[i].name;
   }
-  const auto final_report = check_index(backend);
-  EXPECT_TRUE(final_report.meta_ok);
-  EXPECT_EQ(final_report.stale_entries, 0u);
   const auto fsck =
       fsck_repository(backend, /*repair=*/false, {}, /*framed=*/false);
   EXPECT_TRUE(fsck.clean()) << fsck.to_string();
+}
+
+// The tier stores what decides the next run and nothing else: after a
+// real ingest on a framed FileBackend, index/ holds the warm list, plus
+// FBC's frequency sketch.
+class DiskTierObjectsTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DiskTierObjectsTest, FramedFileRepositoryHoldsOnlyWarmList) {
+  const std::string engine_name = GetParam();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("mhd_disk_tier_" + engine_name + "_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const Corpus corpus(two_generation_corpus());
+  {
+    FileBackend file(dir);
+    FramedBackend framed(file);
+    ingest_range(engine_name, IndexImpl::kDisk, corpus, 0,
+                 corpus.files().size(), framed);
+  }
+  FileBackend file(dir);
+  auto names = file.list(Ns::kIndex);
+  std::sort(names.begin(), names.end());
+  const std::vector<std::string> expected =
+      engine_name == "fbc" ? std::vector<std::string>{"aux-fbc-frequency", "warm"}
+                           : std::vector<std::string>{"warm"};
+  EXPECT_EQ(names, expected);
+  EXPECT_FALSE(PersistentIndex(file).load_warm_list().empty());
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IndexedEngines, DiskTierObjectsTest,
+    testing::Values("mhd", "bf-mhd", "cdc", "bimodal", "fbc"),
+    [](const testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name;
+    });
+
+// A scope written by an earlier version also holds that version's copy of
+// the map: a meta object, bucket pages, journal segments and a bloom
+// snapshot. The engine ignores them, fsck accepts them while they are
+// sealed, and gc removes them with the rest of the disk tier, sparing a
+// sampled tier beside it.
+TEST(EarlierIndexObjects, ReopenCheckCleanAndGcRemovesThem) {
+  const Corpus corpus(two_generation_corpus());
+  const std::size_t split = corpus.files().size() / 2;
+  const std::vector<std::string> planted = {"bloom", "journal-0", "meta",
+                                            "shard-0-g1"};
+  // Two tenant scopes ingest generation 1 alike; one also gets the
+  // earlier version's objects.
+  MemoryBackend backend;
+  ScopedBackend old_scope(backend, "t1.");
+  ScopedBackend twin_scope(backend, "t2.");
+  ingest_range("bf-mhd", IndexImpl::kDisk, corpus, 0, split, old_scope);
+  ingest_range("bf-mhd", IndexImpl::kDisk, corpus, 0, split, twin_scope);
+  const auto warm = PersistentIndex(old_scope).load_warm_list();
+  ASSERT_FALSE(warm.empty());
+  for (const auto& name : planted) {
+    old_scope.put(Ns::kIndex, name,
+                  framing::seal_object(as_bytes("earlier format: " + name)));
+  }
+
+  // Reopen: the same residency loads, and generation 2 decides exactly as
+  // in the twin scope, which never held the earlier objects.
+  EXPECT_EQ(PersistentIndex(old_scope).load_warm_list(), warm);
+  const auto [old_counters, old_loads] = ingest_range(
+      "bf-mhd", IndexImpl::kDisk, corpus, split, corpus.files().size(),
+      old_scope);
+  const auto [twin_counters, twin_loads] = ingest_range(
+      "bf-mhd", IndexImpl::kDisk, corpus, split, corpus.files().size(),
+      twin_scope);
+  expect_counters_equal(old_counters, twin_counters);
+  EXPECT_EQ(old_loads, twin_loads);
+  for (const Ns ns : {Ns::kDiskChunk, Ns::kHook, Ns::kManifest,
+                      Ns::kFileManifest}) {
+    expect_namespace_identical(old_scope, twin_scope, ns);
+  }
+
+  // A sampled tier beside them, built from the scope's hooks.
+  rebuild_sampled_index(old_scope);
+  std::vector<std::pair<std::string, ByteVec>> sampled;
+  for (const auto& name : old_scope.list(Ns::kIndex)) {
+    if (name.rfind("sampled-", 0) == 0) {
+      sampled.emplace_back(name, *old_scope.get(Ns::kIndex, name));
+    }
+  }
+  std::sort(sampled.begin(), sampled.end());
+  ASSERT_FALSE(sampled.empty());
+
+  const auto fsck =
+      fsck_repository(backend, /*repair=*/false, {}, /*framed=*/false);
+  EXPECT_TRUE(fsck.issues.empty()) << fsck.to_string();
+
+  // gc deletes the disk tier of every scope: the planted objects and the
+  // scope's own warm list. The sampled family is rebuilt from the same
+  // hooks, so its objects come back byte-identical.
+  for (const auto& name : planted) {
+    ASSERT_TRUE(old_scope.exists(Ns::kIndex, name)) << name;
+  }
+  const GcReport gc = collect_garbage(backend);
+  EXPECT_EQ(gc.deleted_chunks, 0u);
+  std::vector<std::pair<std::string, ByteVec>> left;
+  for (const auto& name : old_scope.list(Ns::kIndex)) {
+    left.emplace_back(name, *old_scope.get(Ns::kIndex, name));
+  }
+  std::sort(left.begin(), left.end());
+  ASSERT_EQ(left.size(), sampled.size());
+  for (std::size_t i = 0; i < left.size(); ++i) {
+    EXPECT_EQ(left[i].first, sampled[i].first);
+    EXPECT_TRUE(equal(left[i].second, sampled[i].second)) << left[i].first;
+  }
+  EXPECT_EQ(twin_scope.object_count(Ns::kIndex), 0u);
 }
 
 }  // namespace

@@ -121,13 +121,13 @@ TEST_P(CrashRecoveryTest, CrashAtEveryPhaseThenFsckThenResumeRestoresExactly) {
   }
 }
 
-// --- Persistent-index crash windows ---------------------------------------
+// --- Disk-tier index crash window -------------------------------------------
 //
-// The generic sweep above crashes at evenly spaced ops; these two tests aim
-// the crash directly at the index's own durability machinery: mid
-// journal-segment append and mid compaction (shard page / meta writes).
-// Either way the repo must fsck clean, resume, and restore byte-exactly —
-// the index is advisory and must never take user data down with it.
+// The generic sweep above crashes at evenly spaced ops; this test aims the
+// crash directly at the disk tier's one write, the warm list put at the
+// end of an ingest. The repo must fsck clean (after repair), resume, and
+// restore byte-exactly — the index is advisory and must never take user
+// data down with it.
 
 /// Records the (ns, name) of every mutating op, 1-based, in the exact
 /// order FaultInjectingBackend counts them — so a test can aim crash@N at
@@ -184,12 +184,6 @@ class RecordingBackend final : public StorageBackend {
     return out;
   }
 
-  /// 1-based op numbers whose object name starts with `prefix` in kIndex.
-  std::vector<std::uint64_t> index_ops_with_prefix(
-      const std::string& prefix) const {
-    return ops_with_prefix(Ns::kIndex, prefix);
-  }
-
  private:
   void note(Ns ns, const std::string& name) { ops_.emplace_back(ns, name); }
 
@@ -200,18 +194,11 @@ class RecordingBackend final : public StorageBackend {
 EngineConfig disk_index_config() {
   EngineConfig cfg = engine_config();
   cfg.index_impl = IndexImpl::kDisk;
-  // Shrunk geometry so the test corpus crosses several journal segments
-  // and at least one compaction during ingest.
-  cfg.index_shards = 8;
-  cfg.index_journal_batch = 4;
-  cfg.index_compact_threshold = 48;
   return cfg;
 }
 
 bool ingest_all_disk_index(const Corpus& corpus, StorageBackend& backend) {
   ObjectStore store(backend);
-  // Construction is inside the try: a crash aimed at the index's very
-  // first meta write fires in the PersistentIndex constructor.
   try {
     auto engine = make_engine("bf-mhd", store, disk_index_config());
     for (std::size_t i = 0; i < corpus.files().size(); ++i) {
@@ -225,7 +212,7 @@ bool ingest_all_disk_index(const Corpus& corpus, StorageBackend& backend) {
   return true;
 }
 
-void crash_at_index_ops(const std::string& op_prefix) {
+TEST(IndexCrashRecovery, CrashAtWarmListPutThenFsckRestoresExactly) {
   const Corpus corpus(small_corpus());
 
   // Dry run: map every mutation number to the object it wrote, so the
@@ -236,20 +223,12 @@ void crash_at_index_ops(const std::string& op_prefix) {
     RecordingBackend recorder(scratch);
     FramedBackend framed(recorder);
     ASSERT_TRUE(ingest_all_disk_index(corpus, framed));
-    target_ops = recorder.index_ops_with_prefix(op_prefix);
+    target_ops = recorder.ops_with_prefix(Ns::kIndex, "warm");
   }
-  ASSERT_FALSE(target_ops.empty())
-      << "ingest never wrote a " << op_prefix << "* index object — the "
-      << "shrunken geometry no longer exercises this crash window";
+  ASSERT_FALSE(target_ops.empty()) << "ingest never wrote its warm list";
 
-  // First, middle and last occurrence: covers segment 0, steady state,
-  // and the final flush (for compaction: first/last page + meta commit).
-  std::set<std::uint64_t> crash_points = {
-      target_ops.front(), target_ops[target_ops.size() / 2],
-      target_ops.back()};
-
-  for (const std::uint64_t k : crash_points) {
-    SCOPED_TRACE("crash@" + std::to_string(k) + " (" + op_prefix + "*)");
+  for (const std::uint64_t k : target_ops) {
+    SCOPED_TRACE("crash@" + std::to_string(k) + " (warm)");
     MemoryBackend raw;
     {
       FaultPlan plan;
@@ -277,18 +256,6 @@ void crash_at_index_ops(const std::string& op_prefix) {
       ASSERT_TRUE(equal(*restored, original));
     }
   }
-}
-
-TEST(IndexCrashRecovery, CrashDuringJournalAppendThenFsckRestoresExactly) {
-  crash_at_index_ops("journal-");
-}
-
-TEST(IndexCrashRecovery, CrashDuringCompactionThenFsckRestoresExactly) {
-  crash_at_index_ops("shard-");
-}
-
-TEST(IndexCrashRecovery, CrashAtMetaCommitThenFsckRestoresExactly) {
-  crash_at_index_ops("meta");
 }
 
 // --- Container-store crash windows ----------------------------------------

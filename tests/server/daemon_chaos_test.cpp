@@ -11,8 +11,8 @@
 //      of the crash is invisible (never half a file).
 //   2. After recovery + re-ingest, the repository is BIT-IDENTICAL to an
 //      uninterrupted baseline run — every namespace, index included (gc
-//      rebuilds the persistent index from surviving hooks, which is what
-//      makes the comparison exact rather than merely equivalent).
+//      deletes the disk tier's warm lists, which is what makes the
+//      comparison exact rather than merely equivalent).
 //
 // TSan constraint: fork() from a multi-threaded process is undefined
 // enough that TSan refuses it — so the PARENT (this test) never spawns a
@@ -264,24 +264,21 @@ std::filesystem::path fresh_dir(const std::string& tag) {
 // --- Scenarios ------------------------------------------------------------
 
 /// Engine variants: the in-memory index (crash state = store objects
-/// only) and the persistent disk index with geometry small enough that
-/// journal appends and compaction are live when the SIGKILL lands.
+/// only) and the disk index tier, whose warm list is rewritten at every
+/// PUT's session flush.
 class DaemonChaosTest : public ::testing::TestWithParam<std::string> {
  protected:
   EngineConfig engine() const {
     EngineConfig cfg;
     if (GetParam() == "disk-index") {
       cfg.index_impl = IndexImpl::kDisk;
-      cfg.index_shards = 4;
-      cfg.index_journal_batch = 8;
-      cfg.index_compact_threshold = 16;
     }
     return cfg;
   }
 
   /// The uninterrupted reference run. gc after f0+f1 mirrors the victim's
-  /// post-crash cleanup point (gc rebuilds the index, so the baseline must
-  /// rebuild at the same logical position for bit-identity); the final gc
+  /// post-crash cleanup point (gc deletes the disk tier, so the baseline
+  /// must do so at the same logical position for bit-identity); the final gc
   /// is the shared normalization both runs end on.
   void build_baseline(const std::filesystem::path& dir) {
     DaemonProc d = spawn_daemon(dir, engine());
@@ -347,7 +344,7 @@ TEST_P(DaemonChaosTest, KillNineMidGcDuringRecoveryStillConverges) {
 
   // Compound failure: crash mid-PUT, then crash AGAIN during the recovery
   // gc that is sweeping the first crash's residue (mid chunk sweep or mid
-  // index rebuild). Recovery must still converge.
+  // index deletion). Recovery must still converge.
   const auto dir = fresh_dir(GetParam() + "_gc_victim");
   DaemonProc d = spawn_daemon(dir, engine());
   ASSERT_FALSE(d.spec.empty()) << "victim daemon failed to boot";

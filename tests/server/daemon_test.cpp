@@ -175,12 +175,8 @@ TEST(DaemonTest, DiskIndexTenantsBitIdenticalToSerial) {
   DaemonConfig dc;
   dc.listen = "tcp:0";
   dc.max_sessions = 4;
-  // Per-tenant persistent index with geometry small enough to exercise
-  // journal sealing and compaction during the test.
+  // Per-tenant disk index tier.
   dc.engine.index_impl = IndexImpl::kDisk;
-  dc.engine.index_shards = 4;
-  dc.engine.index_journal_batch = 8;
-  dc.engine.index_compact_threshold = 16;
 
   MemoryBackend repo;
   DedupDaemon daemon(repo, repo, dc);
@@ -343,8 +339,7 @@ TEST(DaemonTest, WarmSessionsInterleavedWithGcBitIdenticalToSerial) {
 /// Same interleaved schedule on the persistent (disk) index, with a full
 /// daemon restart between the gc and the second PUT round: the restarted
 /// daemon's engines warm-load the on-disk index, append to it, and the
-/// final repository — including every Ns::kIndex meta/shard/journal/bloom
-/// object — must match the serial fresh-engine baseline that never had a
+/// final repository — including every Ns::kIndex warm list — must match the serial fresh-engine baseline that never had a
 /// warm engine or a restart.
 TEST(DaemonTest, DiskIndexInterleavedGcAndRestartBitIdenticalToSerial) {
   constexpr int kTenants = 8;
@@ -352,9 +347,6 @@ TEST(DaemonTest, DiskIndexInterleavedGcAndRestartBitIdenticalToSerial) {
   dc.listen = "tcp:0";
   dc.max_sessions = kTenants + 1;
   dc.engine.index_impl = IndexImpl::kDisk;
-  dc.engine.index_shards = 4;
-  dc.engine.index_journal_batch = 8;
-  dc.engine.index_compact_threshold = 16;
 
   MemoryBackend repo;
   std::atomic<int> failures{0};
@@ -516,6 +508,8 @@ TEST(DaemonTest, LogicalByteQuotaAbortsMidStream) {
             std::string::npos)
       << daemon.stats_json();
   daemon.stop();
+  // A refused PUT is the tenant's limit, not a protocol error.
+  EXPECT_EQ(daemon.protocol_errors(), 0u);
 }
 
 TEST(DaemonTest, FileCountQuotaRejectsAtPutBegin) {
@@ -539,6 +533,7 @@ TEST(DaemonTest, FileCountQuotaRejectsAtPutBegin) {
   EXPECT_NE(r.message.find("file count limit"), std::string::npos)
       << r.message;
   daemon.stop();
+  EXPECT_EQ(daemon.protocol_errors(), 0u);
 }
 
 TEST(DaemonTest, InvalidTenantIdsAreRejectedAtTheBoundary) {

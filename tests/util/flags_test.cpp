@@ -126,7 +126,7 @@ TEST(Flags, SizeParsesSuffixes) {
 }
 
 TEST(Flags, SizeAppliesUnitToBareNumbersOnly) {
-  // --index-cache-mb style: a bare "8" means 8 MB, an explicit "512K"
+  // --restore-cache-mb style: a bare "8" means 8 MB, an explicit "512K"
   // overrides the unit.
   const auto f = make_flags({"--cache=8"});
   EXPECT_EQ(f.get_size("cache", 0, 0, UINT64_MAX, 1ull << 20), 8ull << 20);
