@@ -282,6 +282,7 @@ int cmd_gc(const Flags& flags) {
     return 2;
   }
   Repository repo = open_repository(args[1], flags, OpenMode::kWrite);
+  repo.file().sweep_temps();
   const auto r =
       collect_garbage(repo.stack().top(), repo.stack().containers());
   std::printf("gc: %llu live chunks kept, %llu chunks deleted (%.2f MB "
@@ -367,6 +368,7 @@ int cmd_serve(const Flags& flags) {
     // The repair pass reports what it FOUND (and fixed); a read-only
     // second pass proves what is LEFT.
     const bool framed = repo.config().framed;
+    repo.file().sweep_temps();
     const FsckReport rep =
         fsck_repository(repo.file(), /*repair=*/true,
                         repo.file().root() / "quarantine", framed);

@@ -68,7 +68,10 @@ int cmd_check(const Flags& flags, bool repair) {
       open_repository(args[1], Flags(0, nullptr), OpenMode::kRead);
   // Repair mutates objects, so it holds the writer lock for its whole run.
   std::optional<StoreLock> lock;
-  if (repair) lock.emplace(StoreLock::acquire(args[1]));
+  if (repair) {
+    lock.emplace(StoreLock::acquire(args[1]));
+    repo.file().sweep_temps();
+  }
   const bool framed = repo.config().framed;
   const auto report = fsck_repository(
       repo.file(), repair, repo.file().root() / "quarantine", framed);

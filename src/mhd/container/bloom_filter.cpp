@@ -5,16 +5,8 @@
 #include <stdexcept>
 
 #include "mhd/hash/mix.h"
-#include "mhd/util/crc32c.h"
 
 namespace mhd {
-
-namespace {
-constexpr std::uint32_t kBloomMagic = 0x3146424Du;  // "MBF1"
-constexpr std::uint32_t kBloomVersion = 1;
-/// magic + version + k + inserted + word count.
-constexpr std::size_t kBloomHeaderBytes = 4 + 4 + 4 + 8 + 8;
-}  // namespace
 
 BloomFilter::BloomFilter(std::size_t bytes, int k)
     : bits_((std::max<std::size_t>(bytes, 8) + 7) / 8, 0),
@@ -46,10 +38,8 @@ void BloomFilter::insert(std::uint64_t key) {
   }
   // Count only inserts that set a new bit: the load estimate then depends
   // solely on the SET of keys ever inserted, not on how many times each
-  // was re-inserted. That determinism is load-bearing — a warm-restart
-  // re-learn re-inserts known keys, and the serialized filter must stay
-  // bit-identical to one that never went through the re-learn (the
-  // daemon's warm-engine-vs-fresh-engine equivalence).
+  // was re-inserted, so a warm-restart re-learn (which re-inserts known
+  // keys) leaves the filter identical to one that never went through it.
   if (changed) ++inserted_;
 }
 
@@ -66,45 +56,6 @@ bool BloomFilter::maybe_contains(std::uint64_t key) const {
 void BloomFilter::clear() {
   std::fill(bits_.begin(), bits_.end(), 0);
   inserted_ = 0;
-}
-
-ByteVec BloomFilter::serialize() const {
-  ByteVec out;
-  out.reserve(kBloomHeaderBytes + bits_.size() * 8 + 4);
-  append_le(out, kBloomMagic);
-  append_le(out, kBloomVersion);
-  append_le(out, static_cast<std::uint32_t>(k_));
-  append_le(out, inserted_);
-  append_le(out, static_cast<std::uint64_t>(bits_.size()));
-  for (std::uint64_t word : bits_) append_le(out, word);
-  append_le(out, crc32c(0, out));
-  return out;
-}
-
-std::optional<BloomFilter> BloomFilter::deserialize(ByteSpan data) {
-  if (data.size() < kBloomHeaderBytes + 4) return std::nullopt;
-  if (load_le<std::uint32_t>(data.data()) != kBloomMagic) return std::nullopt;
-  if (load_le<std::uint32_t>(data.data() + 4) != kBloomVersion) {
-    return std::nullopt;
-  }
-  const auto k = load_le<std::uint32_t>(data.data() + 8);
-  const auto inserted = load_le<std::uint64_t>(data.data() + 12);
-  const auto words = load_le<std::uint64_t>(data.data() + 20);
-  if (k == 0 || words == 0) return std::nullopt;
-  if (data.size() != kBloomHeaderBytes + words * 8 + 4) return std::nullopt;
-  const std::size_t body = data.size() - 4;
-  if (load_le<std::uint32_t>(data.data() + body) !=
-      crc32c(0, data.subspan(0, body))) {
-    return std::nullopt;
-  }
-  BloomFilter filter(static_cast<std::size_t>(words) * 8,
-                     static_cast<int>(k));
-  for (std::uint64_t i = 0; i < words; ++i) {
-    filter.bits_[i] =
-        load_le<std::uint64_t>(data.data() + kBloomHeaderBytes + i * 8);
-  }
-  filter.inserted_ = inserted;
-  return filter;
 }
 
 double BloomFilter::estimated_fp_rate() const {

@@ -5,11 +5,9 @@
 // distributed, and the k probe positions are derived by double hashing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
-
-#include "mhd/util/bytes.h"
 
 namespace mhd {
 
@@ -32,23 +30,12 @@ class BloomFilter {
   std::size_t size_bytes() const { return bits_.size() * sizeof(std::uint64_t); }
   /// Inserts that set at least one new bit — effectively the distinct-key
   /// load. Re-inserting a known key (a warm-restart re-learn) does not
-  /// move it, so the serialized filter is a pure function of the key set.
+  /// move it, so the count is a pure function of the key set.
   std::uint64_t inserted_count() const { return inserted_; }
   int probes() const { return k_; }
 
   /// Predicted false-positive rate for the current load.
   double estimated_fp_rate() const;
-
-  /// Versioned, CRC32C-framed snapshot:
-  ///   [magic "MBF1"][version u32][k u32][inserted u64][words u64]
-  ///   [bit words...][crc32c u32 over everything before]
-  ByteVec serialize() const;
-
-  /// Rebuilds a filter from serialize() output. nullopt on wrong magic or
-  /// version, truncation, length mismatch, or CRC mismatch — a damaged
-  /// snapshot must be rejected, never half-loaded (a bloom with missing
-  /// bits would return false negatives, which breaks its contract).
-  static std::optional<BloomFilter> deserialize(ByteSpan data);
 
  private:
   std::vector<std::uint64_t> bits_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mhd/index/index_object.h"
 #include "mhd/index/mem_index.h"
 #include "mhd/index/similarity/sampling.h"
 #include "mhd/store/framing.h"
@@ -35,27 +36,8 @@ Digest read_digest(const Byte* p) {
   return d;
 }
 
-/// Unseals an index object's bytes, peeling double framing (works on the
-/// raw backend's bytes for fsck and on the logical view's for engines
-/// alike).
-std::optional<ByteVec> unseal_all(ByteSpan framed) {
-  auto payload = framing::unseal_object(framed);
-  if (!payload) return std::nullopt;
-  while (auto inner = framing::unseal_object(*payload)) payload = inner;
-  return payload;
-}
-
-/// Reads and unseals one index object.
-std::optional<ByteVec> get_unsealed(const StorageBackend& backend,
-                                    const std::string& name) {
-  std::optional<ByteVec> framed;
-  try {
-    framed = backend.get(Ns::kIndex, name);
-  } catch (const StoreError&) {
-    return std::nullopt;
-  }
-  return framed ? unseal_all(*framed) : std::nullopt;
-}
+using index_object::get_unsealed;
+using index_object::unseal_all;
 
 struct MetaView {
   std::uint32_t sample_bits = 0;
@@ -255,30 +237,13 @@ std::optional<ByteVec> SampledIndex::load_aux(const std::string& name) const {
 }
 
 void SampledIndex::save_warm_list(const std::vector<Digest>& names) {
-  ByteVec payload;
-  payload.reserve(16 + names.size() * Digest::kSize);
-  append_le(payload, kWarmMagic);
-  append_le(payload, kFormatVersion);
-  append_le(payload, static_cast<std::uint64_t>(names.size()));
-  for (const auto& name : names) append(payload, name.span());
-  backend_.put(Ns::kIndex, kWarmName, framing::seal_object(payload));
+  index_object::put_warm_list(backend_, kWarmName, kWarmMagic,
+                              kFormatVersion, names);
 }
 
 std::vector<Digest> SampledIndex::load_warm_list() const {
-  const auto payload = get_unsealed(backend_, kWarmName);
-  if (!payload) return {};
-  constexpr std::size_t kHeader = 4 + 4 + 8;
-  if (payload->size() < kHeader) return {};
-  if (load_le<std::uint32_t>(payload->data()) != kWarmMagic) return {};
-  if (load_le<std::uint32_t>(payload->data() + 4) != kFormatVersion) return {};
-  const auto count = load_le<std::uint64_t>(payload->data() + 8);
-  if (payload->size() != kHeader + count * Digest::kSize) return {};
-  std::vector<Digest> names;
-  names.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    names.push_back(read_digest(payload->data() + kHeader + i * Digest::kSize));
-  }
-  return names;
+  return index_object::get_warm_list(backend_, kWarmName, kWarmMagic,
+                                     kFormatVersion);
 }
 
 void SampledIndex::rebuild_from_hooks() {

@@ -37,13 +37,18 @@ void write_all_or_throw(const fs::path& p, ByteSpan data,
 
 FileBackend::FileBackend(fs::path root) : root_(std::move(root)) {
   for (int i = 0; i < static_cast<int>(Ns::kCount); ++i) {
-    const fs::path dir = root_ / ns_name(static_cast<Ns>(i));
-    fs::create_directories(dir);
-    // Orphaned temp files are debris from an interrupted atomic put: the
-    // rename never happened, so the old object (if any) is still intact.
-    // Their names alone mark them, so the sweep stats nothing.
+    fs::create_directories(root_ / ns_name(static_cast<Ns>(i)));
+  }
+}
+
+void FileBackend::sweep_temps() {
+  // Orphaned temp files are debris from an interrupted atomic put: the
+  // rename never happened, so the old object (if any) is still intact.
+  // Their names alone mark them, so the sweep stats nothing.
+  for (int i = 0; i < static_cast<int>(Ns::kCount); ++i) {
     std::vector<fs::path> stale_tmps;
-    for (const auto& entry : fs::directory_iterator(dir)) {
+    for (const auto& entry :
+         fs::directory_iterator(root_ / ns_name(static_cast<Ns>(i)))) {
       if (is_tmp(entry.path())) stale_tmps.push_back(entry.path());
     }
     for (const auto& tmp : stale_tmps) fs::remove(tmp);

@@ -11,9 +11,16 @@ namespace mhd {
 
 class FileBackend final : public StorageBackend {
  public:
-  /// Creates <root>/<namespace>/ directories as needed and sweeps stale
-  /// temp files; reads and stats no object.
+  /// Creates <root>/<namespace>/ directories as needed; lists, reads and
+  /// stats no object.
   explicit FileBackend(std::filesystem::path root);
+
+  /// Removes the `.tmp` files interrupted atomic puts left behind. Lists
+  /// every namespace directory, so it runs where the repository is walked
+  /// anyway (gc, fsck repair, serve --fsck-on-start), not at open. Until
+  /// then a stale temp is harmless: list, object_count and content_bytes
+  /// skip it, and a put of the same name truncates it.
+  void sweep_temps();
 
   void put(Ns ns, const std::string& name, ByteSpan data) override;
   void append(Ns ns, const std::string& name, ByteSpan data) override;
@@ -38,8 +45,8 @@ class FileBackend final : public StorageBackend {
 };
 
 /// Atomic replace: writes `<path>.tmp`, then renames it over `path`, so a
-/// crash leaves the old file or the new one, never a mix (FileBackend
-/// sweeps stale .tmp objects on reopen). Throws BackendIoError.
+/// crash leaves the old file or the new one, never a mix
+/// (FileBackend::sweep_temps removes a stale .tmp). Throws BackendIoError.
 void write_file_atomically(const std::filesystem::path& path, ByteSpan data);
 
 }  // namespace mhd

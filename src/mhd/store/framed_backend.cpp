@@ -1,6 +1,7 @@
 #include "mhd/store/framed_backend.h"
 
 #include <algorithm>
+#include <cstring>
 #include <ranges>
 
 #include "mhd/store/framing.h"
@@ -35,14 +36,15 @@ std::uint64_t FramedBackend::stored_size(Ns ns, const std::string& name) const {
   return payload ? payload->size() : 0;
 }
 
-std::uint64_t& FramedBackend::known_size(Ns ns,
-                                         const std::string& name) const {
+std::uint64_t& FramedBackend::known_size(Ns ns, const std::string& name,
+                                         bool* created) const {
   const int i = static_cast<int>(ns);
   auto& map = sizes_[i];
   if (const auto it = map.find(name); it != map.end()) return it->second;
+  const bool stored = !sized_[i] && inner_.exists(ns, name);
   // Entered only once sized: a read that throws leaves no wrong entry.
-  const std::uint64_t size =
-      !sized_[i] && inner_.exists(ns, name) ? stored_size(ns, name) : 0;
+  const std::uint64_t size = stored ? stored_size(ns, name) : 0;
+  if (created != nullptr) *created = !stored;
   bytes_[i] += size;
   return map.emplace(name, size).first->second;
 }
@@ -55,8 +57,8 @@ void FramedBackend::put(Ns ns, const std::string& name, ByteSpan data) {
   } else {
     framed = framing::seal_object(data);
   }
-  drop_table(ns, name);
   std::lock_guard<std::mutex> lock(sizes_mu_);
+  forget_tables(ns, name);
   inner_.put(ns, name, framed);
   auto& size = sizes_[static_cast<int>(ns)][name];
   bytes_[static_cast<int>(ns)] += data.size() - size;
@@ -65,10 +67,26 @@ void FramedBackend::put(Ns ns, const std::string& name, ByteSpan data) {
 
 void FramedBackend::append(Ns ns, const std::string& name, ByteSpan data) {
   if (is_stream(ns)) {
-    drop_table(ns, name);
+    const ByteVec record = framing::frame_record(data);
     std::lock_guard<std::mutex> lock(sizes_mu_);
-    std::uint64_t& size = known_size(ns, name);
-    inner_.append(ns, name, framing::frame_record(data));
+    bool created = false;
+    std::uint64_t& size = known_size(ns, name, &created);
+    auto building = building_.end();
+    if (ns == Ns::kDiskChunk) {
+      building = created ? building_.insert_or_assign(name, RecordTable{}).first
+                         : building_.find(name);
+    }
+    if (building == building_.end()) drop_table(ns, name);
+    try {
+      inner_.append(ns, name, record);
+    } catch (...) {
+      if (building != building_.end()) building_.erase(building);
+      throw;
+    }
+    if (building != building_.end()) {
+      RecordTable& table = building->second;
+      table.push_back(size + table.size() * framing::kHeaderBytes);
+    }
     size += data.size();
     bytes_[static_cast<int>(ns)] += data.size();
     return;
@@ -120,6 +138,11 @@ void FramedBackend::drop_table(Ns ns, const std::string& name) const {
   tables_.erase(table_key(ns, name));
 }
 
+void FramedBackend::forget_tables(Ns ns, const std::string& name) {
+  if (ns == Ns::kDiskChunk) building_.erase(name);
+  drop_table(ns, name);
+}
+
 std::optional<ByteVec> FramedBackend::get(Ns ns,
                                           const std::string& name) const {
   const auto framed = inner_.get(ns, name);
@@ -147,14 +170,14 @@ std::optional<ByteVec> FramedBackend::read_covering(
   const std::size_t first = length == 0 ? 0 : first_after(offset) - 1;
   const std::size_t last = length == 0 ? 0 : first_after(offset + length - 1);
 
-  // One inner read of the covering records; each is checked before any
-  // of its bytes is copied out.
+  // One inner read of the covering records. Each is checked where the read
+  // left it, then its requested bytes slide to the front of the same
+  // buffer: they only move down, over records already checked.
   const std::uint64_t begin = table[first];
   const std::uint64_t span = table[last] - begin;
-  const auto framed = inner_.get_range(ns, name, begin, span);
+  auto framed = inner_.get_range(ns, name, begin, span);
   if (!framed || framed->size() != span) return std::nullopt;
-  ByteVec out;
-  out.reserve(static_cast<std::size_t>(length));
+  std::size_t kept = 0;
   for (std::size_t i = first; i < last; ++i) {
     const auto payload = framing::record_payload(
         ByteSpan(*framed).subspan(table[i] - begin, table[i + 1] - table[i]));
@@ -163,9 +186,11 @@ std::optional<ByteVec> FramedBackend::read_covering(
     const std::uint64_t from = std::max(offset, start) - start;
     const std::uint64_t to =
         std::min(offset + length, start + payload->size()) - start;
-    mhd::append(out, payload->subspan(from, to - from));
+    std::memmove(framed->data() + kept, payload->data() + from, to - from);
+    kept += to - from;
   }
-  return out;
+  framed->resize(kept);
+  return framed;
 }
 
 std::optional<ByteVec> FramedBackend::get_range(Ns ns, const std::string& name,
@@ -182,12 +207,14 @@ std::optional<ByteVec> FramedBackend::get_range(Ns ns, const std::string& name,
   // First read: load and verify the whole object, and keep its table.
   const auto framed = inner_.get(ns, name);
   if (!framed) return std::nullopt;
-  const ByteVec payload = verified_get(ns, name, *framed, /*keep_table=*/true);
+  ByteVec payload = verified_get(ns, name, *framed, /*keep_table=*/true);
   if (offset > payload.size() || length > payload.size() - offset) {
     return std::nullopt;
   }
-  return ByteVec(payload.begin() + static_cast<std::ptrdiff_t>(offset),
-                 payload.begin() + static_cast<std::ptrdiff_t>(offset + length));
+  payload.erase(payload.begin(),
+                payload.begin() + static_cast<std::ptrdiff_t>(offset));
+  payload.resize(static_cast<std::size_t>(length));
+  return payload;
 }
 
 bool FramedBackend::exists(Ns ns, const std::string& name) const {
@@ -195,8 +222,8 @@ bool FramedBackend::exists(Ns ns, const std::string& name) const {
 }
 
 bool FramedBackend::remove(Ns ns, const std::string& name) {
-  drop_table(ns, name);
   std::lock_guard<std::mutex> lock(sizes_mu_);
+  forget_tables(ns, name);
   if (!inner_.remove(ns, name)) return false;
   auto& map = sizes_[static_cast<int>(ns)];
   if (const auto it = map.find(name); it != map.end()) {
@@ -226,9 +253,31 @@ std::vector<std::string> FramedBackend::list(Ns ns) const {
 
 void FramedBackend::seal(Ns ns, const std::string& name) {
   if (!is_stream(ns)) return;  // sealed namespaces are sealed at put
-  drop_table(ns, name);
   std::lock_guard<std::mutex> lock(sizes_mu_);
-  inner_.append(ns, name, framing::seal_record(known_size(ns, name)));
+  // Taken out first: a seal that throws leaves no table being built.
+  auto building = ns == Ns::kDiskChunk ? building_.extract(name)
+                                       : decltype(building_)::node_type{};
+  if (building.empty()) drop_table(ns, name);
+  const std::uint64_t size = known_size(ns, name);
+  const ByteVec seal = framing::seal_record(size);
+  inner_.append(ns, name, seal);
+  if (building.empty()) return;
+
+  // The seal read back where the table puts it shows that every append
+  // before it landed whole: a torn one would have left it lower.
+  RecordTable& offsets = building.mapped();
+  const std::uint64_t at = size + offsets.size() * framing::kHeaderBytes;
+  std::optional<ByteVec> landed;
+  try {
+    landed = inner_.get_range(ns, name, at, seal.size());
+  } catch (const StoreError&) {
+    return;  // the seal is written; the first read builds the table
+  }
+  if (landed != seal) return;
+  offsets.push_back(at);
+  auto table = std::make_shared<const RecordTable>(std::move(offsets));
+  std::lock_guard<std::mutex> tables_lock(tables_mu_);
+  tables_.put(table_key(ns, name), std::move(table));
 }
 
 }  // namespace mhd

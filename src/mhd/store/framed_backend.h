@@ -20,24 +20,35 @@
 // stream or reading an unsealed one is a caller bug and reads as corrupt.
 //
 // Range reads of record streams (DiskChunks, containers) cost the bytes
-// they return. The first get_range of a stream through this backend reads
-// it whole, checks every record and the seal, and keeps its *record
-// table*: the physical offset of each record header, then of the seal
-// (8 bytes per record). A whole get keeps no table: its callers, such as
-// ContainerBackend loading a container, never range-read that object.
+// they return. Each range read uses the stream's *record table*: the
+// physical offset of each record header, then of the seal (8 bytes per
+// record). A DiskChunk stream this instance created (absent at its first
+// append) gets its table from its writer: append records each header
+// offset, and seal publishes the table once the seal, read back where the
+// table puts it, shows that every append before it landed whole. Any
+// other stream gets its table from its first get_range, which reads it
+// whole and checks every record and the seal. A whole get keeps no table:
+// its callers, such as ContainerBackend loading a container, never
+// range-read that object, and containers never get a writer's table.
 // Tables live in an LRU bounded by kTableCacheRecords and are dropped by
-// put, append, seal and remove, and by a read that finds the stream
-// damaged. A later get_range makes one inner read of the records that
-// overlap the range, checks each one's magic, length and CRC, and copies
-// out only the requested bytes. A mismatch or a short read drops the
-// table and redoes the request as a first read, whose verdict (nullopt if
-// absent, CorruptObjectError if torn or corrupt) is what the caller sees.
+// put, remove, an append or seal that does not build one, and a read that
+// finds the stream damaged. A table being built is discarded by put,
+// remove, and an append or seal that throws; a throw publishes nothing.
+// A later get_range makes one inner read of the records that overlap the
+// range, checks each one's magic, length and CRC where that read left it,
+// and slides only the requested bytes to the front of the same buffer. A
+// mismatch or a short read drops the table and redoes the request as a
+// first read, whose verdict (nullopt if absent, CorruptObjectError if torn
+// or corrupt) is what the caller sees.
 //
 // Contract: every byte a range read returns was CRC-checked by that read.
-// The seal and the other records were checked when the table was built;
-// damage outside the range after that point is found by get or fsck.
-// Sealed objects (hooks, manifests, index) are read and checked whole on
-// every read.
+// The seal and the other records were checked when the table was built
+// (or, for a writer's table, written by this instance and confirmed by
+// the seal read back); damage outside the range after that point is found
+// by get or fsck. Sealed objects (hooks, manifests, index) are read and
+// checked whole on every read.
+//
+// Lock order: sizes_mu_, then tables_mu_.
 //
 // Opening reads nothing. Logical sizes are known for the objects written
 // through this instance; a stream it did not write is sized from its own
@@ -89,16 +100,18 @@ class FramedBackend final : public StorageBackend {
   /// Logical size of the stored object; 0 when absent.
   std::uint64_t stored_size(Ns ns, const std::string& name) const;
   /// The size entry of `name`, first sized from the stored object when
-  /// this instance has neither written it nor sized all of `ns`. Called
-  /// with sizes_mu_ held.
-  std::uint64_t& known_size(Ns ns, const std::string& name) const;
+  /// this instance has neither written it nor sized all of `ns`. Sets
+  /// `*created` when the entry is new and no object was stored under
+  /// `name`. Called with sizes_mu_ held.
+  std::uint64_t& known_size(Ns ns, const std::string& name,
+                            bool* created = nullptr) const;
 
   /// Bound on the record tables kept for range reads, in records: 8 MiB.
   /// The most recently used table is kept even when it alone is larger.
   static constexpr std::uint64_t kTableCacheRecords = std::uint64_t{1} << 20;
 
-  /// Physical offset of each record header of a verified stream, then of
-  /// its seal. Never changes once built.
+  /// Physical offset of each record header of a stream, then of its seal.
+  /// Never changes once published.
   using RecordTable = std::vector<std::uint64_t>;
   using TablePtr = std::shared_ptr<const RecordTable>;
 
@@ -118,6 +131,9 @@ class FramedBackend final : public StorageBackend {
 
   TablePtr find_table(Ns ns, const std::string& name) const;
   void drop_table(Ns ns, const std::string& name) const;
+  /// Drops the published table and any table being built. Called with
+  /// sizes_mu_ held.
+  void forget_tables(Ns ns, const std::string& name);
 
   StorageBackend& inner_;
 
@@ -127,6 +143,9 @@ class FramedBackend final : public StorageBackend {
   mutable std::array<SizeMap, static_cast<int>(Ns::kCount)> sizes_;
   mutable std::array<std::uint64_t, static_cast<int>(Ns::kCount)> bytes_{};
   mutable std::array<bool, static_cast<int>(Ns::kCount)> sized_{};
+  /// Record tables of the DiskChunk streams this instance is writing, by
+  /// name; guarded by sizes_mu_. Published into tables_ at seal.
+  std::unordered_map<std::string, RecordTable> building_;
 
   mutable std::mutex tables_mu_;
   /// Keyed by namespace byte + name, weighted by record count.

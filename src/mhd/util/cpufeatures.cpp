@@ -26,6 +26,7 @@ CpuFeatures detect_x86() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return f;
   f.sse2 = (edx & (1u << 26)) != 0;
+  f.pclmul = (ecx & (1u << 1)) != 0;
   f.ssse3 = (ecx & (1u << 9)) != 0;
   f.sse41 = (ecx & (1u << 19)) != 0;
   f.sse42 = (ecx & (1u << 20)) != 0;

@@ -15,6 +15,7 @@ struct CpuFeatures {
   bool ssse3 = false;
   bool sse41 = false;
   bool sse42 = false;  ///< hardware CRC32C (the crc32 instruction family)
+  bool pclmul = false;  ///< carry-less multiply (CPUID.1:ECX bit 1)
   bool avx2 = false;    ///< implies OS support for YMM state (XGETBV checked)
   bool sha_ni = false;  ///< SHA New Instructions (CPUID leaf 7 EBX bit 29)
 };

@@ -8,7 +8,9 @@
 // tests/util/crc32c_test.cpp):
 //
 //  * portable — slice-by-8 table lookup; runs anywhere.
-//  * sse42    — the x86 crc32 instruction (8 bytes per issue), compiled
+//  * sse42    — the x86 crc32 instruction, 8 bytes per instruction in three
+//    independent lanes whose CRCs are folded with PCLMULQDQ (so it needs
+//    SSE4.2 and PCLMUL; a host without either gets portable). Compiled
 //    with a per-function target attribute so the binary stays runnable on
 //    any x86-64; availability is a runtime CPUID question
 //    (util/cpufeatures), never a compile-time one.
@@ -32,6 +34,10 @@ using Crc32cFn = std::uint32_t (*)(std::uint32_t crc, const Byte* data,
 
 std::uint32_t crc32c_portable(std::uint32_t crc, const Byte* data,
                               std::size_t len);
+
+/// Longest lane of the sse42 kernel, in bytes: a buffer longer than three
+/// lanes runs several three-lane blocks.
+constexpr std::size_t kCrc32cLaneCap = 4096;
 
 /// One compiled-in kernel. Calling `fn` with supported == false raises
 /// SIGILL, so every iteration over the registry must gate on it.

@@ -70,63 +70,5 @@ TEST(BloomFilter, RejectsNonPositiveK) {
   EXPECT_THROW(BloomFilter(1024, 0), std::invalid_argument);
 }
 
-TEST(BloomFilter, SerializeRoundTripsExactly) {
-  BloomFilter bf(4096, 7);
-  Xoshiro256 rng(5);
-  std::vector<std::uint64_t> keys;
-  for (int i = 0; i < 2000; ++i) keys.push_back(rng());
-  for (auto k : keys) bf.insert(k);
-
-  const ByteVec snap = bf.serialize();
-  const auto back = BloomFilter::deserialize(snap);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->size_bytes(), bf.size_bytes());
-  EXPECT_EQ(back->probes(), bf.probes());
-  EXPECT_EQ(back->inserted_count(), bf.inserted_count());
-  // Bit-identical behavior, not just "no false negatives": every probe —
-  // member or not — must answer the same as the original.
-  for (auto k : keys) EXPECT_TRUE(back->maybe_contains(k));
-  Xoshiro256 probe(6);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t k = probe();
-    EXPECT_EQ(back->maybe_contains(k), bf.maybe_contains(k)) << k;
-  }
-}
-
-TEST(BloomFilter, SerializeRoundTripsEmptyFilter) {
-  const BloomFilter bf(1024);
-  const auto back = BloomFilter::deserialize(bf.serialize());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->inserted_count(), 0u);
-  EXPECT_FALSE(back->maybe_contains(42));
-}
-
-TEST(BloomFilter, DeserializeRejectsEveryBitFlip) {
-  // A bloom snapshot with even one wrong bit can produce false negatives,
-  // which silently disables dedup — so any damage must be detected.
-  BloomFilter bf(256, 3);
-  for (int i = 0; i < 100; ++i) bf.insert(i * 2654435761u);
-  const ByteVec good = bf.serialize();
-  ASSERT_TRUE(BloomFilter::deserialize(good).has_value());
-  for (std::size_t byte = 0; byte < good.size(); ++byte) {
-    ByteVec bad = good;
-    bad[byte] ^= 0x10;
-    EXPECT_FALSE(BloomFilter::deserialize(bad).has_value())
-        << "flip in byte " << byte << " was not rejected";
-  }
-}
-
-TEST(BloomFilter, DeserializeRejectsTruncation) {
-  const ByteVec good = BloomFilter(1024, 4).serialize();
-  for (const std::size_t keep : {std::size_t{0}, std::size_t{3},
-                                 good.size() / 2, good.size() - 1}) {
-    const ByteVec cut(good.begin(), good.begin() + keep);
-    EXPECT_FALSE(BloomFilter::deserialize(cut).has_value()) << keep;
-  }
-  ByteVec padded = good;
-  padded.push_back(Byte{0});
-  EXPECT_FALSE(BloomFilter::deserialize(padded).has_value());
-}
-
 }  // namespace
 }  // namespace mhd

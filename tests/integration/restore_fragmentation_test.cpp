@@ -11,7 +11,9 @@
 //     one FramedBackend's record tables, are safe (exercised under TSan via
 //     the `restore` ctest label);
 //   * a framed restore of a fragmented file reads each stored byte about
-//     once, not once per recipe entry.
+//     once, not once per recipe entry: through a fresh FramedBackend the
+//     first read of the DiskChunk is whole, and through the one that wrote
+//     it the writer's record table spares even that.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,6 +30,7 @@
 #include "mhd/store/framed_backend.h"
 #include "mhd/store/memory_backend.h"
 #include "mhd/store/restore_reader.h"
+#include "mhd/store/sync_backend.h"
 #include "mhd/util/random.h"
 #include "mhd/workload/presets.h"
 
@@ -246,9 +249,9 @@ TEST(RestoreFragmentation, ConcurrentRestoresThroughFramedBackendAreByteExact) {
   expect_concurrent_restores_byte_exact(framed, corpus);
 }
 
-TEST(RestoreFragmentation, FramedRestoreReadsEachStoredByteAboutOnce) {
-  // ~8 MiB whose second half repeats its first with a small edit every
-  // 64 KiB: dozens of duplicate slices against the file's own DiskChunk.
+/// ~8 MiB whose second half repeats its first with a small edit every
+/// 64 KiB: dozens of duplicate slices against the file's own DiskChunk.
+ByteVec fragmented_image() {
   constexpr std::size_t kHalf = 4 << 20;
   ByteVec image(2 * kHalf);
   Xoshiro256 rng(2013);
@@ -257,31 +260,90 @@ TEST(RestoreFragmentation, FramedRestoreReadsEachStoredByteAboutOnce) {
   for (std::size_t at = kHalf + 1000; at < image.size(); at += 64 << 10) {
     image[at] ^= 0xFF;
   }
+  return image;
+}
 
-  CountingBackend mem;
-  FramedBackend framed(mem);
-  {
-    EngineConfig cfg;
-    cfg.sd = 64;  // the dedup_cli default
-    ObjectStore store(framed);
-    auto engine = make_engine("mhd", store, cfg);
-    MemorySource src(image);
-    engine->add_file("image", src);
-    engine->finish();
-  }
+/// Stores `image` as "image" through `framed` with the mhd engine.
+void ingest_image(FramedBackend& framed, const ByteVec& image) {
+  EngineConfig cfg;
+  cfg.sd = 64;  // the dedup_cli default
+  ObjectStore store(framed);
+  auto engine = make_engine("mhd", store, cfg);
+  MemorySource src(image);
+  engine->add_file("image", src);
+  engine->finish();
   const auto fm = FileManifest::deserialize(
       *framed.get(Ns::kFileManifest, Sha1::hash(as_bytes("image")).hex()));
   ASSERT_TRUE(fm.has_value());
   ASSERT_GE(fm->entries().size(), 24u) << "too few slices to guard anything";
+}
 
+TEST(RestoreFragmentation, FramedRestoreReadsEachStoredByteAboutOnce) {
+  const ByteVec image = fragmented_image();
+  CountingBackend mem;
+  {
+    FramedBackend writer(mem);
+    ingest_image(writer, image);
+  }
+  // A fresh instance, as a restore in a later process: the first read of
+  // the DiskChunk loads it whole, and every later entry should cost only
+  // the records it covers.
+  FramedBackend framed(mem);
   mem.reset_read_bytes();
   const auto out = restore_all(framed, "image");
   ASSERT_TRUE(out.has_value());
   EXPECT_TRUE(equal(*out, image));
-  // The first read of the DiskChunk loads it whole; every later entry
-  // should cost only the records it covers.
-  EXPECT_LE(static_cast<double>(mem.read_bytes()), 2.2 * image.size())
-      << fm->entries().size() << " recipe entries";
+  EXPECT_LE(static_cast<double>(mem.read_bytes()), 2.2 * image.size());
+}
+
+TEST(RestoreFragmentation, FramedRestoreRightAfterIngestReadsEachByteOnce) {
+  // Restoring through the instance that wrote the DiskChunk: the writer's
+  // record table serves the first entry too, so no read is whole.
+  const ByteVec image = fragmented_image();
+  CountingBackend mem;
+  FramedBackend framed(mem);
+  ingest_image(framed, image);
+  mem.reset_read_bytes();
+  const auto out = restore_all(framed, "image");
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(equal(*out, image));
+  EXPECT_LE(static_cast<double>(mem.read_bytes()), 1.2 * image.size());
+}
+
+TEST(RestoreFragmentation, ConcurrentWritersRangeReadTheirOwnChunks) {
+  // Four threads share one FramedBackend: each appends, seals and
+  // range-reads its own DiskChunk, so appends, seals (which publish
+  // writers' tables) and table lookups race on its two locks.
+  MemoryBackend mem;
+  SyncBackend sync(mem);
+  FramedBackend framed(sync);
+  constexpr int kThreads = 4;
+  constexpr std::size_t kRecords = 64;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      const std::string name = "chunk-" + std::to_string(t);
+      Xoshiro256 rng(700 + t);
+      ByteVec logical;
+      for (std::size_t r = 0; r < kRecords; ++r) {
+        ByteVec part(512 + rng.below(2048));
+        for (auto& b : part) b = static_cast<Byte>(rng());
+        framed.append(Ns::kDiskChunk, name, part);
+        mhd::append(logical, part);
+      }
+      framed.seal(Ns::kDiskChunk, name);
+      for (int i = 0; i < 200; ++i) {
+        const std::uint64_t at = rng.below(logical.size());
+        const std::uint64_t len = rng.below(logical.size() - at + 1);
+        const auto got = framed.get_range(Ns::kDiskChunk, name, at, len);
+        const ByteSpan want = ByteSpan(logical).subspan(at, len);
+        if (!got || !equal(*got, want)) ++failures[t];
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
 }
 
 }  // namespace

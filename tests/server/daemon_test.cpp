@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "../store/counting_backend.h"
 #include "mhd/chunk/byte_source.h"
 #include "mhd/core/mhd_engine.h"
 #include "mhd/server/client.h"
@@ -610,6 +611,30 @@ TEST(DaemonTest, OnlineMaintenanceBetweenSessions) {
   ASSERT_TRUE(ls.ok);
   EXPECT_NE(ls.message.find("disk0.img"), std::string::npos) << ls.message;
   EXPECT_NE(ls.message.find("disk1.img"), std::string::npos) << ls.message;
+  daemon.stop();
+}
+
+// A GET of a file the same daemon just PUT: the DiskChunk's record table
+// comes from its writer, so the GET reads each stored byte about once
+// instead of the whole chunk first and then its ranges.
+TEST(DaemonTest, GetRightAfterPutReadsEachStoredByteOnce) {
+  DaemonConfig dc;
+  dc.listen = "tcp:0";
+  CountingBackend counting;
+  FramedBackend framed(counting);
+  DedupDaemon daemon(framed, counting, dc);
+  daemon.start();
+  const std::string spec = daemon.listen_spec();
+
+  const ByteVec data = make_blob(12, 1 << 20);
+  auto client = DedupClient::connect(spec);
+  ASSERT_TRUE(client);
+  ASSERT_TRUE(client->put_bytes("t0", "f.img", ByteSpan{data}).ok);
+  client.reset();
+
+  counting.reset_read_bytes();
+  EXPECT_EQ(client_get(spec, "t0", "f.img"), data);
+  EXPECT_LE(static_cast<double>(counting.read_bytes()), 1.2 * data.size());
   daemon.stop();
 }
 

@@ -56,7 +56,10 @@ TEST(FileBackendDurability, PutLeavesNoTempAndReplacesAtomically) {
   }
 }
 
-TEST(FileBackendDurability, StaleTempIsSweptOnReopenAndNeverListed) {
+// Opening lists no directory, so a stale temp outlives a reopen. Until a
+// sweep (gc, fsck repair, serve --fsck-on-start) removes it, nothing
+// lists, counts or reads it, and a put of the same name replaces it.
+TEST(FileBackendDurability, StaleTempIsKeptOnReopenUnlistedUntilSwept) {
   TempDir tmp;
   {
     FileBackend backend(tmp.path());
@@ -68,12 +71,23 @@ TEST(FileBackendDurability, StaleTempIsSweptOnReopenAndNeverListed) {
   ASSERT_TRUE(fs::exists(stale));
 
   FileBackend reopened(tmp.path());
-  EXPECT_FALSE(fs::exists(stale));  // swept
+  EXPECT_TRUE(fs::exists(stale));  // opening lists nothing
   EXPECT_EQ(reopened.object_count(Ns::kManifest), 1u);
   EXPECT_EQ(reopened.content_bytes(Ns::kManifest), 6u);
   EXPECT_EQ(reopened.list(Ns::kManifest),
             std::vector<std::string>{"m0"});
   EXPECT_EQ(reopened.get(Ns::kManifest, "m0"), bytes_of("intact"));
+
+  reopened.sweep_temps();
+  EXPECT_FALSE(fs::exists(stale));
+  EXPECT_EQ(reopened.get(Ns::kManifest, "m0"), bytes_of("intact"));
+
+  // A put over a stale temp of its own name truncates it first.
+  std::ofstream(stale, std::ios::binary) << "a much longer half-written body";
+  reopened.put(Ns::kManifest, "m0", bytes_of("v2"));
+  EXPECT_FALSE(fs::exists(stale));
+  EXPECT_EQ(reopened.get(Ns::kManifest, "m0"), bytes_of("v2"));
+  EXPECT_EQ(reopened.content_bytes(Ns::kManifest), 2u);
 }
 
 TEST(FileBackendDurability, ReopenAdoptsMixedMutationHistory) {

@@ -327,9 +327,9 @@ TEST(FramedBackend, PutReplaceAndRemoveKeepAccountingExact) {
 
 // --- Range reads through the record table ---------------------------------
 //
-// Every case starts after a first read of a 64-record stream, so the
-// backend holds that stream's record table and later range reads fetch
-// only the records they cover.
+// Every case starts with a 64-record stream this backend wrote and sealed,
+// so it holds the stream's record table from the writer, and range reads
+// fetch only the records they cover.
 
 class FramedRangeRead : public ::testing::Test {
  protected:
@@ -346,8 +346,6 @@ class FramedRangeRead : public ::testing::Test {
     }
     starts_.push_back(logical_.size());
     framed_.seal(Ns::kDiskChunk, "c0");
-    ASSERT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", 0, 1),
-              slice(0, 1));  // the first read builds the table
     mem_.reset_read_bytes();
   }
 
@@ -439,6 +437,33 @@ TEST_F(FramedRangeRead, ObjectTornUnderneathThrowsInLostTail) {
                CorruptObjectError);
 }
 
+TEST_F(FramedRangeRead, WriterTableServesTheFirstRangeRead) {
+  // No whole read first: the table the writer built covers the first
+  // range read too.
+  const std::uint64_t reads_before = mem_.reads(Ns::kDiskChunk);
+  EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", starts_[0] + 3, 5),
+            slice(starts_[0] + 3, 5));
+  EXPECT_EQ(mem_.reads(Ns::kDiskChunk), reads_before + 1);
+  EXPECT_EQ(mem_.read_bytes(), framing::kHeaderBytes + record_bytes(0));
+}
+
+TEST_F(FramedRangeRead, FreshInstanceReadsTheStreamWholeOnce) {
+  const std::uint64_t physical = mem_.raw().get(Ns::kDiskChunk, "c0")->size();
+  FramedBackend fresh(mem_);
+  mem_.reset_read_bytes();
+  const std::uint64_t reads_before = mem_.reads(Ns::kDiskChunk);
+  EXPECT_EQ(fresh.get_range(Ns::kDiskChunk, "c0", starts_[7], 10),
+            slice(starts_[7], 10));
+  EXPECT_EQ(mem_.reads(Ns::kDiskChunk), reads_before + 1);
+  EXPECT_EQ(mem_.read_bytes(), physical);  // the first read is whole
+
+  mem_.reset_read_bytes();
+  EXPECT_EQ(fresh.get_range(Ns::kDiskChunk, "c0", starts_[30], 10),
+            slice(starts_[30], 10));
+  EXPECT_EQ(mem_.reads(Ns::kDiskChunk), reads_before + 2);
+  EXPECT_EQ(mem_.read_bytes(), framing::kHeaderBytes + record_bytes(30));
+}
+
 TEST_F(FramedRangeRead, PutReplacingObjectServesNewBytes) {
   const ByteVec fresh = bytes_of("a replacement written through the backend");
   framed_.put(Ns::kDiskChunk, "c0", fresh);
@@ -447,6 +472,152 @@ TEST_F(FramedRangeRead, PutReplacingObjectServesNewBytes) {
   EXPECT_EQ(*range, ByteVec(fresh.begin() + 2, fresh.begin() + 13));
   EXPECT_EQ(framed_.get_range(Ns::kDiskChunk, "c0", starts_[30], 10),
             std::nullopt);  // beyond the new object's end
+}
+
+// --- Record tables built by the writer --------------------------------------
+//
+// A DiskChunk stream this backend created gets its table at seal, once
+// the seal reads back where the table puts it. Everything else takes the
+// first-read path, which reads the stream whole and gives its verdict.
+
+constexpr std::size_t kStreamRecords = 8;
+
+ByteVec record_payload_of(std::size_t i) {
+  ByteVec part(300 + 11 * i);
+  Xoshiro256 rng(100 + i);
+  for (auto& b : part) b = static_cast<Byte>(rng());
+  return part;
+}
+
+ByteVec stream_payload() {
+  ByteVec all;
+  for (std::size_t i = 0; i < kStreamRecords; ++i) {
+    mhd::append(all, record_payload_of(i));
+  }
+  return all;
+}
+
+/// Every range of the stream, read through `framed`, throws as corrupt.
+void expect_reads_corrupt(const FramedBackend& framed,
+                          const std::string& name) {
+  const std::uint64_t total = stream_payload().size();
+  for (std::uint64_t at = 0; at < total; at += total / 5) {
+    EXPECT_THROW(framed.get_range(Ns::kDiskChunk, name, at, 1),
+                 CorruptObjectError)
+        << "offset " << at;
+  }
+  EXPECT_THROW(framed.get(Ns::kDiskChunk, name), CorruptObjectError);
+}
+
+// Mutation 1..8 are the appends, 9 the seal.
+class FailedStreamWrite : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FailedStreamWrite, ReadsAsCorruptThroughTheWritingInstance) {
+  MemoryBackend raw;
+  FaultInjectingBackend faulty(raw, FaultPlan::parse(GetParam()));
+  FramedBackend framed(faulty);
+  bool threw = false;
+  for (std::size_t i = 0; i < kStreamRecords && !threw; ++i) {
+    try {
+      framed.append(Ns::kDiskChunk, "c0", record_payload_of(i));
+    } catch (const BackendIoError&) {
+      threw = true;  // a writer stops at the first failed append
+    }
+  }
+  if (!threw) {
+    try {
+      framed.seal(Ns::kDiskChunk, "c0");
+    } catch (const BackendIoError&) {
+    }
+  }
+  expect_reads_corrupt(framed, "c0");
+}
+
+INSTANTIATE_TEST_SUITE_P(FaultPlans, FailedStreamWrite,
+                         ::testing::Values("torn@1:0.5", "torn@4:0.3",
+                                           "torn@8:0.9", "torn@9:0.5",
+                                           "fail@2", "fail@8", "fail@9"));
+
+TEST(FramedWriterTable, RetriedAppendAfterFailureReadsExact) {
+  MemoryBackend raw;
+  FaultInjectingBackend faulty(raw, FaultPlan::parse("fail@3"));
+  FramedBackend framed(faulty);
+  for (std::size_t i = 0; i < kStreamRecords; ++i) {
+    try {
+      framed.append(Ns::kDiskChunk, "c0", record_payload_of(i));
+    } catch (const BackendIoError&) {
+      framed.append(Ns::kDiskChunk, "c0", record_payload_of(i));
+    }
+  }
+  framed.seal(Ns::kDiskChunk, "c0");
+  const ByteVec all = stream_payload();
+  EXPECT_EQ(framed.get_range(Ns::kDiskChunk, "c0", 700, 900),
+            ByteVec(all.begin() + 700, all.begin() + 1600));
+  EXPECT_EQ(framed.get(Ns::kDiskChunk, "c0"), all);
+}
+
+TEST(FramedWriterTable, ResumedStreamTakesTheFirstReadPath) {
+  CountingBackend mem;
+  {
+    FramedBackend earlier(mem);
+    for (std::size_t i = 0; i < kStreamRecords / 2; ++i) {
+      earlier.append(Ns::kDiskChunk, "c0", record_payload_of(i));
+    }
+  }
+  FramedBackend resumed(mem);
+  for (std::size_t i = kStreamRecords / 2; i < kStreamRecords; ++i) {
+    resumed.append(Ns::kDiskChunk, "c0", record_payload_of(i));
+  }
+  resumed.seal(Ns::kDiskChunk, "c0");
+
+  const std::uint64_t physical = mem.raw().get(Ns::kDiskChunk, "c0")->size();
+  mem.reset_read_bytes();
+  const ByteVec all = stream_payload();
+  EXPECT_EQ(resumed.get_range(Ns::kDiskChunk, "c0", 10, 20),
+            ByteVec(all.begin() + 10, all.begin() + 30));
+  EXPECT_EQ(mem.read_bytes(), physical);  // whole: no writer's table
+  EXPECT_EQ(resumed.get(Ns::kDiskChunk, "c0"), all);
+}
+
+TEST(FramedWriterTable, SealingAContainerPublishesNoTable) {
+  CountingBackend mem;
+  FramedBackend framed(mem);
+  for (std::size_t i = 0; i < kStreamRecords; ++i) {
+    framed.append(Ns::kContainer, "k0", record_payload_of(i));
+  }
+  framed.seal(Ns::kContainer, "k0");
+  const std::uint64_t physical = mem.raw().get(Ns::kContainer, "k0")->size();
+  mem.reset_read_bytes();
+  const ByteVec all = stream_payload();
+  EXPECT_EQ(framed.get_range(Ns::kContainer, "k0", 10, 20),
+            ByteVec(all.begin() + 10, all.begin() + 30));
+  EXPECT_EQ(mem.read_bytes(), physical);
+}
+
+TEST(FramedWriterTable, PutAndRemoveDiscardTheTableBeingBuilt) {
+  CountingBackend mem;
+  FramedBackend framed(mem);
+  framed.append(Ns::kDiskChunk, "c0", record_payload_of(0));
+  framed.put(Ns::kDiskChunk, "c0", bytes_of("replaced whole"));
+  framed.append(Ns::kDiskChunk, "c1", record_payload_of(0));
+  ASSERT_TRUE(framed.remove(Ns::kDiskChunk, "c1"));
+  // c1 starts over: absent again, so its writer builds a fresh table.
+  for (std::size_t i = 0; i < kStreamRecords; ++i) {
+    framed.append(Ns::kDiskChunk, "c1", record_payload_of(i));
+  }
+  framed.seal(Ns::kDiskChunk, "c1");
+
+  mem.reset_read_bytes();
+  EXPECT_EQ(framed.get_range(Ns::kDiskChunk, "c0", 9, 5), bytes_of("whole"));
+  const ByteVec all = stream_payload();
+  const std::uint64_t c0_physical =
+      mem.raw().get(Ns::kDiskChunk, "c0")->size();
+  EXPECT_EQ(mem.read_bytes(), c0_physical);  // put leaves the first read
+  mem.reset_read_bytes();
+  EXPECT_EQ(framed.get_range(Ns::kDiskChunk, "c1", 2, 3),
+            ByteVec(all.begin() + 2, all.begin() + 5));
+  EXPECT_EQ(mem.read_bytes(),
+            framing::kHeaderBytes + record_payload_of(0).size());
 }
 
 }  // namespace

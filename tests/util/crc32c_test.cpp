@@ -93,6 +93,40 @@ TEST(Crc32c, RandomBuffersAcrossKernels) {
   }
 }
 
+// Every length up to three full lanes and then some, so each lane length
+// the sse42 kernel can pick, the block loop, the fold and every tail meet
+// the portable kernel. Its expected values chain one byte at a time.
+TEST(Crc32c, EveryLengthThroughThreeLanesMatchesPortable) {
+  constexpr std::size_t kMaxLen = 3 * kCrc32cLaneCap + 64;
+  int exercised = 0;
+  for (const auto& k : crc32c_kernels()) {
+    if (!k.supported) continue;
+    ++exercised;
+    for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{4}}) {
+      Xoshiro256 rng(seed);
+      ByteVec buf(kMaxLen + 8);
+      for (auto& b : buf) b = static_cast<Byte>(rng());
+      // Seed 4 also starts from a running CRC instead of a fresh stream.
+      const std::uint32_t start = seed == 3 ? 0 : 0x9E3779B9u;
+      for (std::size_t align = 0; align < 8; ++align) {
+        const Byte* p = buf.data() + align;
+        std::uint32_t want = start;
+        std::size_t mismatches = 0;
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+          if (k.fn(start, p, len) != want && mismatches++ < 5) {
+            ADD_FAILURE() << k.name << " seed=" << seed << " align=" << align
+                          << " len=" << len;
+          }
+          want = crc32c_portable(want, p + len, 1);
+        }
+        EXPECT_EQ(mismatches, 0u) << k.name << " seed=" << seed
+                                  << " align=" << align;
+      }
+    }
+  }
+  EXPECT_GE(exercised, 1);
+}
+
 TEST(Crc32c, EveryBitFlipChangesChecksum) {
   // The property framing relies on: CRC32C detects any single-bit error.
   ByteVec buf(64, 0x5A);
