@@ -26,8 +26,6 @@ class MemorySource final : public ByteSource {
 
   std::size_t read(MutByteSpan out) override;
 
-  void rewind() { offset_ = 0; }
-
  private:
   ByteSpan data_;
   std::size_t offset_ = 0;

@@ -57,18 +57,6 @@ class LruCache {
     return order_.front().second;
   }
 
-  /// Re-computes an entry's weight after in-place mutation of the value
-  /// obtained from get()/peek(). `old_weight` is what the entry previously
-  /// contributed (callers track it).
-  void reweigh(const K& key, std::uint64_t old_weight) {
-    if (!weigher_) return;
-    auto it = index_.find(key);
-    if (it == index_.end()) return;
-    total_weight_ -= old_weight;
-    total_weight_ += weigher_(it->second->second);
-    shrink_to_budget(/*keep_front=*/false);
-  }
-
   std::uint64_t total_weight() const { return total_weight_; }
 
   /// Looks up and marks most-recently-used; nullptr if absent.
@@ -100,6 +88,14 @@ class LruCache {
   /// Evicts everything (invoking the callback for each entry).
   void flush() {
     while (!order_.empty()) evict_one();
+  }
+
+  /// Removes everything *without* invoking the eviction callback or
+  /// counting evictions (erase() of every entry).
+  void clear() {
+    order_.clear();
+    index_.clear();
+    total_weight_ = 0;
   }
 
   /// Iterate entries from most- to least-recently used.

@@ -101,6 +101,8 @@ class ManifestCache {
   void warm_load(const std::vector<Digest>& names);
 
   FingerprintIndex& index() { return *index_; }
+  /// The serialized entry format this cache writes manifests in.
+  bool hook_flags() const { return hook_flags_; }
 
   /// Number of manifests loaded from disk (the paper's TABLE V).
   std::uint64_t manifest_loads() const { return loads_; }

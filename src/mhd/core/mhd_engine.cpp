@@ -2,25 +2,24 @@
 
 #include <algorithm>
 
-#include "mhd/chunk/chunk_stream.h"
-#include "mhd/chunk/rabin_chunker.h"
-#include "mhd/format/file_manifest.h"
 
 namespace mhd {
 
 MhdEngine::MhdEngine(ObjectStore& store, const EngineConfig& config)
-    : DedupEngine(store, config),
-      cache_(store, config.manifest_cache_capacity, /*hook_flags=*/true,
-             config.manifest_cache_bytes, &fp_index()),
-      extender_(store, cache_, cfg_, counters_) {
-  open_anchor_path(cache_);
+    : AnchoredEngine(store, config, /*hook_flags=*/true),
+      extender_(store, cache_, cfg_, counters_) {}
+
+ChunkRef MhdEngine::store_front(FileCtx& ctx) {
+  const StreamChunk& c = ctx.pending.front();
+  const ChunkRef ref = store_chunk(ctx.out.writer, ctx.out.dig, c.bytes);
+  ctx.log.push_back({c.file_offset, ref.chunk, ref.offset, ref.size});
+  ctx.current.emplace(c.hash, std::make_pair(ref.offset, ref.size));
+  ctx.pending.pop_front();
+  return ref;
 }
 
 void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
   count = std::min(count, ctx.pending.size());
-  if (count == 0) return;
-  if (!ctx.writer) ctx.writer.emplace(store_.open_chunk(ctx.dig.hex()));
-
   std::size_t done = 0;
   while (done < count) {
     std::size_t group = std::min<std::size_t>(cfg_.sd, count - done);
@@ -38,27 +37,15 @@ void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
         break;
       }
     }
+    done += group;
 
     // Group leader becomes a Hook: small-chunk granularity, addressable
-    // from disk via a hash-named hook file pointing at this Manifest.
-    {
-      const StreamChunk& first = ctx.pending.front();
-      ctx.manifest.add({first.hash, ctx.chunk_off,
-                        static_cast<std::uint32_t>(first.bytes.size()), 1,
-                        true});
-      write_hook(first.hash, ctx.dig);
-      ctx.writer->write(first.bytes);
-      ctx.log.push_back({first.file_offset, ctx.dig, ctx.chunk_off,
-                         first.bytes.size()});
-      ctx.current.emplace(
-          first.hash,
-          std::make_pair(ctx.chunk_off,
-                         static_cast<std::uint32_t>(first.bytes.size())));
-      ctx.chunk_off += first.bytes.size();
-      ++counters_.stored_chunks;
-      ctx.pending.pop_front();
-      ++done;
-    }
+    // from disk via a hash-named hook file pointing at this Manifest. The
+    // Hook is written before the leader's bytes.
+    const Digest leader = ctx.pending.front().hash;
+    write_hook(leader, ctx.out.dig);
+    const ChunkRef hook = store_front(ctx);
+    ctx.out.manifest.add({leader, hook.offset, hook.size, 1, true});
 
     const std::size_t rest = group - 1;
     if (rest == 0) continue;
@@ -67,58 +54,31 @@ void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
       // Sampling and Hash Merging: the SD-1 chunks between hooks are
       // represented by a single hash over their concatenation.
       Sha1 merged;
-      std::uint64_t merged_size = 0;
-      const std::uint64_t merged_off = ctx.chunk_off;
+      const std::uint64_t merged_off = ctx.out.writer.bytes_written();
       for (std::size_t j = 0; j < rest; ++j) {
-        const StreamChunk& c = ctx.pending.front();
-        merged.update(c.bytes);
-        merged_size += c.bytes.size();
-        ctx.writer->write(c.bytes);
-        ctx.log.push_back({c.file_offset, ctx.dig, ctx.chunk_off,
-                           c.bytes.size()});
-        ctx.current.emplace(
-            c.hash, std::make_pair(ctx.chunk_off,
-                                   static_cast<std::uint32_t>(c.bytes.size())));
-        ctx.chunk_off += c.bytes.size();
-        ++counters_.stored_chunks;
-        ctx.pending.pop_front();
-        ++done;
+        merged.update(ctx.pending.front().bytes);
+        store_front(ctx);
       }
-      ctx.manifest.add({merged.digest(), merged_off,
-                        static_cast<std::uint32_t>(merged_size),
-                        static_cast<std::uint32_t>(rest), false});
+      ctx.out.manifest.add(
+          {merged.digest(), merged_off,
+           static_cast<std::uint32_t>(ctx.out.writer.bytes_written() -
+                                      merged_off),
+           static_cast<std::uint32_t>(rest), false});
       ++counters_.shm_merged_hashes;
     } else {
       // Ablation: hook sampling without hash merging — every chunk keeps
       // its own entry (metadata grows like plain CDC).
       for (std::size_t j = 0; j < rest; ++j) {
-        const StreamChunk& c = ctx.pending.front();
-        ctx.manifest.add({c.hash, ctx.chunk_off,
-                          static_cast<std::uint32_t>(c.bytes.size()), 1,
-                          false});
-        ctx.writer->write(c.bytes);
-        ctx.log.push_back({c.file_offset, ctx.dig, ctx.chunk_off,
-                           c.bytes.size()});
-        ctx.current.emplace(
-            c.hash, std::make_pair(ctx.chunk_off,
-                                   static_cast<std::uint32_t>(c.bytes.size())));
-        ctx.chunk_off += c.bytes.size();
-        ++counters_.stored_chunks;
-        ctx.pending.pop_front();
-        ++done;
+        const Digest hash = ctx.pending.front().hash;
+        const ChunkRef ref = store_front(ctx);
+        ctx.out.manifest.add({hash, ref.offset, ref.size, 1, false});
       }
     }
   }
 }
 
 void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
-  FileCtx ctx;
-  // The FileManifest is addressed by the file name; the DiskChunk/Manifest
-  // pair gets a collision-free store name (re-ingesting a file name must
-  // not touch the immutable chunks other manifests may reference).
-  ctx.dig = unique_store_digest(file_digest(file_name));
-  ctx.manifest = Manifest(ctx.dig);
-
+  FileCtx ctx(open_file(file_name));
   auto stream = open_ingest(data, cfg_.ecs);
 
   auto pull_chunk = [&]() -> std::optional<StreamChunk> {
@@ -137,7 +97,7 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
   };
 
   while (auto chunk = pull_chunk()) {
-    auto loc = find_anchor(cache_, chunk->hash, AccessKind::kSmallChunkQuery);
+    auto loc = find_anchor(chunk->hash, AccessKind::kSmallChunkQuery);
     if (loc) {
       const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
       if (e.size == chunk->bytes.size() &&
@@ -171,9 +131,9 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
     if (const auto it = ctx.current.find(chunk->hash);
         it != ctx.current.end() &&
         it->second.second == chunk->bytes.size() &&
-        admit_duplicate(ctx.dig, it->second.first, it->second.second)) {
+        admit_duplicate(ctx.out.dig, it->second.first, it->second.second)) {
       note_duplicate(chunk->bytes.size());
-      ctx.log.push_back({chunk->file_offset, ctx.dig, it->second.first,
+      ctx.log.push_back({chunk->file_offset, ctx.out.dig, it->second.first,
                          it->second.second});
       continue;
     }
@@ -184,13 +144,6 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
     }
   }
   flush_pending(ctx, ctx.pending.size());
-
-  if (ctx.writer) {
-    ctx.writer->close();
-    store_.put_manifest(ctx.dig.hex(), ctx.manifest.serialize(true));
-    cache_.insert(ctx.dig, std::move(ctx.manifest), /*dirty=*/false);
-    ++counters_.files_with_data;
-  }
 
   // Build the run-length FileManifest from the segment log.
   std::sort(ctx.log.begin(), ctx.log.end(),
@@ -211,17 +164,11 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
     throw std::logic_error("MhdEngine: segment log length mismatch for " +
                            file_name);
   }
-  FileManifest fm(file_name);
   for (const auto& seg : ctx.log) {
-    fm.add_range(seg.chunk_name, seg.chunk_offset, seg.length,
-                 /*coalesce=*/true);
+    ctx.out.fm.add_range(seg.chunk_name, seg.chunk_offset, seg.length,
+                         /*coalesce=*/true);
   }
-  store_.put_file_manifest(file_digest(file_name).hex(), fm.serialize());
-}
-
-void MhdEngine::finish() {
-  cache_.flush();
-  persist_index_state(cache_);
+  close_file(ctx.out);
 }
 
 void MhdEngine::flush_session() {
@@ -232,7 +179,7 @@ void MhdEngine::flush_session() {
     // The sampled tier additionally persists its hook table + loss meter
     // here, making the session boundary a commit point for the tier.
     cache_.flush();
-    persist_index_state(cache_);
+    persist_index_state();
   } else {
     // A fresh mem-index engine starts with an empty cache and index;
     // evict-all reproduces that exactly (the mirror invariant drains the

@@ -17,21 +17,18 @@
 #include <deque>
 #include <unordered_map>
 
-#include "mhd/core/manifest_cache.h"
 #include "mhd/core/match_extension.h"
 #include "mhd/dedup/engine.h"
 
 namespace mhd {
 
-class MhdEngine final : public DedupEngine {
+class MhdEngine final : public AnchoredEngine {
  public:
   MhdEngine(ObjectStore& store, const EngineConfig& config);
 
   std::string name() const override {
     return cfg_.use_bloom ? "BF-MHD" : "MHD";
   }
-
-  void finish() override;
 
   /// The daemon's per-PUT flush: makes the session durable, and reusing
   /// the engine after it is bit-identical to a fresh engine because each
@@ -49,20 +46,14 @@ class MhdEngine final : public DedupEngine {
   /// (The daemon refuses rewrite modes, whose history is not on disk.)
   void flush_session();
 
-  /// Manifests loaded from disk (paper TABLE V).
-  std::uint64_t manifest_loads() const override {
-    return cache_.manifest_loads();
-  }
-
  protected:
   void process_file(const std::string& file_name, ByteSource& data) override;
 
  private:
   struct FileCtx {
-    Digest dig{};
-    Manifest manifest;
-    std::optional<ChunkWriter> writer;
-    std::uint64_t chunk_off = 0;      ///< append position in the DiskChunk
+    explicit FileCtx(FileOut file) : out(std::move(file)) {}
+
+    FileOut out;
     std::uint64_t file_offset = 0;    ///< next incoming chunk's file offset
     std::deque<StreamChunk> pending;  ///< SHM buffer (capacity 2*SD)
     std::deque<StreamChunk> inbox;    ///< prefetched chunks to re-process
@@ -78,8 +69,9 @@ class MhdEngine final : public DedupEngine {
 
   /// Flushes the first `count` pending chunks through SHM.
   void flush_pending(FileCtx& ctx, std::size_t count);
+  /// Appends the front pending chunk to the file's DiskChunk.
+  ChunkRef store_front(FileCtx& ctx);
 
-  ManifestCache cache_;
   MatchExtender extender_;
 };
 

@@ -12,57 +12,29 @@
 // missed (the DER cost the paper shows in Fig. 8).
 #pragma once
 
-#include <unordered_map>
-
-#include "mhd/core/manifest_cache.h"
 #include "mhd/dedup/engine.h"
-#include "mhd/format/file_manifest.h"
 
 namespace mhd {
 
-class BimodalEngine final : public DedupEngine {
+class BimodalEngine final : public AnchoredEngine {
  public:
-  BimodalEngine(ObjectStore& store, const EngineConfig& config);
+  BimodalEngine(ObjectStore& store, const EngineConfig& config)
+      : AnchoredEngine(store, config, /*hook_flags=*/false) {}
 
   std::string name() const override { return "Bimodal"; }
-  void finish() override;
-
-  std::uint64_t manifest_loads() const override {
-    return cache_.manifest_loads();
-  }
 
  protected:
   void process_file(const std::string& file_name, ByteSource& data) override;
 
  private:
-  struct DupRef {
-    Digest chunk_name;
-    std::uint64_t offset = 0;
-    std::uint32_t size = 0;
-  };
   struct BigChunk {
     ByteVec bytes;
     Digest hash;
-    std::optional<DupRef> dup;  ///< resolved duplicate, if any
-  };
-  struct FileCtx {
-    Digest dig{};
-    Manifest manifest;
-    FileManifest fm;
-    std::optional<ChunkWriter> writer;
-    std::uint64_t chunk_off = 0;
-    std::unordered_map<Digest, DupRef, DigestHasher> current;  ///< intra-file
+    std::optional<ChunkRef> dup;  ///< resolved duplicate, if any
   };
 
-  std::optional<DupRef> find_duplicate(const Digest& hash,
-                                       const FileCtx& ctx,
-                                       AccessKind query_kind);
   /// Emits one resolved big chunk; `transition` selects re-chunking.
-  void emit_big(FileCtx& ctx, BigChunk& chunk, bool transition);
-  void store_small(FileCtx& ctx, ByteSpan bytes, const Digest& hash,
-                   std::uint32_t chunk_count);
-
-  ManifestCache cache_;
+  void emit_big(FileOut& out, BigChunk& chunk, bool transition);
 };
 
 }  // namespace mhd

@@ -9,17 +9,26 @@
 // statistics and CPU time. reconstruct() restores any file byte-exactly
 // from the store — the correctness invariant every test suite leans on.
 //
-// Engines that keep a manifest cache (MHD, CDC, Bimodal, FBC) detect a
-// duplicate the same way (§III, BME): a small-chunk hash hit, on a Hook or
-// on a cached manifest entry, anchors the match. That lookup is written
-// once, here (find_anchor); the engines differ only in what they do with
-// the anchor.
+// The per-file bookkeeping every engine shares lives here, so an engine
+// file holds only its algorithm: a ChunkRef names a stored chunk range,
+// take_duplicate() is the one admission step of a duplicate decision
+// (rewrite controller -> D/L counters -> recipe entry), and store_chunk()
+// appends one new chunk to a ChunkWriter and counts it.
+//
+// Engines that keep a manifest cache (MHD, CDC, Bimodal, FBC) derive from
+// AnchoredEngine, the cache's one owner. They detect a duplicate the same
+// way (§III, BME): a small-chunk hash hit, on a Hook or on a cached
+// manifest entry, anchors the match. That lookup is written once, here
+// (find_anchor), with the per-file DiskChunk + Manifest + recipe, its
+// close sequence and the end-of-run persistence; the engines differ only
+// in what they do with the anchor.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "mhd/chunk/byte_source.h"
 #include "mhd/chunk/chunk_stream.h"
@@ -27,6 +36,7 @@
 #include "mhd/container/bloom_filter.h"
 #include "mhd/core/manifest_cache.h"
 #include "mhd/dedup/rewrite.h"
+#include "mhd/format/file_manifest.h"
 #include "mhd/hash/sha1.h"
 #include "mhd/index/fingerprint_index.h"
 #include "mhd/store/object_store.h"
@@ -159,6 +169,14 @@ struct EngineCounters {
   }
 };
 
+/// A byte range of a stored DiskChunk: where a duplicate's bytes already
+/// live, or where a new chunk's bytes landed.
+struct ChunkRef {
+  Digest chunk;
+  std::uint64_t offset = 0;
+  std::uint32_t size = 0;
+};
+
 class DedupEngine {
  public:
   /// Throws std::invalid_argument for a rewrite mode when `store` carries
@@ -188,9 +206,9 @@ class DedupEngine {
   /// into counters().cpu_seconds).
   void add_file(const std::string& file_name, ByteSource& data);
 
-  /// Flushes buffered state: dirty manifests, open chunk writers, indexes.
-  /// Must be called once after the last add_file.
-  virtual void finish() = 0;
+  /// Flushes buffered state: dirty manifests, indexes. Must be called once
+  /// after the last add_file.
+  virtual void finish() {}
 
   /// Restores a previously added file byte-exactly from the store by
   /// draining a RestoreReader into one buffer — the same path as streaming
@@ -217,18 +235,17 @@ class DedupEngine {
   /// Bytes of auxiliary in-RAM index structures beyond the manifest cache
   /// (the fingerprint index's RAM high-water; SparseIndexing's sparse
   /// index; the paper's TABLE III).
-  virtual std::uint64_t index_ram_bytes() const {
-    return fp_index_ ? fp_index_->ram_high_water() : 0;
-  }
+  virtual std::uint64_t index_ram_bytes() const { return 0; }
 
   /// The engine's fingerprint index, if it routes through one (nullptr
   /// for engines with private similarity indexes: SparseIndexing, SubChunk,
   /// ExtremeBinning). Callers read tier state through its interface.
-  const FingerprintIndex* fingerprint_index() const { return fp_index_.get(); }
+  virtual const FingerprintIndex* fingerprint_index() const { return nullptr; }
   /// Index implementation name for reports: "mem" | "disk" | "sampled",
   /// or "none" for engines that never build a FingerprintIndex.
   const char* index_impl_name() const {
-    return fp_index_ ? fp_index_->impl_name() : "none";
+    const FingerprintIndex* fp = fingerprint_index();
+    return fp ? fp->impl_name() : "none";
   }
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }
@@ -255,41 +272,6 @@ class DedupEngine {
   /// comes from").
   HashedChunkStream open_ingest(ByteSource& data,
                                 std::uint64_t expected_chunk_bytes);
-
-  /// Lazily creates the configured FingerprintIndex (MemIndex,
-  /// PersistentIndex or SampledIndex over the store's backend) — the one
-  /// place an engine names a concrete tier. Callable from derived constructors'
-  /// member-init lists so the index can be handed to a ManifestCache.
-  /// Whether a persisted index already existed (a reopen) is captured at
-  /// creation for restore_warm_state().
-  FingerprintIndex& fp_index();
-
-  /// Opens the anchor path over the engine's manifest cache: seeds the
-  /// Hook bloom from the Hooks already in the repository (so an engine
-  /// opened on an existing repository still detects duplicates), then
-  /// reloads the warm residency (restore_warm_state). MHD, CDC, Bimodal
-  /// and FBC call it once from their constructors, after the cache exists.
-  void open_anchor_path(ManifestCache& cache);
-
-  /// End-of-run persistence: saves the cache residency list into the
-  /// index and flushes it (the sampled tier's hook table). Call from
-  /// finish() after the cache flush. MemIndex keeps nothing.
-  void persist_index_state(ManifestCache& cache);
-
-  /// The anchor lookup for one incoming small-chunk hash (§III, BME):
-  ///  1. the cached manifests (through the fingerprint index);
-  ///  2. sampled tier: load the hash's champion manifests, retry the cache;
-  ///     a miss is stored fresh and the loss meter counts it;
-  ///  3. exact tiers: bloom gate, then the on-disk Hook (read as `kind`),
-  ///     then its manifest, then retry the cache.
-  /// Hook and manifest reads degrade_on_corruption: a damaged object costs
-  /// a missed duplicate, never a failed ingest.
-  std::optional<ManifestCache::Located> find_anchor(ManifestCache& cache,
-                                                    const Digest& hash,
-                                                    AccessKind kind);
-
-  /// Writes the Hook `hash` → `manifest` and adds it to the bloom gate.
-  void write_hook(const Digest& hash, const Digest& manifest);
 
   /// Returns `base`, salted until no DiskChunk/Manifest with that name
   /// exists. DiskChunks are immutable and may be referenced by other
@@ -348,17 +330,121 @@ class DedupEngine {
     if (rewrite_ && bytes > 0) rewrite_->on_stream_bytes(bytes);
   }
 
+  /// The admission step of a detected duplicate: admit_duplicate, then the
+  /// D/L counters, then a per-chunk (non-coalescing) reference in `fm`.
+  /// False when the rewrite controller refused it: the caller stores the
+  /// bytes fresh.
+  bool take_duplicate(const ChunkRef& ref, FileManifest& fm) {
+    if (!admit_duplicate(ref.chunk, ref.offset, ref.size)) return false;
+    note_duplicate(ref.size);
+    fm.add_range(ref.chunk, ref.offset, ref.size, /*coalesce=*/false);
+    return true;
+  }
+
+  /// Appends one new chunk to `writer`, the DiskChunk named `chunk`, and
+  /// counts it stored (N); returns where its bytes landed.
+  ChunkRef store_chunk(ChunkWriter& writer, const Digest& chunk,
+                       ByteSpan bytes) {
+    const std::uint64_t offset = writer.write(bytes);
+    ++counters_.stored_chunks;
+    return {chunk, offset, static_cast<std::uint32_t>(bytes.size())};
+  }
+
   ObjectStore& store_;
   EngineConfig cfg_;
   EngineCounters counters_;
 
  private:
-  /// Warm restart: when a persisted index was reopened, reloads the
-  /// manifest cache's previous residency (saved by persist_index_state)
-  /// so the engine resumes with the exact working set it closed with.
-  /// Reads FingerprintIndex::load_warm_list, so it does nothing for
-  /// MemIndex or a freshly created index.
-  void restore_warm_state(ManifestCache& cache);
+  bool in_dup_run_ = false;
+  std::unique_ptr<RewriteController> rewrite_;
+};
+
+/// An engine that anchors duplicates through a manifest cache (MHD, CDC,
+/// Bimodal, FBC). It owns the cache, the fingerprint index behind it and
+/// the Hook bloom gate; each file it ingests writes one DiskChunk and one
+/// Manifest named by the file's store digest.
+class AnchoredEngine : public DedupEngine {
+ public:
+  /// Flushes the cache's dirty manifests, saves the engine's index aux
+  /// state (save_index_aux), then the warm list (persist_index_state).
+  void finish() override;
+
+  /// Manifests loaded from disk into the cache (the paper's TABLE V).
+  std::uint64_t manifest_loads() const override {
+    return cache_.manifest_loads();
+  }
+  std::uint64_t index_ram_bytes() const override {
+    return fp_index_->ram_high_water();
+  }
+  const FingerprintIndex* fingerprint_index() const override {
+    return fp_index_.get();
+  }
+
+ protected:
+  /// Builds the configured FingerprintIndex (MemIndex, PersistentIndex or
+  /// SampledIndex over the store's backend; the one place an engine names
+  /// a concrete tier) and the cache over it (`hook_flags` selects MHD's
+  /// manifest entry format), then opens the anchor path: seeds the Hook
+  /// bloom from the Hooks already in the repository, so an engine opened
+  /// on an existing repository still detects duplicates, and reloads the
+  /// warm residency when a persisted index was reopened.
+  AnchoredEngine(ObjectStore& store, const EngineConfig& config,
+                 bool hook_flags);
+
+  /// One file's output: its store name, the DiskChunk its new chunks go
+  /// to, the Manifest indexing them and the file's recipe.
+  struct FileOut {
+    Digest dig;
+    ChunkWriter writer;
+    Manifest manifest;
+    FileManifest fm;
+  };
+  /// Names the file's DiskChunk/Manifest pair with a collision-free store
+  /// digest (re-ingesting a file name must not touch the immutable chunks
+  /// other manifests may reference) and starts an empty intra-file map.
+  FileOut open_file(const std::string& file_name);
+  /// The file-close sequence: when the file stored any chunk, closes its
+  /// DiskChunk, writes its Manifest and enters it into the cache (only now
+  /// does it become anchorable) and counts F; then writes the recipe.
+  void close_file(FileOut& out);
+
+  /// A duplicate of `hash`: first among the chunks this file already
+  /// stored (its Manifest is not anchorable until close_file), then
+  /// through find_anchor with hook misses counted as `kind`.
+  std::optional<ChunkRef> find_duplicate(const Digest& hash, AccessKind kind);
+  /// Stores one chunk (or one whole big chunk standing for `chunk_count`
+  /// small ones) with its own Manifest entry and Hook, and references it
+  /// in the recipe: the CDC-style per-chunk indexing.
+  void store_indexed(FileOut& out, ByteSpan bytes, const Digest& hash,
+                     std::uint32_t chunk_count);
+
+  /// The anchor lookup for one incoming small-chunk hash (§III, BME):
+  ///  1. the cached manifests (through the fingerprint index);
+  ///  2. sampled tier: load the hash's champion manifests, retry the cache;
+  ///     a miss is stored fresh and the loss meter counts it;
+  ///  3. exact tiers: bloom gate, then the on-disk Hook (read as `kind`),
+  ///     then its manifest, then retry the cache.
+  /// Hook and manifest reads degrade_on_corruption: a damaged object costs
+  /// a missed duplicate, never a failed ingest.
+  std::optional<ManifestCache::Located> find_anchor(const Digest& hash,
+                                                    AccessKind kind);
+
+  /// Writes the Hook `hash` -> `manifest` and adds it to the bloom gate.
+  void write_hook(const Digest& hash, const Digest& manifest);
+
+  /// End-of-run persistence: saves the cache residency list into the
+  /// index and flushes it (the sampled tier's hook table). Call after the
+  /// cache flush. MemIndex keeps nothing.
+  void persist_index_state();
+
+  /// Engine state kept as index aux blobs, saved by finish() between the
+  /// cache flush and the warm list (FBC's frequency sketch).
+  virtual void save_index_aux() {}
+
+  FingerprintIndex& fp_index() { return *fp_index_; }
+
+ private:
+  std::unique_ptr<FingerprintIndex> make_fp_index();
 
   /// True when this engine routes through the sampled similarity tier:
   /// find_anchor then loads champions instead of taking the exact bloom +
@@ -368,15 +454,18 @@ class DedupEngine {
 
   /// Loads the hash's champion manifests that are not cached yet; true
   /// when at least one loaded.
-  bool load_champions(ManifestCache& cache, const Digest& hash);
+  bool load_champions(const Digest& hash);
 
-  bool in_dup_run_ = false;
-  std::unique_ptr<FingerprintIndex> fp_index_;
-  std::unique_ptr<RewriteController> rewrite_;
   bool index_was_present_ = false;  ///< persisted index existed before open
-  /// Negative gate in front of the Hook lookup; engaged by
-  /// open_anchor_path when cfg_.use_bloom.
+  std::unique_ptr<FingerprintIndex> fp_index_;
+  /// Negative gate in front of the Hook lookup (when cfg_.use_bloom).
   std::optional<BloomFilter> hook_bloom_;
+  /// The current file's stored chunks, for intra-file duplicates.
+  std::unordered_map<Digest, ChunkRef, DigestHasher> current_;
+
+ protected:
+  /// Declared after fp_index_, the index it routes lookups through.
+  ManifestCache cache_;
 };
 
 }  // namespace mhd

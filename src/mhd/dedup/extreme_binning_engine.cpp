@@ -1,8 +1,5 @@
 #include "mhd/dedup/extreme_binning_engine.h"
 
-#include "mhd/chunk/chunk_stream.h"
-#include "mhd/chunk/rabin_chunker.h"
-
 namespace mhd {
 
 ExtremeBinningEngine::ExtremeBinningEngine(ObjectStore& store,
@@ -14,7 +11,7 @@ ByteVec ExtremeBinningEngine::serialize_bin(const Bin& bin) const {
   append_le<std::uint32_t>(out, static_cast<std::uint32_t>(bin.size()));
   for (const auto& [hash, entry] : bin) {
     append(out, hash.span());
-    append(out, entry.chunk_name.span());
+    append(out, entry.chunk.span());
     append_le<std::uint64_t>(out, entry.offset);
     append_le<std::uint32_t>(out, entry.size);
   }
@@ -33,14 +30,14 @@ std::optional<ExtremeBinningEngine::Bin> ExtremeBinningEngine::deserialize_bin(
   std::size_t pos = 4;
   for (std::uint32_t i = 0; i < count; ++i) {
     Digest hash;
-    BinEntry entry;
+    ChunkRef entry;
     std::copy(data.begin() + static_cast<std::ptrdiff_t>(pos),
               data.begin() + static_cast<std::ptrdiff_t>(pos + 20),
               hash.bytes.begin());
     pos += 20;
     std::copy(data.begin() + static_cast<std::ptrdiff_t>(pos),
               data.begin() + static_cast<std::ptrdiff_t>(pos + 20),
-              entry.chunk_name.bytes.begin());
+              entry.chunk.bytes.begin());
     pos += 20;
     entry.offset = load_le<std::uint64_t>(data.data() + pos);
     pos += 8;
@@ -89,41 +86,25 @@ void ExtremeBinningEngine::process_file(const std::string& file_name,
     }
   }
 
-  std::optional<ChunkWriter> writer;
-  std::uint64_t chunk_off = 0;
-  bool bin_grew = false;
+  ChunkWriter writer = store_.open_chunk(dig.hex());
   for (auto& [hash, chunk_bytes] : chunks) {
-    const auto hit = bin.find(hash);
-    if (hit != bin.end() &&
-        admit_duplicate(hit->second.chunk_name, hit->second.offset,
-                        hit->second.size)) {
-      note_duplicate(hit->second.size);
-      fm.add_range(hit->second.chunk_name, hit->second.offset,
-                   hit->second.size, /*coalesce=*/false);
+    if (const auto hit = bin.find(hash);
+        hit != bin.end() && take_duplicate(hit->second, fm)) {
       continue;
     }
     note_unique(chunk_bytes.size());
-    if (!writer) writer.emplace(store_.open_chunk(dig.hex()));
-    writer->write(chunk_bytes);
-    bin.emplace(hash, BinEntry{dig, chunk_off,
-                               static_cast<std::uint32_t>(chunk_bytes.size())});
-    bin_grew = true;
-    fm.add_range(dig, chunk_off, chunk_bytes.size(), false);
-    chunk_off += chunk_bytes.size();
-    ++counters_.stored_chunks;
+    const ChunkRef ref = store_chunk(writer, dig, chunk_bytes);
+    bin.emplace(hash, ref);
+    fm.add_range(ref.chunk, ref.offset, ref.size, false);
   }
-  if (writer) {
-    writer->close();
+  writer.close();
+  // The bin absorbs the file's new chunks.
+  if (writer.bytes_written() > 0) {
     ++counters_.files_with_data;
-  }
-
-  if (bin_grew) {
     store_.put_manifest(bin_name.hex(), serialize_bin(bin));
   }
   primary_index_[*representative] = bin_name;
   store_.put_file_manifest(file_digest(file_name).hex(), fm.serialize());
 }
-
-void ExtremeBinningEngine::finish() {}
 
 }  // namespace mhd

@@ -25,7 +25,6 @@ class ExtremeBinningEngine final : public DedupEngine {
   ExtremeBinningEngine(ObjectStore& store, const EngineConfig& config);
 
   std::string name() const override { return "ExtremeBinning"; }
-  void finish() override;
 
   std::uint64_t manifest_loads() const override { return bin_loads_; }
   std::uint64_t index_ram_bytes() const override {
@@ -33,13 +32,8 @@ class ExtremeBinningEngine final : public DedupEngine {
   }
 
  private:
-  struct BinEntry {
-    Digest chunk_name;  ///< DiskChunk holding the bytes
-    std::uint64_t offset = 0;
-    std::uint32_t size = 0;
-  };
   /// A bin: chunk hash -> location, serialized as a Manifest-like blob.
-  using Bin = std::unordered_map<Digest, BinEntry, DigestHasher>;
+  using Bin = std::unordered_map<Digest, ChunkRef, DigestHasher>;
 
   void process_file(const std::string& file_name, ByteSource& data) override;
 

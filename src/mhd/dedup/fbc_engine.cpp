@@ -1,41 +1,10 @@
 #include "mhd/dedup/fbc_engine.h"
 
-#include "mhd/chunk/chunk_stream.h"
-#include "mhd/chunk/rabin_chunker.h"
-
 namespace mhd {
 
 FbcEngine::FbcEngine(ObjectStore& store, const EngineConfig& config)
-    : DedupEngine(store, config),
-      cache_(store, config.manifest_cache_capacity, /*hook_flags=*/false,
-             config.manifest_cache_bytes, &fp_index()) {
-  open_anchor_path(cache_);
+    : AnchoredEngine(store, config, /*hook_flags=*/false) {
   load_frequency_sketch();
-}
-
-std::optional<FbcEngine::DupRef> FbcEngine::find_duplicate(
-    const Digest& hash, const FileCtx& ctx, AccessKind query_kind) {
-  if (const auto it = ctx.current.find(hash); it != ctx.current.end()) {
-    return it->second;
-  }
-  const auto loc = find_anchor(cache_, hash, query_kind);
-  if (!loc) return std::nullopt;
-  const ManifestEntry& e = loc->manifest->entries()[loc->entry_index];
-  return DupRef{loc->manifest->chunk_name(), e.offset, e.size};
-}
-
-void FbcEngine::store_region(FileCtx& ctx, ByteSpan bytes, const Digest& hash,
-                             std::uint32_t chunk_count) {
-  if (!ctx.writer) ctx.writer.emplace(store_.open_chunk(ctx.dig.hex()));
-  ctx.writer->write(bytes);
-  ctx.manifest.add({hash, ctx.chunk_off, static_cast<std::uint32_t>(bytes.size()),
-                    chunk_count, false});
-  write_hook(hash, ctx.dig);
-  ctx.current.emplace(hash, DupRef{ctx.dig, ctx.chunk_off,
-                                   static_cast<std::uint32_t>(bytes.size())});
-  ctx.fm.add_range(ctx.dig, ctx.chunk_off, bytes.size(), /*coalesce=*/false);
-  ctx.chunk_off += bytes.size();
-  ++counters_.stored_chunks;
 }
 
 bool FbcEngine::looks_frequent(
@@ -60,11 +29,7 @@ bool FbcEngine::looks_frequent(
 }
 
 void FbcEngine::process_file(const std::string& file_name, ByteSource& data) {
-  FileCtx ctx;
-  ctx.dig = unique_store_digest(file_digest(file_name));
-  ctx.manifest = Manifest(ctx.dig);
-  ctx.fm = FileManifest(file_name);
-
+  FileOut out = open_file(file_name);
   const std::uint64_t big_size =
       static_cast<std::uint64_t>(cfg_.ecs) * cfg_.sd;
   auto stream = open_ingest(data, big_size);
@@ -75,11 +40,8 @@ void FbcEngine::process_file(const std::string& file_name, ByteSource& data) {
     counters_.input_bytes += big_bytes.size();
     ++counters_.input_chunks;
 
-    if (const auto dup =
-            find_duplicate(big_hash, ctx, AccessKind::kBigChunkQuery);
-        dup && admit_duplicate(dup->chunk_name, dup->offset, dup->size)) {
-      note_duplicate(dup->size);
-      ctx.fm.add_range(dup->chunk_name, dup->offset, dup->size, false);
+    if (const auto dup = find_duplicate(big_hash, AccessKind::kBigChunkQuery);
+        dup && take_duplicate(*dup, out.fm)) {
       continue;
     }
 
@@ -90,37 +52,21 @@ void FbcEngine::process_file(const std::string& file_name, ByteSource& data) {
     const bool frequent = looks_frequent(big_bytes, smalls);
     if (!frequent) {
       note_unique(big_bytes.size());
-      store_region(ctx, big_bytes, big_hash,
-                   std::max<std::uint32_t>(1, cfg_.sd));
+      store_indexed(out, big_bytes, big_hash,
+                    std::max<std::uint32_t>(1, cfg_.sd));
       continue;
     }
     counters_.input_chunks += smalls.size();
     for (auto& [hash, bytes] : smalls) {
-      if (const auto dup =
-              find_duplicate(hash, ctx, AccessKind::kSmallChunkQuery);
-          dup && admit_duplicate(dup->chunk_name, dup->offset, dup->size)) {
-        note_duplicate(dup->size);
-        ctx.fm.add_range(dup->chunk_name, dup->offset, dup->size, false);
+      if (const auto dup = find_duplicate(hash, AccessKind::kSmallChunkQuery);
+          dup && take_duplicate(*dup, out.fm)) {
         continue;
       }
       note_unique(bytes.size());
-      store_region(ctx, bytes, hash, 1);
+      store_indexed(out, bytes, hash, 1);
     }
   }
-
-  if (ctx.writer) {
-    ctx.writer->close();
-    store_.put_manifest(ctx.dig.hex(), ctx.manifest.serialize(false));
-    cache_.insert(ctx.dig, std::move(ctx.manifest), /*dirty=*/false);
-    ++counters_.files_with_data;
-  }
-  store_.put_file_manifest(file_digest(file_name).hex(), ctx.fm.serialize());
-}
-
-void FbcEngine::finish() {
-  cache_.flush();
-  save_frequency_sketch();
-  persist_index_state(cache_);
+  close_file(out);
 }
 
 // The frequency sketch is FBC's second piece of cross-restart state: the
@@ -129,7 +75,7 @@ void FbcEngine::finish() {
 // uninterrupted run would have. Persisted as an aux blob of the
 // fingerprint index — count-prefixed u64 key / u32 count pairs; MemIndex
 // keeps no aux blobs, so mem runs hold it in RAM only.
-void FbcEngine::save_frequency_sketch() {
+void FbcEngine::save_index_aux() {
   ByteVec payload;
   payload.reserve(8 + frequency_.size() * 12);
   append_le(payload, static_cast<std::uint64_t>(frequency_.size()));

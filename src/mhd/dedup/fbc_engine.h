@@ -13,24 +13,18 @@
 
 #include <unordered_map>
 
-#include "mhd/core/manifest_cache.h"
 #include "mhd/dedup/engine.h"
-#include "mhd/format/file_manifest.h"
 
 namespace mhd {
 
-class FbcEngine final : public DedupEngine {
+class FbcEngine final : public AnchoredEngine {
  public:
   FbcEngine(ObjectStore& store, const EngineConfig& config);
 
   std::string name() const override { return "FBC"; }
-  void finish() override;
 
-  std::uint64_t manifest_loads() const override {
-    return cache_.manifest_loads();
-  }
   std::uint64_t index_ram_bytes() const override {
-    return frequency_.size() * 16 + DedupEngine::index_ram_bytes();
+    return frequency_.size() * 16 + AnchoredEngine::index_ram_bytes();
   }
 
   /// Frequency threshold for re-chunking (>= this many prior sightings).
@@ -41,34 +35,15 @@ class FbcEngine final : public DedupEngine {
   static constexpr const char* kSketchAuxName = "fbc-frequency";
 
  private:
-  struct DupRef {
-    Digest chunk_name;
-    std::uint64_t offset = 0;
-    std::uint32_t size = 0;
-  };
-  struct FileCtx {
-    Digest dig{};
-    Manifest manifest;
-    FileManifest fm;
-    std::optional<ChunkWriter> writer;
-    std::uint64_t chunk_off = 0;
-    std::unordered_map<Digest, DupRef, DigestHasher> current;
-  };
-
   void process_file(const std::string& file_name, ByteSource& data) override;
 
-  std::optional<DupRef> find_duplicate(const Digest& hash, const FileCtx& ctx,
-                                       AccessKind query_kind);
-  void store_region(FileCtx& ctx, ByteSpan bytes, const Digest& hash,
-                    std::uint32_t chunk_count);
   /// Small-chunks the region, updates the sketch, and reports whether any
   /// sampled fingerprint was already frequent.
   bool looks_frequent(ByteSpan big_bytes,
                       std::vector<std::pair<Digest, ByteVec>>& smalls);
-  void save_frequency_sketch();
+  void save_index_aux() override;
   void load_frequency_sketch();
 
-  ManifestCache cache_;
   /// Sampled small-chunk fingerprint -> times seen.
   std::unordered_map<std::uint64_t, std::uint32_t> frequency_;
 };

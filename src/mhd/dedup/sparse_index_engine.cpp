@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "mhd/chunk/chunk_stream.h"
-#include "mhd/chunk/rabin_chunker.h"
-
 namespace mhd {
 
 ByteVec SparseIndexEngine::SegManifest::serialize() const {
@@ -130,8 +127,7 @@ void SparseIndexEngine::dedup_segment(std::vector<SegChunk>& segment,
 
   // 3. Deduplicate the segment; survivors go to this segment's container.
   SegManifest manifest;
-  std::optional<ChunkWriter> writer;
-  std::uint64_t container_off = 0;
+  ChunkWriter writer = store_.open_chunk(seg_name.hex());
   auto container_index = [&](const Digest& c) -> std::uint32_t {
     const auto it = std::find(manifest.containers.begin(),
                               manifest.containers.end(), c);
@@ -143,34 +139,21 @@ void SparseIndexEngine::dedup_segment(std::vector<SegChunk>& segment,
   };
 
   for (auto& c : segment) {
-    const auto it = known.find(c.hash);
-    if (it != known.end() &&
-        admit_duplicate(it->second.container, it->second.offset,
-                        it->second.size)) {
-      note_duplicate(it->second.size);
-      fm.add_range(it->second.container, it->second.offset, it->second.size,
-                   /*coalesce=*/false);
-      manifest.entries.push_back({c.hash, container_index(it->second.container),
+    if (const auto it = known.find(c.hash);
+        it != known.end() && take_duplicate(it->second, fm)) {
+      manifest.entries.push_back({c.hash, container_index(it->second.chunk),
                                   it->second.offset, it->second.size});
       continue;
     }
     note_unique(c.bytes.size());
-    if (!writer) writer.emplace(store_.open_chunk(seg_name.hex()));
-    writer->write(c.bytes);
-    const ChunkRef ref{seg_name, container_off,
-                       static_cast<std::uint32_t>(c.bytes.size())};
+    const ChunkRef ref = store_chunk(writer, seg_name, c.bytes);
     known.emplace(c.hash, ref);  // intra-segment dedup
-    manifest.entries.push_back({c.hash, container_index(seg_name),
-                                container_off,
-                                static_cast<std::uint32_t>(c.bytes.size())});
-    fm.add_range(seg_name, container_off, c.bytes.size(), false);
-    container_off += c.bytes.size();
-    ++counters_.stored_chunks;
+    manifest.entries.push_back(
+        {c.hash, container_index(seg_name), ref.offset, ref.size});
+    fm.add_range(ref.chunk, ref.offset, ref.size, false);
   }
-  if (writer) {
-    writer->close();
-    stored_anything = true;
-  }
+  writer.close();
+  stored_anything |= writer.bytes_written() > 0;
 
   // 4. Persist the segment manifest and update the sparse index + hooks.
   store_.put_manifest(seg_name.hex(), manifest.serialize());
@@ -226,7 +209,5 @@ void SparseIndexEngine::process_file(const std::string& file_name,
   if (stored_anything) ++counters_.files_with_data;
   store_.put_file_manifest(dig.hex(), fm.serialize());
 }
-
-void SparseIndexEngine::finish() {}
 
 }  // namespace mhd

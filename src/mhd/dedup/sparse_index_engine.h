@@ -26,7 +26,6 @@ class SparseIndexEngine final : public DedupEngine {
   SparseIndexEngine(ObjectStore& store, const EngineConfig& config);
 
   std::string name() const override { return "SparseIndexing"; }
-  void finish() override;
 
   std::uint64_t manifest_loads() const override { return loads_; }
   std::uint64_t index_ram_bytes() const override;
@@ -38,11 +37,6 @@ class SparseIndexEngine final : public DedupEngine {
   struct SegChunk {
     ByteVec bytes;
     Digest hash;
-  };
-  struct ChunkRef {
-    Digest container;
-    std::uint64_t offset = 0;
-    std::uint32_t size = 0;
   };
   /// A segment manifest: every chunk of the segment with its location.
   struct SegManifest {

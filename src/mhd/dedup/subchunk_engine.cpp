@@ -1,8 +1,5 @@
 #include "mhd/dedup/subchunk_engine.h"
 
-#include "mhd/chunk/chunk_stream.h"
-#include "mhd/chunk/rabin_chunker.h"
-
 namespace mhd {
 
 namespace {
@@ -116,8 +113,8 @@ void SubChunkEngine::index_manifest(const Digest& name, const SubManifest& m) {
     const BigGroup& g = m.groups[gi];
     big_index_.insert_or_assign(g.big_hash, std::make_pair(name, gi));
     for (const auto& e : g.smalls) {
-      small_index_.insert_or_assign(e.hash, SmallRef{g.container, e.offset,
-                                                     e.size});
+      small_index_.insert_or_assign(e.hash,
+                                    ChunkRef{g.container, e.offset, e.size});
     }
   }
 }
@@ -129,7 +126,7 @@ void SubChunkEngine::unindex_manifest(const SubManifest& m) {
   }
 }
 
-std::optional<SubChunkEngine::SmallRef> SubChunkEngine::find_small(
+std::optional<ChunkRef> SubChunkEngine::find_small(
     const Digest& hash) {
   const auto it = small_index_.find(hash);
   if (it == small_index_.end()) return std::nullopt;
@@ -210,9 +207,7 @@ void SubChunkEngine::process_file(const std::string& file_name,
     BigGroup group;
     group.big_hash = big_hash;
     group.container = unique_store_digest(big_hash);
-    std::optional<ChunkWriter> writer;
-    std::uint64_t container_off = 0;
-    const Digest container = group.container;
+    ChunkWriter writer = store_.open_chunk(group.container.hex());
 
     const auto small_chunker =
         make_chunker(cfg_.chunker, cfg_.chunker_config(cfg_.ecs));
@@ -222,32 +217,19 @@ void SubChunkEngine::process_file(const std::string& file_name,
     while (small_stream.next(bytes)) {
       ++counters_.input_chunks;
       const Digest hash = Sha1::hash(bytes);
-      if (const auto dup = find_small(hash);
-          dup && admit_duplicate(dup->container, dup->offset, dup->size)) {
-        note_duplicate(dup->size);
-        fm.add_range(dup->container, dup->offset, dup->size, false);
-        group.recipe.push_back({dup->container, dup->offset, dup->size});
+      if (const auto dup = find_small(hash); dup && take_duplicate(*dup, fm)) {
+        group.recipe.push_back({dup->chunk, dup->offset, dup->size});
         continue;
       }
       note_unique(bytes.size());
-      if (!writer) writer.emplace(store_.open_chunk(container.hex()));
-      writer->write(bytes);
-      group.smalls.push_back({hash, container_off,
-                              static_cast<std::uint32_t>(bytes.size()), 1,
-                              false});
-      small_index_.insert_or_assign(
-          hash, SmallRef{container, container_off,
-                         static_cast<std::uint32_t>(bytes.size())});
-      fm.add_range(container, container_off, bytes.size(), false);
-      group.recipe.push_back({container, container_off,
-                              static_cast<std::uint32_t>(bytes.size())});
-      container_off += bytes.size();
-      ++counters_.stored_chunks;
+      const ChunkRef ref = store_chunk(writer, group.container, bytes);
+      group.smalls.push_back({hash, ref.offset, ref.size, 1, false});
+      small_index_.insert_or_assign(hash, ref);
+      fm.add_range(ref.chunk, ref.offset, ref.size, false);
+      group.recipe.push_back({ref.chunk, ref.offset, ref.size});
     }
-    if (writer) {
-      writer->close();
-      stored_anything = true;
-    }
+    writer.close();
+    stored_anything |= writer.bytes_written() > 0;
     big_index_.insert_or_assign(big_hash,
                                 std::make_pair(dig, manifest.groups.size()));
     manifest.groups.push_back(std::move(group));
@@ -268,7 +250,5 @@ void SubChunkEngine::process_file(const std::string& file_name,
   }
   store_.put_file_manifest(file_digest(file_name).hex(), fm.serialize());
 }
-
-void SubChunkEngine::finish() {}
 
 }  // namespace mhd

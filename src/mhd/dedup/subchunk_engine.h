@@ -34,7 +34,6 @@ class SubChunkEngine final : public DedupEngine {
   SubChunkEngine(ObjectStore& store, const EngineConfig& config);
 
   std::string name() const override { return "SubChunk"; }
-  void finish() override;
 
   std::uint64_t manifest_loads() const override { return loads_; }
 
@@ -42,11 +41,6 @@ class SubChunkEngine final : public DedupEngine {
   void process_file(const std::string& file_name, ByteSource& data) override;
 
  private:
-  struct SmallRef {
-    Digest container;
-    std::uint64_t offset = 0;
-    std::uint32_t size = 0;
-  };
   /// One big chunk's metadata: its container group + restore recipe.
   struct BigGroup {
     Digest big_hash;
@@ -63,7 +57,7 @@ class SubChunkEngine final : public DedupEngine {
     std::uint64_t serialized_size() const;
   };
 
-  std::optional<SmallRef> find_small(const Digest& hash);
+  std::optional<ChunkRef> find_small(const Digest& hash);
   std::optional<const BigGroup*> find_big(const Digest& hash);
   /// Loads the file manifest a hook points at into the cache.
   bool load_manifest_for(const Digest& hook_hash, AccessKind query_kind);
@@ -73,7 +67,7 @@ class SubChunkEngine final : public DedupEngine {
   LruCache<Digest, SubManifest, DigestHasher> cache_;
   BloomFilter bloom_;
   /// Global indexes over cached manifests.
-  std::unordered_map<Digest, SmallRef, DigestHasher> small_index_;
+  std::unordered_map<Digest, ChunkRef, DigestHasher> small_index_;
   std::unordered_map<Digest, std::pair<Digest, std::size_t>, DigestHasher>
       big_index_;  ///< big hash -> (manifest name, group position)
   std::uint64_t loads_ = 0;

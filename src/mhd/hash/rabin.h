@@ -110,7 +110,6 @@ class RabinFingerprint {
   std::uint64_t push(Byte b);
 
   std::uint64_t value() const { return fp_; }
-  std::size_t window_size() const { return window_.size(); }
   std::uint64_t poly() const { return tables_->poly; }
 
   /// Non-rolling fingerprint of an entire buffer (for tests: rolling over a

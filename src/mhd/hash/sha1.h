@@ -80,15 +80,6 @@ class Sha1 {
   /// One-shot convenience (alias of digest_of, kept for existing callers).
   static Digest hash(ByteSpan data) { return digest_of(data); }
 
-  /// One-shot over the concatenation of two spans (used by match extension
-  /// when a region straddles buffer boundaries).
-  static Digest hash2(ByteSpan a, ByteSpan b) {
-    Sha1 h;
-    h.update(a);
-    h.update(b);
-    return h.digest();
-  }
-
  private:
   Sha1CompressFn fn_;
   std::uint32_t h_[5];

@@ -82,7 +82,6 @@ class DedupClient {
   /// Installs the backoff contract for every subsequent operation. The
   /// default-constructed policy (max_retries = 0) disables retries.
   void set_retry_policy(RetryPolicy policy);
-  const RetryPolicy& retry_policy() const { return policy_; }
   /// Retries performed so far (reconnect attempts included) — the chaos
   /// tests and bench assert these are nonzero under fault plans.
   std::uint64_t retries() const { return retries_; }

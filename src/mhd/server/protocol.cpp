@@ -47,25 +47,6 @@ ssize_t counted_read(int fd, void* buf, std::size_t len) {
   throw ProtocolError(std::string("read: ") + std::strerror(err));
 }
 
-bool read_exact(int fd, void* buf, std::size_t len) {
-  auto* p = static_cast<unsigned char*>(buf);
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = counted_read(fd, p + done, len - done);
-    if (n == 0) {
-      if (done == 0) return false;  // clean EOF between frames
-      throw PeerDisconnectedError("connection closed mid-frame");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (done == 0 && (errno == ECONNRESET || errno == EPIPE)) return false;
-      throw_read_error(errno);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Vectored exact write: header + payload leave in one sendmsg. Partial
 /// sends advance through the iovec array. MSG_NOSIGNAL: a peer that
 /// vanished mid-write must surface as EPIPE, not kill the daemon with
@@ -143,25 +124,6 @@ std::optional<std::string> validate_tenant(const std::string& tenant) {
     }
   }
   return std::nullopt;
-}
-
-bool read_frame(int fd, Frame& out) {
-  unsigned char header[5];
-  if (!read_exact(fd, header, sizeof(header))) return false;
-  const std::uint32_t len = static_cast<std::uint32_t>(header[0]) |
-                            (static_cast<std::uint32_t>(header[1]) << 8) |
-                            (static_cast<std::uint32_t>(header[2]) << 16) |
-                            (static_cast<std::uint32_t>(header[3]) << 24);
-  if (len > kMaxFramePayload) {
-    throw ProtocolError("frame payload exceeds " +
-                        std::to_string(kMaxFramePayload) + " bytes");
-  }
-  out.type = static_cast<MsgType>(header[4]);
-  out.payload.resize(len);
-  if (len != 0 && !read_exact(fd, out.payload.data(), len)) {
-    throw ProtocolError("connection closed mid-frame");
-  }
-  return true;
 }
 
 void write_frame(int fd, MsgType type, ByteSpan payload) {

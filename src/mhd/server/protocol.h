@@ -92,11 +92,9 @@ struct Frame {
 /// rejection reason, or nullopt when valid.
 std::optional<std::string> validate_tenant(const std::string& tenant);
 
-/// Blocking exact-size frame IO on a connected socket. read_frame returns
-/// false on clean EOF and throws ProtocolError on a malformed or oversized
-/// frame; write_frame throws on a broken pipe. write_frame sends header
-/// and payload as ONE vectored syscall (sendmsg with MSG_NOSIGNAL).
-bool read_frame(int fd, Frame& out);
+/// Blocking exact-size frame writes on a connected socket (reads go
+/// through FrameReader). write_frame throws on a broken pipe and sends
+/// header and payload as ONE vectored syscall (sendmsg with MSG_NOSIGNAL).
 void write_frame(int fd, MsgType type, ByteSpan payload);
 void write_frame(int fd, MsgType type, const std::string& text);
 
@@ -127,9 +125,8 @@ void reset_transport_stats();
 /// through it (it over-reads by design).
 ///
 /// Two access styles:
-///  * read_frame(Frame&): whole frames, same semantics as the free
-///    function (false on clean EOF at a frame boundary, ProtocolError on
-///    tears/oversize);
+///  * read_frame(Frame&): whole frames (false on clean EOF at a frame
+///    boundary, ProtocolError on tears/oversize);
 ///  * next_header() + read_payload(): streaming consumption — the PUT
 ///    data path pulls payload bytes directly into the chunker's buffer
 ///    without materializing a frame.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "mhd/store/store_errors.h"
 
@@ -63,7 +64,12 @@ ContainerBackend::parse_extents(ByteSpan bytes) {
 }
 
 ContainerBackend::ContainerBackend(StorageBackend& inner, ContainerConfig config)
-    : inner_(inner), cfg_(config) {
+    : inner_(inner),
+      cfg_(config),
+      cache_(
+          std::numeric_limits<std::size_t>::max(),
+          [this](const std::uint64_t&, ByteVec&) { ++stats_.cache_evictions; },
+          cfg_.cache_bytes, [](const ByteVec& bytes) { return bytes.size(); }) {
   if (cfg_.container_bytes == 0) cfg_.container_bytes = 4ull << 20;
   // Sealed container streams are immutable: reopening always starts the
   // next fresh id after anything already present (clean, torn, or not).
@@ -114,14 +120,8 @@ void ContainerBackend::roll_container() {
 }
 
 void ContainerBackend::cache_insert(std::uint64_t id, ByteVec bytes) const {
-  if (bytes.size() > cfg_.cache_bytes) return;  // would evict everything
-  cached_bytes_ += bytes.size();
-  lru_.insert(lru_.begin(), {id, std::move(bytes)});
-  while (cached_bytes_ > cfg_.cache_bytes && !lru_.empty()) {
-    cached_bytes_ -= lru_.back().bytes.size();
-    lru_.pop_back();
-    ++stats_.cache_evictions;
-  }
+  if (bytes.size() > cfg_.cache_bytes) return;
+  cache_.put(id, std::move(bytes));
 }
 
 void ContainerBackend::append(Ns ns, const std::string& name, ByteSpan data) {
@@ -212,15 +212,8 @@ std::optional<ByteVec> ContainerBackend::read_container_range(
                    open_image_.begin() +
                        static_cast<std::ptrdiff_t>(offset + length));
   }
-  const ByteVec* bytes = nullptr;
-  for (std::size_t i = 0; i < lru_.size(); ++i) {
-    if (lru_[i].id != id) continue;
-    if (i != 0) std::rotate(lru_.begin(), lru_.begin() + i, lru_.begin() + i + 1);
-    bytes = &lru_.front().bytes;
+  if (const ByteVec* bytes = cache_.get(id)) {
     ++stats_.cache_hits;
-    break;
-  }
-  if (bytes != nullptr) {
     if (offset > bytes->size() || length > bytes->size() - offset) {
       return std::nullopt;
     }
@@ -396,12 +389,7 @@ std::pair<std::uint64_t, std::uint64_t> ContainerBackend::sweep_containers() {
     }
     if (!inner_.remove(Ns::kContainer, name)) continue;
     container_fill_.erase(*id);
-    for (std::size_t i = 0; i < lru_.size(); ++i) {
-      if (lru_[i].id != *id) continue;
-      cached_bytes_ -= lru_[i].bytes.size();
-      lru_.erase(lru_.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
+    cache_.erase(*id);
     ++removed;
     reclaimed += payload;
   }
@@ -410,8 +398,7 @@ std::pair<std::uint64_t, std::uint64_t> ContainerBackend::sweep_containers() {
 
 void ContainerBackend::drop_cache() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  cached_bytes_ = 0;
+  cache_.clear();
 }
 
 ContainerStats ContainerBackend::stats() const {

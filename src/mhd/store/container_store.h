@@ -41,6 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mhd/container/lru_cache.h"
 #include "mhd/store/backend.h"
 
 namespace mhd {
@@ -141,6 +142,8 @@ class ContainerBackend final : public StorageBackend {
   std::optional<ByteVec> read_container_range(std::uint64_t id,
                                               std::uint64_t offset,
                                               std::uint64_t length) const;
+  /// Caches a sealed container's bytes, unless it alone exceeds the
+  /// budget (it would evict everything and still not fit).
   void cache_insert(std::uint64_t id, ByteVec bytes) const;
   void roll_container();
 
@@ -158,15 +161,10 @@ class ContainerBackend final : public StorageBackend {
   mutable std::unordered_map<std::string, ExtentMap> committed_;  ///< cache
   std::uint64_t chunk_logical_bytes_ = 0;  ///< content_bytes(kDiskChunk)
 
-  // Whole-container LRU cache (recency list + index), byte-budgeted.
-  struct CacheEntry {
-    std::uint64_t id = 0;
-    ByteVec bytes;
-  };
-  mutable std::vector<CacheEntry> lru_;  ///< front = most recent
-  mutable std::uint64_t cached_bytes_ = 0;
-
   mutable ContainerStats stats_;
+  /// Whole-container LRU cache, byte-budgeted; its evictions count in
+  /// stats_.cache_evictions.
+  mutable LruCache<std::uint64_t, ByteVec> cache_;
 };
 
 }  // namespace mhd

@@ -1,6 +1,11 @@
 #include "mhd/store/file_backend.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <fstream>
 
 #include "mhd/store/store_errors.h"
@@ -32,6 +37,44 @@ void write_all_or_throw(const fs::path& p, ByteSpan data,
     throw BackendIoError("FileBackend: close failed for " + p.string());
   }
 }
+
+/// A read-only descriptor, closed on every path out of its scope.
+class ReadFd {
+ public:
+  explicit ReadFd(const fs::path& p)
+      : fd_(::open(p.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~ReadFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ReadFd(const ReadFd&) = delete;
+  ReadFd& operator=(const ReadFd&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+
+  /// The file's size; nullopt when fstat fails.
+  std::optional<std::uint64_t> size() const {
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) return std::nullopt;
+    return static_cast<std::uint64_t>(st.st_size);
+  }
+
+  /// Fills `out` from `offset`, retrying EINTR. False on an error or a
+  /// short read (the file ends first).
+  bool read_at(std::uint64_t offset, MutByteSpan out) const {
+    std::size_t done = 0;
+    while (done < out.size()) {
+      const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
+                                static_cast<off_t>(offset + done));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      done += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+ private:
+  int fd_;
+};
 
 }  // namespace
 
@@ -87,31 +130,26 @@ void FileBackend::append(Ns ns, const std::string& name, ByteSpan data) {
 }
 
 std::optional<ByteVec> FileBackend::get(Ns ns, const std::string& name) const {
-  const fs::path p = path_for(ns, name);
-  std::ifstream in(p, std::ios::binary | std::ios::ate);
-  if (!in) return std::nullopt;
-  const auto size = in.tellg();
-  in.seekg(0);
-  ByteVec out(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(out.data()), size);
-  if (!in) return std::nullopt;
+  const ReadFd fd(path_for(ns, name));
+  if (!fd.ok()) return std::nullopt;
+  const auto size = fd.size();
+  if (!size) return std::nullopt;
+  ByteVec out(static_cast<std::size_t>(*size));
+  if (!fd.read_at(0, out)) return std::nullopt;
   return out;
 }
 
 std::optional<ByteVec> FileBackend::get_range(Ns ns, const std::string& name,
                                               std::uint64_t offset,
                                               std::uint64_t length) const {
-  const fs::path p = path_for(ns, name);
-  std::ifstream in(p, std::ios::binary | std::ios::ate);
-  if (!in) return std::nullopt;
-  const std::uint64_t size = static_cast<std::uint64_t>(in.tellg());
-  // Checked as two comparisons: `offset + length` can wrap u64.
-  if (offset > size || length > size - offset) return std::nullopt;
-  in.seekg(static_cast<std::streamoff>(offset));
+  const ReadFd fd(path_for(ns, name));
+  if (!fd.ok()) return std::nullopt;
+  const auto size = fd.size();
+  // Checked as two comparisons: `offset + length` can wrap u64. The size
+  // check also keeps a bogus length from sizing the buffer.
+  if (!size || offset > *size || length > *size - offset) return std::nullopt;
   ByteVec out(static_cast<std::size_t>(length));
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(length));
-  if (!in) return std::nullopt;
+  if (!fd.read_at(offset, out)) return std::nullopt;
   return out;
 }
 

@@ -41,15 +41,18 @@ ChunkWriter::~ChunkWriter() {
   }
 }
 
-void ChunkWriter::write(ByteSpan data) {
+std::uint64_t ChunkWriter::write(ByteSpan data) {
   store_->backend_.append(Ns::kDiskChunk, name_, data);
+  const std::uint64_t offset = bytes_;
   bytes_ += data.size();
+  return offset;
 }
 
 void ChunkWriter::close() {
   if (closed_) return;
   closed_ = true;
-  if (bytes_ > 0) store_->backend_.seal(Ns::kDiskChunk, name_);
+  if (bytes_ == 0) return;
+  store_->backend_.seal(Ns::kDiskChunk, name_);
   store_->stats_.record(AccessKind::kChunkOut);
   store_->stats_.bytes_written += bytes_;
 }
@@ -64,14 +67,6 @@ std::optional<ByteVec> ObjectStore::read_chunk_range(const std::string& name,
   auto data = with_read_retry(stats_, [&] {
     return backend_.get_range(Ns::kDiskChunk, name, offset, length);
   });
-  stats_.record(AccessKind::kChunkIn);
-  if (data) stats_.bytes_read += data->size();
-  return data;
-}
-
-std::optional<ByteVec> ObjectStore::read_chunk(const std::string& name) {
-  auto data =
-      with_read_retry(stats_, [&] { return backend_.get(Ns::kDiskChunk, name); });
   stats_.record(AccessKind::kChunkIn);
   if (data) stats_.bytes_read += data->size();
   return data;
@@ -96,11 +91,6 @@ std::optional<ByteVec> ObjectStore::get_hook(const Digest& hook_hash,
   return data;
 }
 
-bool ObjectStore::hook_exists(const Digest& hook_hash, AccessKind query_kind) {
-  stats_.record(query_kind);
-  return backend_.exists(Ns::kHook, hook_hash.hex());
-}
-
 void ObjectStore::put_manifest(const std::string& name, ByteSpan data) {
   backend_.put(Ns::kManifest, name, data);
   stats_.record(AccessKind::kManifestOut);
@@ -119,14 +109,6 @@ void ObjectStore::put_file_manifest(const std::string& name, ByteSpan data) {
   backend_.put(Ns::kFileManifest, name, data);
   stats_.record(AccessKind::kFileManifestOut);
   stats_.bytes_written += data.size();
-}
-
-std::optional<ByteVec> ObjectStore::get_file_manifest(const std::string& name) {
-  auto data = with_read_retry(
-      stats_, [&] { return backend_.get(Ns::kFileManifest, name); });
-  stats_.record(AccessKind::kFileManifestIn);
-  if (data) stats_.bytes_read += data->size();
-  return data;
 }
 
 }  // namespace mhd

@@ -19,8 +19,11 @@ namespace mhd {
 class ContainerBackend;
 class ObjectStore;
 
-/// Sequential writer for a DiskChunk being assembled; accounts a single
-/// kChunkOut access when closed (sequential stream = one positioning).
+/// Sequential writer for a DiskChunk being assembled. Opening one touches
+/// no backend; closing one that received bytes seals the chunk and
+/// accounts a single kChunkOut access (sequential stream = one
+/// positioning). A writer that received no bytes leaves no trace, so an
+/// engine may open its writer up front and write to it or not.
 class ChunkWriter {
  public:
   /// Move disarms the source: only the destination's close() records the
@@ -35,11 +38,13 @@ class ChunkWriter {
   ChunkWriter& operator=(ChunkWriter&&) = delete;
   ~ChunkWriter();
 
-  void write(ByteSpan data);
+  /// Appends `data`; returns the offset in the chunk it landed at.
+  std::uint64_t write(ByteSpan data);
   std::uint64_t bytes_written() const { return bytes_; }
   const std::string& name() const { return name_; }
 
-  /// Finalizes the object and records the access. Idempotent.
+  /// Finalizes the object and records the access, if any bytes were
+  /// written. Idempotent.
   void close();
 
  private:
@@ -66,7 +71,6 @@ class ObjectStore {
   std::optional<ByteVec> read_chunk_range(const std::string& name,
                                           std::uint64_t offset,
                                           std::uint64_t length);
-  std::optional<ByteVec> read_chunk(const std::string& name);
 
   // --- Hooks (immutable hash-named sample files) -------------------------
   void put_hook(const Digest& hook_hash, ByteSpan payload);
@@ -75,7 +79,6 @@ class ObjectStore {
   /// when present (the hook file is actually read).
   std::optional<ByteVec> get_hook(const Digest& hook_hash,
                                   AccessKind query_kind);
-  bool hook_exists(const Digest& hook_hash, AccessKind query_kind);
 
   // --- Manifests (the only mutable metadata) ------------------------------
   void put_manifest(const std::string& name, ByteSpan data);
@@ -83,7 +86,6 @@ class ObjectStore {
 
   // --- FileManifests ------------------------------------------------------
   void put_file_manifest(const std::string& name, ByteSpan data);
-  std::optional<ByteVec> get_file_manifest(const std::string& name);
 
   StorageBackend& backend() { return backend_; }
   const StorageBackend& backend() const { return backend_; }

@@ -4,11 +4,6 @@
 
 namespace mhd {
 
-void ImagePlan::recompute_total() {
-  total_bytes_ = 0;
-  for (const auto& e : extents_) total_bytes_ += e.length;
-}
-
 std::size_t ImageSource::read(MutByteSpan out) {
   std::size_t produced = 0;
   while (produced < out.size() && extent_index_ < plan_.extents().size()) {

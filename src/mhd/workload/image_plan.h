@@ -35,11 +35,7 @@ class ImagePlan {
   }
 
   const std::vector<Extent>& extents() const { return extents_; }
-  std::vector<Extent>& extents() { return extents_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
-
-  /// Recomputes total_bytes after direct extent edits.
-  void recompute_total();
 
  private:
   std::vector<Extent> extents_;

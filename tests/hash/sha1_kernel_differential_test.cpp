@@ -149,20 +149,6 @@ TEST(Sha1Kernels, RandomizedIncrementalSplitsPerKernel) {
   }
 }
 
-TEST(Sha1Kernels, Hash2MatchesConcatenationPerKernel) {
-  const DispatchGuard guard;
-  const ByteVec a = random_buffer(1, 333);
-  const ByteVec b = random_buffer(2, 79);
-  ByteVec joined = a;
-  joined.insert(joined.end(), b.begin(), b.end());
-  for (const auto& k : sha1_kernels()) {
-    if (!k.supported) continue;
-    set_sha1_impl(k.impl);
-    EXPECT_EQ(Sha1::hash2(a, b).hex(), Sha1::digest_of(joined).hex())
-        << "kernel=" << k.name;
-  }
-}
-
 // ---- Dispatch resolution ----------------------------------------------
 
 TEST(Sha1Dispatch, AutoResolvesToBestSupportedKernel) {

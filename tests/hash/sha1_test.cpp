@@ -53,12 +53,6 @@ TEST(Sha1, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.digest(), whole);
 }
 
-TEST(Sha1, Hash2ConcatenatesSpans) {
-  const auto a = as_bytes("hello ");
-  const auto b = as_bytes("world");
-  EXPECT_EQ(Sha1::hash2(a, b), Sha1::hash(as_bytes("hello world")));
-}
-
 TEST(Sha1, ResetAllowsReuse) {
   Sha1 h;
   h.update(as_bytes("garbage"));

@@ -102,8 +102,9 @@ TEST(FrameIo, RoundTripsTypeAndPayload) {
   const std::string text = "stats payload";
   write_frame(pair.a(), MsgType::kOk, text);
 
+  FrameReader reader(pair.b());
   Frame frame;
-  ASSERT_TRUE(read_frame(pair.b(), frame));
+  ASSERT_TRUE(reader.read_frame(frame));
   EXPECT_EQ(frame.type, MsgType::kOk);
   EXPECT_EQ(std::string(frame.payload.begin(), frame.payload.end()), text);
 }
@@ -111,13 +112,14 @@ TEST(FrameIo, RoundTripsTypeAndPayload) {
 TEST(FrameIo, EmptyPayloadAndCleanEofAtFrameBoundary) {
   SocketPair pair;
   write_frame(pair.a(), MsgType::kPing, ByteSpan{});
+  FrameReader reader(pair.b());
   Frame frame;
-  ASSERT_TRUE(read_frame(pair.b(), frame));
+  ASSERT_TRUE(reader.read_frame(frame));
   EXPECT_EQ(frame.type, MsgType::kPing);
   EXPECT_TRUE(frame.payload.empty());
 
   pair.close_a();
-  EXPECT_FALSE(read_frame(pair.b(), frame));  // EOF between frames: false
+  EXPECT_FALSE(reader.read_frame(frame));  // EOF between frames: false
 }
 
 TEST(FrameIo, TruncatedFrameMidHeaderThrows) {
@@ -126,8 +128,9 @@ TEST(FrameIo, TruncatedFrameMidHeaderThrows) {
   ASSERT_EQ(::send(pair.a(), partial, sizeof(partial), 0),
             static_cast<ssize_t>(sizeof(partial)));
   pair.close_a();
+  FrameReader reader(pair.b());
   Frame frame;
-  EXPECT_THROW(read_frame(pair.b(), frame), ProtocolError);
+  EXPECT_THROW(reader.read_frame(frame), ProtocolError);
 }
 
 TEST(FrameIo, OversizedFrameIsRejectedBeforeAllocation) {
@@ -137,8 +140,9 @@ TEST(FrameIo, OversizedFrameIsRejectedBeforeAllocation) {
   header[4] = static_cast<Byte>(MsgType::kPutData);
   ASSERT_EQ(::send(pair.a(), header, sizeof(header), 0),
             static_cast<ssize_t>(sizeof(header)));
+  FrameReader reader(pair.b());
   Frame frame;
-  EXPECT_THROW(read_frame(pair.b(), frame), ProtocolError);
+  EXPECT_THROW(reader.read_frame(frame), ProtocolError);
 }
 
 TEST(FrameReaderTest, StreamsPayloadsAcrossCoalescedFrames) {
@@ -273,8 +277,9 @@ TEST(ListenerTest, TcpEphemeralAcceptAndConnect) {
   std::thread server([&] {
     const int fd = listener.accept();
     ASSERT_GE(fd, 0);
+    FrameReader reader(fd);
     Frame frame;
-    ASSERT_TRUE(read_frame(fd, frame));
+    ASSERT_TRUE(reader.read_frame(frame));
     write_frame(fd, MsgType::kOk, frame.payload.empty()
                                       ? std::string("pong")
                                       : std::string("echo"));
@@ -284,8 +289,9 @@ TEST(ListenerTest, TcpEphemeralAcceptAndConnect) {
   const int fd = connect_to(spec);
   ASSERT_GE(fd, 0);
   write_frame(fd, MsgType::kPing, ByteSpan{});
+  FrameReader reader(fd);
   Frame reply;
-  ASSERT_TRUE(read_frame(fd, reply));
+  ASSERT_TRUE(reader.read_frame(reply));
   EXPECT_EQ(reply.type, MsgType::kOk);
   ::close(fd);
   server.join();
@@ -303,8 +309,9 @@ TEST(ListenerTest, UnixSocketRoundTripAndCleanup) {
   std::thread server([&] {
     const int fd = listener.accept();
     ASSERT_GE(fd, 0);
+    FrameReader reader(fd);
     Frame frame;
-    ASSERT_TRUE(read_frame(fd, frame));
+    ASSERT_TRUE(reader.read_frame(frame));
     write_frame(fd, MsgType::kOk, std::string("pong"));
     ::close(fd);
   });
@@ -312,8 +319,9 @@ TEST(ListenerTest, UnixSocketRoundTripAndCleanup) {
   const int fd = connect_to(spec);
   ASSERT_GE(fd, 0);
   write_frame(fd, MsgType::kPing, ByteSpan{});
+  FrameReader reader(fd);
   Frame reply;
-  ASSERT_TRUE(read_frame(fd, reply));
+  ASSERT_TRUE(reader.read_frame(reply));
   EXPECT_EQ(reply.type, MsgType::kOk);
   ::close(fd);
   server.join();
