@@ -1,9 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the substrate primitives:
 // SHA-1 hashing, CRC32C, Rabin fingerprint rolling, the chunkers, the
-// bloom filter, and the synthetic content generator. These set the CPU-cost
-// context for the ThroughputRatio results.
+// bloom filter, the synthetic content generator, and FileBackend's
+// per-object put and get. These set the CPU-cost context for the
+// ThroughputRatio results.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <string>
 
 #include "mhd/chunk/chunk_stream.h"
@@ -12,6 +17,7 @@
 #include "mhd/chunk/tttd_chunker.h"
 #include "mhd/container/bloom_filter.h"
 #include "mhd/hash/sha1.h"
+#include "mhd/store/file_backend.h"
 #include "mhd/util/crc32c.h"
 #include "mhd/util/random.h"
 #include "mhd/workload/block_source.h"
@@ -144,12 +150,78 @@ void BM_BlockSourceFill(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockSourceFill);
 
+/// file_put/<bytes> and file_get/<bytes>: `median_us` is the median time
+/// of one FileBackend call over 1,000 hooks of that size, SHA-1-named as
+/// the engines name them, in a fresh repository under the temp directory.
+/// file_put puts them into the empty namespace; file_get reads each back
+/// through a second instance opened after the puts, as a restore or a
+/// reopened repository reads what an earlier process stored.
+void BM_FileBackend(benchmark::State& state, bool get) {
+  namespace fs = std::filesystem;
+  constexpr int kObjects = 1000;
+  const ByteVec payload = make_data(static_cast<std::size_t>(state.range(0)));
+  std::vector<std::string> names;
+  for (int i = 0; i < kObjects; ++i) {
+    names.push_back(Sha1::hash(as_bytes(std::to_string(i))).hex());
+  }
+  std::vector<double> us;
+  int run = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const fs::path dir =
+        fs::temp_directory_path() / ("mhd_micro_file_" +
+                                     std::to_string(::getpid()) + "_" +
+                                     std::to_string(run++));
+    fs::remove_all(dir);
+    std::optional<FileBackend> writer(std::in_place, dir);
+    if (get) {
+      for (const auto& n : names) writer->put(Ns::kHook, n, payload);
+      writer.reset();
+    }
+    const FileBackend reader(dir);
+    state.ResumeTiming();
+    for (const auto& n : names) {
+      const auto t0 = std::chrono::steady_clock::now();
+      if (get) {
+        benchmark::DoNotOptimize(reader.get(Ns::kHook, n));
+      } else {
+        writer->put(Ns::kHook, n, payload);
+      }
+      us.push_back(std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
+    }
+    state.PauseTiming();
+    writer.reset();
+    fs::remove_all(dir);
+    state.ResumeTiming();
+  }
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  state.counters["median_us"] = us[us.size() / 2];
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kObjects);
+}
+
+void register_file_backend() {
+  for (const bool get : {false, true}) {
+    benchmark::RegisterBenchmark(get ? "file_get" : "file_put",
+                                 [get](benchmark::State& s) {
+                                   BM_FileBackend(s, get);
+                                 })
+        ->Arg(44)
+        ->Arg(2048)
+        ->Iterations(5)
+        ->Unit(benchmark::kMillisecond);
+  }
+}
+
 }  // namespace
 }  // namespace mhd
 
 int main(int argc, char** argv) {
   mhd::register_sha1_throughput();
   mhd::register_crc32c_throughput();
+  mhd::register_file_backend();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

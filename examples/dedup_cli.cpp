@@ -2,15 +2,19 @@
 //
 // Stores actual files from your filesystem into an on-disk hash-addressable
 // repository (FileBackend: diskchunks/ hooks/ manifests/ filemanifests/
-// directories, exactly the paper's Ext3 user-space layout) using the
-// BF-MHD engine, and restores them byte-exactly.
+// directories after the paper's Ext3 user-space layout, except that
+// hooks, manifests, file manifests and chunk maps are records appended
+// to pack files rather than a file each; see src/mhd/store/file_backend.h)
+// using the BF-MHD engine, and restores them byte-exactly.
 //
 //   ./dedup_cli store   <repo_dir> <file...>     add files to the repo
 //   ./dedup_cli restore <repo_dir> <name> <out>  restore one file
 //   ./dedup_cli verify  <repo_dir> <file...>     store-then-verify files
 //   ./dedup_cli delete  <repo_dir> <name...>     forget files (then gc)
 //   ./dedup_cli gc      <repo_dir>               reclaim unreferenced data
-//                                                (in every tenant scope)
+//                                                (in every tenant scope),
+//                                                then fold each packed
+//                                                namespace into one pack
 //   ./dedup_cli stats   <repo_dir>               repository statistics
 //   (fsck_cli checks and repairs any repository: examples/fsck_cli.cpp)
 //
@@ -282,9 +286,13 @@ int cmd_gc(const Flags& flags) {
     return 2;
   }
   Repository repo = open_repository(args[1], flags, OpenMode::kWrite);
-  repo.file().sweep_temps();
   const auto r =
       collect_garbage(repo.stack().top(), repo.stack().containers());
+  // After the collection, so its tombstones are folded too: each packed
+  // namespace is left with one pack and no loose file. The collection
+  // refused a repository with damaged pack regions, so none is dropped
+  // here.
+  repo.file().sweep_temps();
   std::printf("gc: %llu live chunks kept, %llu chunks deleted (%.2f MB "
               "reclaimed), %llu manifests and %llu hooks removed\n",
               static_cast<unsigned long long>(r.live_chunks),
@@ -368,7 +376,11 @@ int cmd_serve(const Flags& flags) {
     // The repair pass reports what it FOUND (and fixed); a read-only
     // second pass proves what is LEFT.
     const bool framed = repo.config().framed;
-    repo.file().sweep_temps();
+    for (const LayoutDamage& d : repo.file().sweep_temps()) {
+      std::printf("fsck-on-start: quarantined %s: fails its pack record "
+                  "check\n",
+                  to_string(d).c_str());
+    }
     const FsckReport rep =
         fsck_repository(repo.file(), /*repair=*/true,
                         repo.file().root() / "quarantine", framed);

@@ -2,6 +2,10 @@
 //
 //   ./fsck_cli check  <repo_dir>            verify every object + refs
 //   ./fsck_cli repair <repo_dir>            fix what is fixable:
+//                                           temp files swept and packs
+//                                           folded (torn pack tails cut,
+//                                           damaged pack regions saved
+//                                           under <repo>/quarantine/),
 //                                           torn chunk tails truncated to
 //                                           the last intact record and
 //                                           re-sealed, corrupt objects
@@ -23,12 +27,16 @@
 // whole run and exits 4, touching nothing, while another live process
 // holds it; check takes no lock. check and repair take the layout from
 // the repository's descriptor (src/mhd/repo/) and exit 2, touching
-// nothing, on a path without one. A framed repository's CRC framing is
+// nothing, on a path without one. check adopts a repository older than
+// descriptors in memory only; repair, which may write packs, records it
+// (with the default chunking, as gc does) and rewrites a version 1
+// descriptor as version 2 first. A framed repository's CRC framing is
 // verified; on one stored without --framed the check is structural:
 // references, manifest tiling and every manifest entry's SHA-1 against
 // its chunk's bytes, in each daemon tenant's scope as in the root scope.
-// The corrupt/tear fixtures write through the raw files, bypassing the
-// backend — exactly the bit rot and torn writes the checks exist to
+// The corrupt fixture flips a byte of an object's stored bytes through
+// the physical layer (no framing above it), and tear cuts a record
+// stream's file: exactly the bit rot and torn writes the checks exist to
 // catch.
 //
 // Container repositories (dedup_cli --container-mb) need no extra flags:
@@ -38,7 +46,6 @@
 // aim the fixtures at that layout).
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "mhd/repo/repository.h"
 #include "mhd/store/scrub.h"
@@ -61,16 +68,21 @@ int cmd_check(const Flags& flags, bool repair) {
                  repair ? "repair" : "check");
     return 2;
   }
-  // fsck takes no engine flags: the descriptor alone gives the layout, and
-  // a repository older than descriptors is adopted in memory only (no
-  // flags here could give its chunking).
+  // fsck takes no engine flags: the descriptor alone gives the layout.
+  // Repair mutates objects, so it opens as a writer: it holds the writer
+  // lock for its whole run and records the current descriptor version
+  // before the fold below writes a pack.
   Repository repo =
-      open_repository(args[1], Flags(0, nullptr), OpenMode::kRead);
-  // Repair mutates objects, so it holds the writer lock for its whole run.
-  std::optional<StoreLock> lock;
+      open_repository(args[1], Flags(0, nullptr),
+                      repair ? OpenMode::kWrite : OpenMode::kRead);
   if (repair) {
-    lock.emplace(StoreLock::acquire(args[1]));
-    repo.file().sweep_temps();
+    // The fold drops damaged pack regions after saving them; the report
+    // below no longer sees them, so they are listed here.
+    for (const LayoutDamage& d : repo.file().sweep_temps()) {
+      std::printf("  [corrupt] %s: fails its pack record check -> "
+                  "quarantined\n",
+                  to_string(d).c_str());
+    }
   }
   const bool framed = repo.config().framed;
   const auto report = fsck_repository(
@@ -93,11 +105,11 @@ int cmd_check(const Flags& flags, bool repair) {
   return 1;
 }
 
-/// Picks the --index'th object of --ns (sorted order) and returns its path.
-std::optional<std::filesystem::path> target_object(const Flags& flags,
-                                                   const FileBackend& backend,
-                                                   const std::string& def_ns,
-                                                   Ns* out_ns) {
+/// Picks the --index'th object of --ns (sorted order) and returns its name.
+std::optional<std::string> target_object(const Flags& flags,
+                                         const FileBackend& backend,
+                                         const std::string& def_ns,
+                                         Ns* out_ns) {
   const auto ns = ns_from_string(flags.get("ns", def_ns));
   if (!ns) {
     std::fprintf(stderr, "unknown --ns (want diskchunks|hooks|manifests|"
@@ -113,7 +125,7 @@ std::optional<std::filesystem::path> target_object(const Flags& flags,
     return std::nullopt;
   }
   *out_ns = *ns;
-  return backend.root() / ns_name(*ns) / names[index];
+  return names[index];
 }
 
 int cmd_corrupt(const Flags& flags) {
@@ -125,25 +137,22 @@ int cmd_corrupt(const Flags& flags) {
   }
   FileBackend backend(args[1]);
   Ns ns;
-  const auto path = target_object(flags, backend, "hooks", &ns);
-  if (!path) return 1;
-
-  std::fstream file(*path, std::ios::binary | std::ios::in | std::ios::out);
-  file.seekg(0, std::ios::end);
-  const auto size = static_cast<long long>(file.tellg());
-  if (size <= 0) return 1;
+  const auto name = target_object(flags, backend, "hooks", &ns);
+  if (!name) return 1;
+  // Read, flip and store back through the physical layer, so the fixture
+  // works whether the object is a file of its own or a pack record.
+  auto bytes = backend.get(ns, *name);
+  if (!bytes || bytes->empty()) return 1;
+  const auto size = static_cast<long long>(bytes->size());
   long long offset = flags.get_int("byte", -1);
   if (offset < 0) offset = size / 2;
   if (offset >= size) offset = size - 1;
-  file.seekg(offset);
-  char byte = 0;
-  file.read(&byte, 1);
-  byte ^= 0x01;  // single-bit flip: the weakest corruption we must catch
-  file.seekp(offset);
-  file.write(&byte, 1);
-  std::printf("flipped bit 0 of byte %lld in %s\n", offset,
-              path->string().c_str());
-  return file ? 0 : 1;
+  // single-bit flip: the weakest corruption we must catch
+  (*bytes)[static_cast<std::size_t>(offset)] ^= 0x01;
+  backend.put(ns, *name, *bytes);
+  std::printf("flipped bit 0 of byte %lld in %s/%s\n", offset, ns_name(ns),
+              name->c_str());
+  return 0;
 }
 
 int cmd_tear(const Flags& flags) {
@@ -154,9 +163,15 @@ int cmd_tear(const Flags& flags) {
   }
   FileBackend backend(args[1]);
   Ns ns;
-  const auto path = target_object(flags, backend, "diskchunks", &ns);
-  if (!path) return 1;
-  const auto size = std::filesystem::file_size(*path);
+  const auto name = target_object(flags, backend, "diskchunks", &ns);
+  if (!name) return 1;
+  if (ns_layout(ns) != NsLayout::kStream) {
+    std::fprintf(stderr, "tear cuts record streams: --ns=diskchunks or "
+                         "--ns=containers\n");
+    return 1;
+  }
+  const auto path = backend.root() / ns_name(ns) / *name;
+  const auto size = std::filesystem::file_size(path);
   const auto cut = static_cast<std::uint64_t>(flags.get_int("cut", 5));
   if (cut >= size) {
     std::fprintf(stderr, "cut %llu >= object size %llu\n",
@@ -164,9 +179,9 @@ int cmd_tear(const Flags& flags) {
                  static_cast<unsigned long long>(size));
     return 1;
   }
-  std::filesystem::resize_file(*path, size - cut);
+  std::filesystem::resize_file(path, size - cut);
   std::printf("tore %llu bytes off %s\n",
-              static_cast<unsigned long long>(cut), path->string().c_str());
+              static_cast<unsigned long long>(cut), path.string().c_str());
   return 0;
 }
 

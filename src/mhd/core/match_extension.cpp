@@ -14,6 +14,18 @@ Digest hash_run(const std::deque<StreamChunk>& chunks, std::size_t first,
   return h.digest();
 }
 
+/// Records where each of the `count` matched chunks from chunks[first] is
+/// stored: back to back from `offset` in the DiskChunk `chunk`.
+void note_matched(MatchExtender::Outcome& out, const Digest& chunk,
+                  std::uint64_t offset, const std::deque<StreamChunk>& chunks,
+                  std::size_t first, std::size_t count) {
+  for (std::size_t j = first; j < first + count; ++j) {
+    const auto size = static_cast<std::uint32_t>(chunks[j].bytes.size());
+    out.matched_chunks.push_back({chunks[j].hash, {chunk, offset, size}});
+    offset += size;
+  }
+}
+
 }  // namespace
 
 std::size_t MatchExtender::splice(Manifest& m, const Digest& name,
@@ -103,6 +115,8 @@ bool MatchExtender::hhr_backward(Manifest& m, const Digest& name,
   out.dup_segments.push_back(
       {pending[pending.size() - matched].file_offset, m.chunk_name(),
        e.offset + e.size - acc, acc});
+  note_matched(out, m.chunk_name(), e.offset + e.size - acc, pending,
+               pending.size() - matched, matched);
   out.dup_chunks += matched;
   out.dup_bytes += acc;
   pending.erase(pending.end() - static_cast<std::ptrdiff_t>(matched),
@@ -157,6 +171,7 @@ bool MatchExtender::hhr_forward(Manifest& m, const Digest& name,
 
   out.dup_segments.push_back(
       {look.front().file_offset, m.chunk_name(), e.offset, acc});
+  note_matched(out, m.chunk_name(), e.offset, look, 0, matched);
   out.dup_chunks += matched;
   out.dup_bytes += acc;
   look.erase(look.begin(), look.begin() + static_cast<std::ptrdiff_t>(matched));
@@ -176,6 +191,8 @@ MatchExtender::Outcome MatchExtender::extend(
     const ManifestEntry& e = m.entries()[i];
     out.dup_segments.push_back({anchor.file_offset, m.chunk_name(), e.offset,
                                 e.size});
+    out.matched_chunks.push_back(
+        {anchor.hash, {m.chunk_name(), e.offset, e.size}});
     out.dup_chunks += 1;
     out.dup_bytes += e.size;
   }
@@ -205,6 +222,8 @@ MatchExtender::Outcome MatchExtender::extend(
         out.dup_segments.push_back(
             {pending[pending.size() - k].file_offset, m.chunk_name(), e.offset,
              e.size});
+        note_matched(out, m.chunk_name(), e.offset, pending,
+                     pending.size() - k, k);
         out.dup_chunks += k;
         out.dup_bytes += e.size;
         frontier -= e.size;
@@ -248,6 +267,7 @@ MatchExtender::Outcome MatchExtender::extend(
     if (acc == e.size && hash_run(look, 0, k) == e.hash) {
       out.dup_segments.push_back(
           {look.front().file_offset, m.chunk_name(), e.offset, e.size});
+      note_matched(out, m.chunk_name(), e.offset, look, 0, k);
       out.dup_chunks += k;
       out.dup_bytes += e.size;
       for (std::size_t j = 0; j < k; ++j) {

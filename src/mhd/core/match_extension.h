@@ -54,6 +54,9 @@ class MatchExtender {
 
   struct Outcome {
     std::vector<FileSegment> dup_segments;  ///< any order; engine sorts
+    /// Each matched chunk's hash and where its bytes are stored, so the
+    /// engine can resolve a later repeat of it within the same file.
+    std::vector<std::pair<Digest, ChunkRef>> matched_chunks;
     std::deque<StreamChunk> leftover;  ///< prefetched but not matched (order)
     std::uint64_t dup_chunks = 0;
     std::uint64_t dup_bytes = 0;

@@ -13,7 +13,7 @@ ChunkRef MhdEngine::store_front(FileCtx& ctx) {
   const StreamChunk& c = ctx.pending.front();
   const ChunkRef ref = store_chunk(ctx.out.writer, ctx.out.dig, c.bytes);
   ctx.log.push_back({c.file_offset, ref.chunk, ref.offset, ref.size});
-  ctx.current.emplace(c.hash, std::make_pair(ref.offset, ref.size));
+  ctx.current.emplace(c.hash, ref);
   ctx.pending.pop_front();
   return ref;
 }
@@ -117,6 +117,9 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
           advance_rewrite_stream(outcome.dup_bytes - anchor_size);
         }
         for (auto& seg : outcome.dup_segments) ctx.log.push_back(seg);
+        for (const auto& [hash, ref] : outcome.matched_chunks) {
+          ctx.current.emplace(hash, ref);
+        }
         // Unmatched prefetches re-enter the pipeline in stream order.
         while (!outcome.leftover.empty()) {
           ctx.inbox.push_front(std::move(outcome.leftover.back()));
@@ -125,16 +128,15 @@ void MhdEngine::process_file(const std::string& file_name, ByteSource& data) {
         continue;
       }
     }
-    // Intra-file duplicate: a chunk identical to one already flushed to
-    // this file's own DiskChunk (the manifest is not anchorable until file
-    // end, so this side map covers e.g. repeated zero pages).
+    // Intra-file duplicate: a chunk identical to one this file already
+    // stored or matched (see FileCtx::current).
     if (const auto it = ctx.current.find(chunk->hash);
-        it != ctx.current.end() &&
-        it->second.second == chunk->bytes.size() &&
-        admit_duplicate(ctx.out.dig, it->second.first, it->second.second)) {
-      note_duplicate(chunk->bytes.size());
-      ctx.log.push_back({chunk->file_offset, ctx.out.dig, it->second.first,
-                         it->second.second});
+        it != ctx.current.end() && it->second.size == chunk->bytes.size() &&
+        admit_duplicate(it->second.chunk, it->second.offset,
+                        it->second.size)) {
+      const ChunkRef& ref = it->second;
+      note_duplicate(ref.size);
+      ctx.log.push_back({chunk->file_offset, ref.chunk, ref.offset, ref.size});
       continue;
     }
     note_unique(chunk->bytes.size());

@@ -58,13 +58,16 @@ class MhdEngine final : public AnchoredEngine {
     std::deque<StreamChunk> pending;  ///< SHM buffer (capacity 2*SD)
     std::deque<StreamChunk> inbox;    ///< prefetched chunks to re-process
     std::vector<FileSegment> log;     ///< segments; sorted at file end
-    /// Chunks already flushed to this file's own DiskChunk. The file's
-    /// manifest only becomes visible to anchor detection at file end, so
+    /// Chunks this file has already resolved: flushed to its own
+    /// DiskChunk, or matched by extension against a stored one. The
+    /// file's manifest only becomes visible to anchor detection at file
+    /// end, and a matched chunk inside a merged entry has no hook, so
     /// intra-file duplication (e.g. repeated zero pages of a VM image) is
-    /// caught through this side map instead.
-    std::unordered_map<Digest, std::pair<std::uint64_t, std::uint32_t>,
-                       DigestHasher>
-        current;
+    /// caught through this side map instead. The matched chunks matter
+    /// when a file is stored again: its first store kept one copy of a
+    /// repeated chunk, so the repeats are absent from the DiskChunk that
+    /// the extension walks.
+    std::unordered_map<Digest, ChunkRef, DigestHasher> current;
   };
 
   /// Flushes the first `count` pending chunks through SHM.

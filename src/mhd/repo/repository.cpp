@@ -14,7 +14,8 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kDescriptorFile = "descriptor";
-constexpr std::uint32_t kVersion = 1;
+/// Version 1 repositories keep every object in its own file.
+constexpr std::uint32_t kLooseVersion = 1;
 constexpr std::size_t kPayloadBytes = 4 + 8 + 4 + 4 + 1 + 1 + 1;
 
 const char* const kIndexNames[] = {"mem", "disk", "sampled"};
@@ -83,7 +84,7 @@ std::array<std::pair<const char*, std::string>, 6> creation_values(
 /// sealed with a CRC32C trailer.
 ByteVec encode_descriptor(const EngineConfig& cfg) {
   ByteVec p;
-  append_le(p, kVersion);
+  append_le(p, kDescriptorVersion);
   append_le(p, cfg.container_bytes);
   append_le(p, cfg.ecs);
   append_le(p, cfg.sd);
@@ -93,14 +94,18 @@ ByteVec encode_descriptor(const EngineConfig& cfg) {
   return framing::seal_object(p);
 }
 
-/// Sets the six values of `cfg`; throws StoreError on damaged, truncated or
-/// other-version bytes.
-void decode_descriptor(ByteSpan sealed, EngineConfig& cfg) {
+/// Sets the six values of `cfg` and returns the format version, 1 or 2;
+/// throws StoreError on damaged, truncated or other-version bytes.
+std::uint32_t decode_descriptor(ByteSpan sealed, EngineConfig& cfg) {
   const auto p = framing::unseal_object(sealed);
-  if (p && p->size() >= 4 && load_le<std::uint32_t>(p->data()) != kVersion) {
+  const std::uint32_t version =
+      p && p->size() >= 4 ? load_le<std::uint32_t>(p->data()) : 0;
+  if (p && p->size() >= 4 && version != kDescriptorVersion &&
+      version != kLooseVersion) {
     throw StoreError("repository descriptor has format version " +
-                     std::to_string(load_le<std::uint32_t>(p->data())) +
-                     ", not " + std::to_string(kVersion));
+                     std::to_string(version) + ", not " +
+                     std::to_string(kLooseVersion) + " or " +
+                     std::to_string(kDescriptorVersion));
   }
   const Byte* b = p ? p->data() + 4 : nullptr;
   if (!p || p->size() != kPayloadBytes || b[16] > 1 || b[17] > 2 ||
@@ -113,6 +118,7 @@ void decode_descriptor(ByteSpan sealed, EngineConfig& cfg) {
   cfg.framed = b[16] == 1;
   cfg.index_impl = static_cast<IndexImpl>(b[17]);
   cfg.chunker = static_cast<ChunkerKind>(b[18]);
+  return version;
 }
 
 }  // namespace
@@ -222,10 +228,15 @@ Repository open_repository(const fs::path& root, const Flags& flags,
   if (mode != OpenMode::kRead) lock.emplace(StoreLock::acquire(root));
 
   EngineConfig cfg = given;
-  const bool stored = fs::exists(path);
-  if (stored) {
+  // A version 1 descriptor, or none, is rewritten as version 2 by the first
+  // mutating command, before any object lands in a pack: an older binary
+  // then refuses the repository instead of reading only its loose files.
+  bool current = false;
+  if (fs::exists(path)) {
     std::ifstream in(path, std::ios::binary);
-    decode_descriptor(ByteVec{std::istreambuf_iterator<char>(in), {}}, cfg);
+    current = decode_descriptor(
+                  ByteVec{std::istreambuf_iterator<char>(in), {}}, cfg) ==
+              kDescriptorVersion;
   } else if (legacy) {
     adopt_legacy(root, cfg);
   }
@@ -241,7 +252,7 @@ Repository open_repository(const fs::path& root, const Flags& flags,
   check_sample_bits(root, flags, cfg, given.sample_bits);
   require_rewrite_layer(cfg);
   return Repository(root, std::move(lock), std::move(cfg),
-                    !stored && mode != OpenMode::kRead);
+                    !current && mode != OpenMode::kRead);
 }
 
 }  // namespace mhd

@@ -18,6 +18,12 @@
 
 namespace mhd {
 
+/// Format version of the descriptors this build writes. Version 2 packs
+/// hooks, manifests, file manifests and chunk maps (store/file_backend.h);
+/// version 1 repositories are read as they are and upgraded by the first
+/// mutating command.
+inline constexpr std::uint32_t kDescriptorVersion = 2;
+
 /// Reads --ecs and --sd into `cfg`, which carries the defaults, with the
 /// range checks every CLI applies: ECS 8..UINT32_MAX/8, SD >= 1. Throws
 /// FlagError. The in-memory demos read only these two engine flags.
@@ -65,8 +71,9 @@ class BackendStack {
 
 enum class OpenMode {
   kCreate,  ///< store/verify/serve: creates a missing repository
-  kWrite,   ///< delete/gc: an existing repository; records an adoption
-  kRead,    ///< restore/stats/fsck_cli: an existing one; writes nothing
+  kWrite,   ///< delete/gc/fsck repair: an existing repository; records an
+            ///< adoption or a version 1 descriptor as version 2
+  kRead,    ///< restore/stats/fsck check: an existing one; writes nothing
 };
 
 /// An opened repository. Nothing under its root is written before the
@@ -106,7 +113,8 @@ class Repository {
 /// that differs from the repository throws FlagError; an omitted one
 /// takes the repository's value, and so does require_rewrite_layer. So
 /// does a --sample-bits that differs from a sampled tier's meta object,
-/// which owns the rate. A damaged descriptor throws StoreError.
+/// which owns the rate. A damaged descriptor, or one of a version other
+/// than 1 or 2, throws StoreError.
 Repository open_repository(const std::filesystem::path& root,
                            const Flags& flags, OpenMode mode);
 

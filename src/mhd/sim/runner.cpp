@@ -51,6 +51,19 @@ const std::vector<std::string>& extension_engine_names() {
   return names;
 }
 
+void require_index_tier(const std::string& algo, const EngineConfig& cfg) {
+  if (cfg.index_impl == IndexImpl::kMem) return;
+  for (const char* own : {"subchunk", "sparseindexing", "sparse",
+                          "extremebinning", "extreme"}) {
+    if (algo != own) continue;
+    const char* tier =
+        cfg.index_impl == IndexImpl::kDisk ? "disk" : "sampled";
+    throw FlagError(std::string("--index-impl=") + tier + ": engine " + algo +
+                    " keeps its own index and builds no fingerprint index "
+                    "tier");
+  }
+}
+
 ExperimentResult run_experiment(const RunSpec& spec, const Corpus& corpus,
                                 BackendStack& stack) {
   ObjectStore store(stack.top(), stack.containers());

@@ -29,6 +29,13 @@ const std::vector<std::string>& engine_names();
 /// (FBC, Extreme Binning); also accepted by make_engine.
 const std::vector<std::string>& extension_engine_names();
 
+/// Throws FlagError when `cfg` asks for a disk or sampled index tier and
+/// the engine `algo` builds no fingerprint index (SubChunk,
+/// SparseIndexing, Extreme Binning): it would run without the tier.
+/// Checked by the CLIs, as require_rewrite_layer is; the library runs
+/// any pair.
+void require_index_tier(const std::string& algo, const EngineConfig& cfg);
+
 struct RunSpec {
   std::string algorithm = "bf-mhd";
   EngineConfig engine;

@@ -3,9 +3,12 @@
 // The paper's prototype stores DiskChunks, Hooks, Manifests and
 // FileManifests as separate hash-addressable files in an Ext3 directory
 // tree; each file costs one inode (256 bytes in the paper's accounting).
-// MemoryBackend simulates that (fast, fully accounted) and FileBackend
-// writes real files, so the same engine code runs in simulation and for
-// real end-to-end backups.
+// MemoryBackend models that accounting (fast, exact: one inode per
+// object), and the paper's tables are computed from it. FileBackend
+// stores real bytes, so the same engine code runs in simulation and for
+// real end-to-end backups, but it does not keep the one-file-per-object
+// layout everywhere: a packed object (ns_layout) is a record in a pack
+// file, not an inode (store/file_backend.h).
 #pragma once
 
 #include <cstdint>
@@ -40,6 +43,34 @@ enum class Ns : int {
 
 const char* ns_name(Ns ns);
 
+/// How a namespace's objects are laid out — the one place that says which
+/// namespaces are record streams (FramedBackend frames those record by
+/// record) and which FileBackend packs.
+enum class NsLayout {
+  /// Appended in place, one file per object: DiskChunks and containers.
+  kStream,
+  /// Put-only objects whose count grows with the data (hooks, manifests,
+  /// file manifests, chunk maps): FileBackend appends them as records to
+  /// per-writer pack files.
+  kPacked,
+  /// One file per object, rewritten whole: the index namespace's few
+  /// repository-level objects, which a pack would grow by their full size
+  /// at every flush.
+  kLoose,
+};
+NsLayout ns_layout(Ns ns);
+
+/// A byte range of the physical layout that holds no readable object: a
+/// region of a FileBackend pack whose record headers fail their check.
+struct LayoutDamage {
+  Ns ns;
+  std::string file;  ///< the pack's file name within its namespace
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+};
+/// "<ns>/<file>@<offset> (<length> bytes)".
+std::string to_string(const LayoutDamage& d);
+
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -72,6 +103,11 @@ class StorageBackend {
   /// Total content bytes in a namespace.
   virtual std::uint64_t content_bytes(Ns ns) const = 0;
   virtual std::vector<std::string> list(Ns ns) const = 0;
+
+  /// Damage below the objects, which no object read reports: fsck asks
+  /// for it here. Decorators forward it; a layout with one file or one map
+  /// entry per object has none.
+  virtual std::vector<LayoutDamage> layout_damage() const { return {}; }
 
   /// Paper's storage-management accounting: one inode = 256 bytes.
   static constexpr std::uint64_t kInodeBytes = 256;

@@ -88,6 +88,9 @@ class ContainerBackend final : public StorageBackend {
   std::uint64_t object_count(Ns ns) const override;
   std::uint64_t content_bytes(Ns ns) const override;
   std::vector<std::string> list(Ns ns) const override;
+  std::vector<LayoutDamage> layout_damage() const override {
+    return inner_.layout_damage();
+  }
   void seal(Ns ns, const std::string& name) override;
 
   const ContainerConfig& config() const { return cfg_; }

@@ -11,9 +11,7 @@ namespace mhd {
 
 namespace {
 
-bool is_stream(Ns ns) {
-  return ns == Ns::kDiskChunk || ns == Ns::kContainer;
-}
+bool is_stream(Ns ns) { return ns_layout(ns) == NsLayout::kStream; }
 
 std::string table_key(Ns ns, const std::string& name) {
   std::string key(1, static_cast<char>(ns));

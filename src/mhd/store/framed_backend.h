@@ -88,6 +88,9 @@ class FramedBackend final : public StorageBackend {
   /// per namespace reads the objects this instance has not sized.
   std::uint64_t content_bytes(Ns ns) const override;
   std::vector<std::string> list(Ns ns) const override;
+  std::vector<LayoutDamage> layout_damage() const override {
+    return inner_.layout_damage();
+  }
   void seal(Ns ns, const std::string& name) override;
 
   /// Framed bytes actually stored below — physical − logical is the

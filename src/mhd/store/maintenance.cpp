@@ -8,6 +8,7 @@
 #include "mhd/index/sampled_index.h"
 #include "mhd/store/container_store.h"
 #include "mhd/store/scoped_backend.h"
+#include "mhd/store/store_errors.h"
 #include "mhd/util/hex.h"
 
 namespace mhd {
@@ -103,6 +104,13 @@ bool delete_file(StorageBackend& backend, const std::string& file_name) {
 
 GcReport collect_garbage(StorageBackend& backend,
                          ContainerBackend* containers) {
+  // A damaged pack region hides the objects in it: marking without them
+  // would sweep the chunks they reference.
+  if (const auto damage = backend.layout_damage(); !damage.empty()) {
+    const LayoutDamage& d = damage.front();
+    throw CorruptObjectError(d.ns, d.file + "@" + std::to_string(d.offset),
+                             "a pack record header fails its check");
+  }
   GcReport report;
   for (const auto& scope : list_scopes(backend)) {
     ScopedBackend view(backend, scope);

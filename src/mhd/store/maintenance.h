@@ -61,7 +61,9 @@ struct GcReport {
 /// of the same scope. On a framed store a CorruptObjectError
 /// propagates: a FileManifest that cannot be read could reference any
 /// chunk, so sweeping past it would risk deleting live data — run
-/// fsck_repository() first. With the stack's container layer
+/// fsck_repository() first. So does a CorruptObjectError naming a
+/// damaged pack region (StorageBackend::layout_damage), on any store:
+/// the objects in it are hidden, not gone. With the stack's container layer
 /// (BackendStack::containers()), containers are swept once after every
 /// scope: tenants share them, so only the chunk maps of all scopes together
 /// say which are dead. The daemon's online gc passes none.

@@ -18,6 +18,26 @@ const char* ns_name(Ns ns) {
   return "?";
 }
 
+NsLayout ns_layout(Ns ns) {
+  switch (ns) {
+    case Ns::kDiskChunk:
+    case Ns::kContainer: return NsLayout::kStream;
+    case Ns::kHook:
+    case Ns::kManifest:
+    case Ns::kFileManifest:
+    case Ns::kChunkMap: return NsLayout::kPacked;
+    case Ns::kIndex:
+    case Ns::kCount: break;
+  }
+  return NsLayout::kLoose;
+}
+
+std::string to_string(const LayoutDamage& d) {
+  return std::string(ns_name(d.ns)) + "/" + d.file + "@" +
+         std::to_string(d.offset) + " (" + std::to_string(d.length) +
+         " bytes)";
+}
+
 std::uint64_t StorageBackend::total_objects() const {
   std::uint64_t total = 0;
   for (int i = 0; i < static_cast<int>(Ns::kCount); ++i) {

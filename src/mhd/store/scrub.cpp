@@ -115,6 +115,15 @@ class Checker {
         framed_(framed) {}
 
   FsckReport run() {
+    // A pack region whose record headers fail their check holds no object
+    // a read could report: the layout names it. A repair's fold
+    // (FileBackend::sweep_temps) saves it under quarantine/ and drops it.
+    for (const LayoutDamage& d : raw_.layout_damage()) {
+      add(Kind::kCorrupt, d.ns, d.file + "@" + std::to_string(d.offset),
+          std::to_string(d.length) +
+              " bytes fail their pack record check (fsck repair "
+              "quarantines them)");
+    }
     // Containers sit below the scopes: their framing is checked once.
     for (const auto& name : framed_ ? raw_.list(Ns::kContainer)
                                     : std::vector<std::string>{}) {

@@ -4,7 +4,12 @@
 // Manifest tiles its DiskChunk, all by bare names within one scope: the
 // daemon prefixes each tenant's objects with `<tenant>.`. So fsck walks
 // the repository one scope at a time (list_scopes, scoped_backend.h).
-// Containers sit below the scopes, shared by all, and are checked once.
+// Containers sit below the scopes, shared by all, and are checked once,
+// and so is the layout below the objects: the backend's layout_damage()
+// (pack regions whose record headers fail their check) is reported as
+// corrupt, by pack and offset. A torn pack tail is not an issue, just as a
+// stale temp file is not: FileBackend::sweep_temps truncates the one and
+// removes the other.
 //
 // The caller says, from the repository's descriptor, what `backend` holds:
 //   * framed: the RAW layer below FramedBackend. Every DiskChunk and

@@ -74,6 +74,10 @@ class SyncBackend final : public StorageBackend {
     std::lock_guard<std::mutex> lock(mu_);
     return inner_.list(ns);
   }
+  std::vector<LayoutDamage> layout_damage() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inner_.layout_damage();
+  }
 
  private:
   StorageBackend& inner_;

@@ -36,6 +36,22 @@ TEST(BloomFilter, EmptyContainsNothing) {
   EXPECT_EQ(hits, 0);
 }
 
+// A filter may take over the bit array a destroyed one released: it must
+// start empty all the same.
+TEST(BloomFilter, AReusedArrayStartsEmpty) {
+  std::vector<std::uint64_t> keys;
+  {
+    BloomFilter full(1024);
+    for (std::uint64_t k = 0; k < 2000; ++k) {
+      full.insert(k);
+      keys.push_back(k);
+    }
+  }
+  BloomFilter fresh(1024);
+  EXPECT_EQ(fresh.inserted_count(), 0u);
+  for (const auto k : keys) EXPECT_FALSE(fresh.maybe_contains(k)) << k;
+}
+
 TEST(BloomFilter, ClearResets) {
   BloomFilter bf(1024);
   bf.insert(42);

@@ -84,6 +84,41 @@ TEST(MhdEngine, IdenticalSecondFileFullyDeduplicates) {
   EXPECT_EQ(backend.content_bytes(Ns::kDiskChunk), data.size());
 }
 
+// A file whose chunk B repeats after an anchor (A+B+C+B+E): its first
+// store keeps one copy of B, inside a merged entry, and references it for
+// the repeat. A copy's forward extension then stops where the DiskChunk
+// skips the repeat, and B is no hook; the copy must still resolve it
+// through the location the extension matched for the first B.
+TEST(MhdEngine, CopyOfFileWithRepeatedChunkStoresNothing) {
+  MemoryBackend backend;
+  ObjectStore store(backend);
+  EngineConfig cfg = small_config();
+  cfg.chunker = ChunkerKind::kFixed;  // chunk i is bytes [512 i, 512 (i+1))
+  MhdEngine engine(store, cfg);
+  const ByteVec b = random_bytes(512, 13);
+  ByteVec data;
+  // Chunks 0-2 A, 3 B (in the first group's merged entry), 4-15 C,
+  // 16 B again, 17-28 E.
+  for (const ByteVec& part :
+       {random_bytes(3 * 512, 10), b, random_bytes(12 * 512, 11), b,
+        random_bytes(12 * 512, 12)}) {
+    data.insert(data.end(), part.begin(), part.end());
+  }
+  MemorySource a(data);
+  engine.add_file("a.img", a);
+  const auto first = engine.counters();
+  ASSERT_EQ(first.dup_bytes, b.size());  // the second B, within the file
+
+  MemorySource copy(data);
+  engine.add_file("b.img", copy);
+  engine.finish();
+  testutil::expect_reconstructs(engine, {{"a.img", data}, {"b.img", data}});
+  const auto& c = engine.counters();
+  EXPECT_EQ(c.stored_chunks, first.stored_chunks);
+  EXPECT_EQ(c.dup_bytes - first.dup_bytes, data.size());
+  EXPECT_EQ(c.files_with_data, 1u);
+}
+
 TEST(MhdEngine, MiddleEditTriggersHhrAndRecoversBothSides) {
   MemoryBackend backend;
   ObjectStore store(backend);

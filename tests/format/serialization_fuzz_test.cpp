@@ -53,7 +53,9 @@ TEST_P(SerializationFuzzTest, ManifestRoundTrip) {
     for (int t = 0; t < 8; ++t) {
       const std::size_t cut = static_cast<std::size_t>(rng.below(wire.size() + 1));
       const auto trunc = Manifest::deserialize({wire.data(), cut});
-      if (trunc) EXPECT_LE(trunc->entries().size(), m.entries().size());
+      if (trunc) {
+        EXPECT_LE(trunc->entries().size(), m.entries().size());
+      }
     }
   }
 }

@@ -111,5 +111,32 @@ TEST(Runner, PhysicalBytesFollowTheStack) {
   }
 }
 
+// SubChunk, SparseIndexing and Extreme Binning keep their own indexes: the
+// CLIs refuse a disk or sampled tier for them instead of ignoring it.
+TEST(RequireIndexTier, RefusesATierTheEngineIgnores) {
+  for (const IndexImpl tier : {IndexImpl::kDisk, IndexImpl::kSampled}) {
+    EngineConfig cfg;
+    cfg.index_impl = tier;
+    for (const char* algo : {"subchunk", "sparseindexing", "extremebinning"}) {
+      try {
+        require_index_tier(algo, cfg);
+        ADD_FAILURE() << algo << " accepted the tier";
+      } catch (const FlagError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(algo), std::string::npos) << what;
+        EXPECT_NE(what.find(tier == IndexImpl::kDisk ? "disk" : "sampled"),
+                  std::string::npos)
+            << what;
+      }
+    }
+    for (const char* algo : {"mhd", "bf-mhd", "cdc", "bimodal", "fbc"}) {
+      EXPECT_NO_THROW(require_index_tier(algo, cfg)) << algo;
+    }
+  }
+  for (const char* algo : {"subchunk", "sparseindexing", "extremebinning"}) {
+    EXPECT_NO_THROW(require_index_tier(algo, EngineConfig{})) << algo;
+  }
+}
+
 }  // namespace
 }  // namespace mhd

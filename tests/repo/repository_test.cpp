@@ -99,9 +99,9 @@ TEST_F(RepositoryTest, DamagedTruncatedOrNewerDescriptorIsRefused) {
 
   std::string flipped = good;
   flipped[5] ^= 0x01;
-  // Version 2, correctly sealed: only the version is wrong.
+  // A newer version, correctly sealed: only the version is wrong.
   ByteVec payload = *framing::unseal_object(as_bytes(good));
-  payload[0] = 2;
+  payload[0] = kDescriptorVersion + 1;
   const ByteVec newer = framing::seal_object(payload);
   for (const std::string& bad :
        {flipped, good.substr(0, good.size() - 3),

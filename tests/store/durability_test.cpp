@@ -63,31 +63,31 @@ TEST(FileBackendDurability, StaleTempIsKeptOnReopenUnlistedUntilSwept) {
   TempDir tmp;
   {
     FileBackend backend(tmp.path());
-    backend.put(Ns::kManifest, "m0", bytes_of("intact"));
+    backend.put(Ns::kIndex, "m0", bytes_of("intact"));
   }
   // Simulate a crash mid-put: a half-written temp beside the object.
-  const fs::path stale = tmp.path() / "manifests" / "m0.tmp";
+  const fs::path stale = tmp.path() / "index" / "m0.tmp";
   std::ofstream(stale, std::ios::binary) << "half-writ";
   ASSERT_TRUE(fs::exists(stale));
 
   FileBackend reopened(tmp.path());
   EXPECT_TRUE(fs::exists(stale));  // opening lists nothing
-  EXPECT_EQ(reopened.object_count(Ns::kManifest), 1u);
-  EXPECT_EQ(reopened.content_bytes(Ns::kManifest), 6u);
-  EXPECT_EQ(reopened.list(Ns::kManifest),
+  EXPECT_EQ(reopened.object_count(Ns::kIndex), 1u);
+  EXPECT_EQ(reopened.content_bytes(Ns::kIndex), 6u);
+  EXPECT_EQ(reopened.list(Ns::kIndex),
             std::vector<std::string>{"m0"});
-  EXPECT_EQ(reopened.get(Ns::kManifest, "m0"), bytes_of("intact"));
+  EXPECT_EQ(reopened.get(Ns::kIndex, "m0"), bytes_of("intact"));
 
   reopened.sweep_temps();
   EXPECT_FALSE(fs::exists(stale));
-  EXPECT_EQ(reopened.get(Ns::kManifest, "m0"), bytes_of("intact"));
+  EXPECT_EQ(reopened.get(Ns::kIndex, "m0"), bytes_of("intact"));
 
   // A put over a stale temp of its own name truncates it first.
   std::ofstream(stale, std::ios::binary) << "a much longer half-written body";
-  reopened.put(Ns::kManifest, "m0", bytes_of("v2"));
+  reopened.put(Ns::kIndex, "m0", bytes_of("v2"));
   EXPECT_FALSE(fs::exists(stale));
-  EXPECT_EQ(reopened.get(Ns::kManifest, "m0"), bytes_of("v2"));
-  EXPECT_EQ(reopened.content_bytes(Ns::kManifest), 2u);
+  EXPECT_EQ(reopened.get(Ns::kIndex, "m0"), bytes_of("v2"));
+  EXPECT_EQ(reopened.content_bytes(Ns::kIndex), 2u);
 }
 
 TEST(FileBackendDurability, ReopenAdoptsMixedMutationHistory) {
