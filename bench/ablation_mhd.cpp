@@ -23,24 +23,26 @@ int main(int argc, char** argv) {
                "each row disables one mechanism of BF-MHD", o);
   const Corpus corpus = o.make_corpus();
 
+  // "bf-mhd" sets the bloom and "mhd" clears it.
   struct Variant {
     const char* label;
+    const char* algo;
     void (*tweak)(EngineConfig&);
   };
   const Variant variants[] = {
-      {"BF-MHD (full)", [](EngineConfig&) {}},
-      {"shm-off", [](EngineConfig& c) { c.enable_shm = false; }},
-      {"edge-off", [](EngineConfig& c) { c.enable_edge_hash = false; }},
-      {"fwd-only",
+      {"BF-MHD (full)", "bf-mhd", [](EngineConfig&) {}},
+      {"shm-off", "bf-mhd", [](EngineConfig& c) { c.enable_shm = false; }},
+      {"edge-off", "bf-mhd",
+       [](EngineConfig& c) { c.enable_edge_hash = false; }},
+      {"fwd-only", "bf-mhd",
        [](EngineConfig& c) { c.enable_backward_extension = false; }},
-      {"bloom-off", [](EngineConfig& c) { c.use_bloom = false; }},
+      {"bloom-off", "mhd", [](EngineConfig&) {}},
   };
 
   TextTable t({"Variant", "MetaDataRatio", "Real DER", "Data-only DER",
                "HHR reloads", "Queries", "Total accesses"});
   for (const auto& v : variants) {
-    RunSpec spec = o.spec("mhd", ecs);
-    spec.engine.use_bloom = true;
+    RunSpec spec = o.spec(v.algo, ecs);
     v.tweak(spec.engine);
     const auto r = run_experiment(spec, corpus);
     t.add_row({v.label, pct(r.metadata_ratio()),

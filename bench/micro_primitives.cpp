@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the substrate primitives:
 // SHA-1 hashing, CRC32C, Rabin fingerprint rolling, the chunkers, the
-// bloom filter, the synthetic content generator, and FileBackend's
-// per-object put and get. These set the CPU-cost context for the
-// ThroughputRatio results.
+// bloom filter, the synthetic content generator, FileBackend's per-object
+// put and get, and a framed DiskChunk append one chunk or one flush group
+// at a time. These set the CPU-cost context for the ThroughputRatio
+// results.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -18,6 +19,7 @@
 #include "mhd/container/bloom_filter.h"
 #include "mhd/hash/sha1.h"
 #include "mhd/store/file_backend.h"
+#include "mhd/store/framed_backend.h"
 #include "mhd/util/crc32c.h"
 #include "mhd/util/random.h"
 #include "mhd/workload/block_source.h"
@@ -215,6 +217,64 @@ void register_file_backend() {
   }
 }
 
+/// chunk_append/<n>: `median_us` is the median time per 4 KiB chunk of a
+/// DiskChunk append through FramedBackend -> FileBackend, the chunks handed
+/// down n at a time (append_all): 1 is a store call per chunk, 64 an SD-64
+/// MHD flush group. A run appends 1,024 chunks to 4 DiskChunks in a fresh
+/// repository under the temp directory.
+void BM_ChunkAppend(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kChunks = 1024;
+  constexpr std::size_t kObjects = 4;
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const ByteVec data = make_data(kChunks * kChunk);
+  std::vector<ByteSpan> chunks;
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    chunks.push_back(ByteSpan(data).subspan(i * kChunk, kChunk));
+  }
+  std::vector<double> us;
+  int run = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const fs::path dir =
+        fs::temp_directory_path() / ("mhd_micro_append_" +
+                                     std::to_string(::getpid()) + "_" +
+                                     std::to_string(run++));
+    fs::remove_all(dir);
+    {
+      FileBackend file(dir);
+      FramedBackend framed(file);
+      state.ResumeTiming();
+      for (std::size_t i = 0; i < kChunks; i += batch) {
+        const std::string name = "c" + std::to_string(i * kObjects / kChunks);
+        const auto t0 = std::chrono::steady_clock::now();
+        framed.append_all(Ns::kDiskChunk, name,
+                          std::span(chunks).subspan(i, batch));
+        us.push_back(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count() /
+                     static_cast<double>(batch));
+      }
+      state.PauseTiming();
+    }
+    fs::remove_all(dir);
+    state.ResumeTiming();
+  }
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  state.counters["median_us"] = us[us.size() / 2];
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kChunks));
+}
+
+void register_chunk_append() {
+  benchmark::RegisterBenchmark("chunk_append", BM_ChunkAppend)
+      ->Arg(1)
+      ->Arg(64)
+      ->Iterations(5)
+      ->Unit(benchmark::kMillisecond);
+}
+
 }  // namespace
 }  // namespace mhd
 
@@ -222,6 +282,7 @@ int main(int argc, char** argv) {
   mhd::register_sha1_throughput();
   mhd::register_crc32c_throughput();
   mhd::register_file_backend();
+  mhd::register_chunk_append();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -9,18 +9,10 @@ MhdEngine::MhdEngine(ObjectStore& store, const EngineConfig& config)
     : AnchoredEngine(store, config, /*hook_flags=*/true),
       extender_(store, cache_, cfg_, counters_) {}
 
-ChunkRef MhdEngine::store_front(FileCtx& ctx) {
-  const StreamChunk& c = ctx.pending.front();
-  const ChunkRef ref = store_chunk(ctx.out.writer, ctx.out.dig, c.bytes);
-  ctx.log.push_back({c.file_offset, ref.chunk, ref.offset, ref.size});
-  ctx.current.emplace(c.hash, ref);
-  ctx.pending.pop_front();
-  return ref;
-}
-
 void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
   count = std::min(count, ctx.pending.size());
   std::size_t done = 0;
+  std::vector<ByteSpan> bytes;
   while (done < count) {
     std::size_t group = std::min<std::size_t>(cfg_.sd, count - done);
     // Paper, Section III: "SHM can be performed on the contiguous
@@ -41,38 +33,43 @@ void MhdEngine::flush_pending(FileCtx& ctx, std::size_t count) {
 
     // Group leader becomes a Hook: small-chunk granularity, addressable
     // from disk via a hash-named hook file pointing at this Manifest. The
-    // Hook is written before the leader's bytes.
+    // Hook is written before the group's bytes, which go to the DiskChunk
+    // in one write: the leader, then the rest.
     const Digest leader = ctx.pending.front().hash;
     write_hook(leader, ctx.out.dig);
-    const ChunkRef hook = store_front(ctx);
-    ctx.out.manifest.add({leader, hook.offset, hook.size, 1, true});
+    bytes.clear();
+    for (std::size_t j = 0; j < group; ++j) {
+      bytes.push_back(ctx.pending[j].bytes);
+    }
+    std::uint64_t at = store_chunks(ctx.out.writer, bytes);
 
-    const std::size_t rest = group - 1;
-    if (rest == 0) continue;
-
-    if (cfg_.enable_shm) {
-      // Sampling and Hash Merging: the SD-1 chunks between hooks are
-      // represented by a single hash over their concatenation.
-      Sha1 merged;
-      const std::uint64_t merged_off = ctx.out.writer.bytes_written();
-      for (std::size_t j = 0; j < rest; ++j) {
-        merged.update(ctx.pending.front().bytes);
-        store_front(ctx);
+    // Sampling and Hash Merging: the SD-1 chunks between hooks are
+    // represented by a single hash over their concatenation. The ablation
+    // without it keeps one entry per chunk (metadata grows like CDC).
+    Sha1 merged;
+    std::uint64_t merged_off = 0;
+    for (std::size_t j = 0; j < group; ++j) {
+      const StreamChunk& c = ctx.pending.front();
+      const ChunkRef ref{ctx.out.dig, at,
+                         static_cast<std::uint32_t>(c.bytes.size())};
+      at += ref.size;
+      ctx.log.push_back({c.file_offset, ref.chunk, ref.offset, ref.size});
+      ctx.current.emplace(c.hash, ref);
+      if (j == 0) {
+        ctx.out.manifest.add({leader, ref.offset, ref.size, 1, true});
+        merged_off = at;
+      } else if (cfg_.enable_shm) {
+        merged.update(c.bytes);
+      } else {
+        ctx.out.manifest.add({c.hash, ref.offset, ref.size, 1, false});
       }
-      ctx.out.manifest.add(
-          {merged.digest(), merged_off,
-           static_cast<std::uint32_t>(ctx.out.writer.bytes_written() -
-                                      merged_off),
-           static_cast<std::uint32_t>(rest), false});
+      ctx.pending.pop_front();
+    }
+    if (group > 1 && cfg_.enable_shm) {
+      ctx.out.manifest.add({merged.digest(), merged_off,
+                            static_cast<std::uint32_t>(at - merged_off),
+                            static_cast<std::uint32_t>(group - 1), false});
       ++counters_.shm_merged_hashes;
-    } else {
-      // Ablation: hook sampling without hash merging — every chunk keeps
-      // its own entry (metadata grows like plain CDC).
-      for (std::size_t j = 0; j < rest; ++j) {
-        const Digest hash = ctx.pending.front().hash;
-        const ChunkRef ref = store_front(ctx);
-        ctx.out.manifest.add({hash, ref.offset, ref.size, 1, false});
-      }
     }
   }
 }

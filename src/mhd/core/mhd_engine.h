@@ -70,10 +70,9 @@ class MhdEngine final : public AnchoredEngine {
     std::unordered_map<Digest, ChunkRef, DigestHasher> current;
   };
 
-  /// Flushes the first `count` pending chunks through SHM.
+  /// Flushes the first `count` pending chunks through SHM, each flush
+  /// group to the file's DiskChunk with one write right after its Hook.
   void flush_pending(FileCtx& ctx, std::size_t count);
-  /// Appends the front pending chunk to the file's DiskChunk.
-  ChunkRef store_front(FileCtx& ctx);
 
   MatchExtender extender_;
 };

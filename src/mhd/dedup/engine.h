@@ -13,7 +13,8 @@
 // file holds only its algorithm: a ChunkRef names a stored chunk range,
 // take_duplicate() is the one admission step of a duplicate decision
 // (rewrite controller -> D/L counters -> recipe entry), and store_chunk()
-// appends one new chunk to a ChunkWriter and counts it.
+// appends one new chunk to a ChunkWriter and counts it (store_chunks a run
+// of them, with one write).
 //
 // Engines that keep a manifest cache (MHD, CDC, Bimodal, FBC) derive from
 // AnchoredEngine, the cache's one owner. They detect a duplicate the same
@@ -345,9 +346,16 @@ class DedupEngine {
   /// counts it stored (N); returns where its bytes landed.
   ChunkRef store_chunk(ChunkWriter& writer, const Digest& chunk,
                        ByteSpan bytes) {
-    const std::uint64_t offset = writer.write(bytes);
-    ++counters_.stored_chunks;
-    return {chunk, offset, static_cast<std::uint32_t>(bytes.size())};
+    return {chunk, store_chunks(writer, std::span<const ByteSpan>(&bytes, 1)),
+            static_cast<std::uint32_t>(bytes.size())};
+  }
+  /// Appends a run of new chunks to `writer` with one write and counts
+  /// them stored; returns where the first landed, the rest following it.
+  std::uint64_t store_chunks(ChunkWriter& writer,
+                             std::span<const ByteSpan> chunks) {
+    const std::uint64_t offset = writer.write_all(chunks);
+    counters_.stored_chunks += chunks.size();
+    return offset;
   }
 
   ObjectStore& store_;

@@ -31,10 +31,9 @@ std::unique_ptr<DedupEngine> make_engine(const std::string& name,
   if (name == "extremebinning" || name == "extreme") {
     return std::make_unique<ExtremeBinningEngine>(store, config);
   }
-  if (name == "mhd") return std::make_unique<MhdEngine>(store, config);
-  if (name == "bf-mhd") {
+  if (name == "mhd" || name == "bf-mhd") {
     EngineConfig cfg = config;
-    cfg.use_bloom = true;
+    cfg.use_bloom = name == "bf-mhd";
     return std::make_unique<MhdEngine>(store, cfg);
   }
   throw std::invalid_argument("unknown engine: " + name);

@@ -15,8 +15,8 @@
 namespace mhd {
 
 /// Creates an engine by name: "cdc", "bimodal", "subchunk",
-/// "sparseindexing", "fbc", "extremebinning", "mhd" (bloom per config),
-/// "bf-mhd" (forces bloom).
+/// "sparseindexing", "fbc", "extremebinning", "mhd" (clears the bloom),
+/// "bf-mhd" (sets it).
 /// Throws std::invalid_argument for unknown names.
 std::unique_ptr<DedupEngine> make_engine(const std::string& name,
                                          ObjectStore& store,

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,19 @@ class StorageBackend {
 
   /// Appends to an object, creating it if absent.
   virtual void append(Ns ns, const std::string& name, ByteSpan data) = 0;
+
+  /// Appends `pieces` to an object in order. The contract is the default:
+  /// one append per piece, so the objects, their bytes and the failures
+  /// are those of that loop, and a decorator that counts, traces or
+  /// faults appends sees every piece without overriding this. A layer
+  /// overrides it only where the batch can go down in fewer calls: a
+  /// stream layer keeps each piece a record of its own. `*landed`, when
+  /// given, counts the pieces appended whole: all of them on return; on a
+  /// throw, those before the one that failed, which may have landed in
+  /// part.
+  virtual void append_all(Ns ns, const std::string& name,
+                          std::span<const ByteSpan> pieces,
+                          std::size_t* landed = nullptr);
 
   /// Whole-object read; nullopt if absent.
   virtual std::optional<ByteVec> get(Ns ns, const std::string& name) const = 0;

@@ -125,30 +125,90 @@ void ContainerBackend::cache_insert(std::uint64_t id, ByteVec bytes) const {
 }
 
 void ContainerBackend::append(Ns ns, const std::string& name, ByteSpan data) {
+  append_all(ns, name, std::span<const ByteSpan>(&data, 1));
+}
+
+void ContainerBackend::append_all(Ns ns, const std::string& name,
+                                  std::span<const ByteSpan> pieces,
+                                  std::size_t* landed) {
   if (ns != Ns::kDiskChunk) {
-    inner_.append(ns, name, data);
+    inner_.append_all(ns, name, pieces, landed);
+    return;
+  }
+  if (pieces.empty()) {
+    StorageBackend::append_all(ns, name, pieces, landed);
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
   ExtentMap& extents = pending_[name];
-  while (!data.empty()) {
-    if (open_fill_ >= cfg_.container_bytes) roll_container();
-    const std::uint64_t room = cfg_.container_bytes - open_fill_;
-    const std::size_t take =
-        static_cast<std::size_t>(std::min<std::uint64_t>(room, data.size()));
-    const ByteSpan piece = data.first(take);
-    inner_.append(Ns::kContainer, container_name(open_id_), piece);
-    mhd::append(open_image_, piece);
+  // The parts bound for the open container, each with the piece it came
+  // from: a piece that crosses a container boundary has two.
+  std::vector<ByteSpan> run;
+  std::vector<std::size_t> owner;
+  std::uint64_t run_bytes = 0;
+  std::size_t accepted = 0;  // parts of `run` the inner call took
+  // Packs `run` into the open container with one inner call. The image,
+  // the extents and the fill take only the parts it accepted, so after a
+  // throw they still match the container below.
+  const auto send = [&] {
+    if (run.empty()) return;
+    accepted = 0;
+    try {
+      inner_.append_all(Ns::kContainer, container_name(open_id_), run,
+                        &accepted);
+    } catch (...) {
+      place(extents, std::span<const ByteSpan>(run).first(accepted));
+      throw;
+    }
+    place(extents, run);
+    run.clear();
+    owner.clear();
+    run_bytes = 0;
+    accepted = 0;
+  };
+  std::size_t i = 0;
+  try {
+    for (; i < pieces.size(); ++i) {
+      for (ByteSpan data = pieces[i]; !data.empty();) {
+        if (open_fill_ + run_bytes >= cfg_.container_bytes) {
+          send();
+          roll_container();
+        }
+        const std::uint64_t room =
+            cfg_.container_bytes - open_fill_ - run_bytes;
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(room, data.size()));
+        run.push_back(data.first(n));
+        owner.push_back(i);
+        run_bytes += n;
+        data = data.subspan(n);
+      }
+    }
+    send();
+  } catch (...) {
+    // Parts go down in piece order: every piece before the first part not
+    // taken (or before the one in hand) is whole.
+    if (landed != nullptr) {
+      *landed = accepted < run.size() ? owner[accepted] : i;
+    }
+    throw;
+  }
+  if (landed != nullptr) *landed = pieces.size();
+}
+
+void ContainerBackend::place(ExtentMap& extents,
+                             std::span<const ByteSpan> parts) {
+  for (const ByteSpan part : parts) {
+    mhd::append(open_image_, part);
     if (!extents.empty() && extents.back().container == open_id_ &&
         extents.back().offset + extents.back().length == open_fill_) {
-      extents.back().length += take;
+      extents.back().length += part.size();
     } else {
-      extents.push_back({open_id_, open_fill_, take});
+      extents.push_back({open_id_, open_fill_, part.size()});
     }
-    open_fill_ += take;
-    stats_.packed_bytes += take;
-    chunk_logical_bytes_ += take;
-    data = data.subspan(take);
+    open_fill_ += part.size();
+    stats_.packed_bytes += part.size();
+    chunk_logical_bytes_ += part.size();
   }
 }
 

@@ -11,7 +11,10 @@
 //     the FramedBackend below) and records an extent
 //     {container, container_offset, length}. A container that reaches the
 //     configured size is sealed and a new one opened; one append may
-//     split across the boundary.
+//     split across the boundary. A batch (append_all) packs the same
+//     parts with one inner call per container it touches, and takes into
+//     the open image, the extents and the fill only the parts that call
+//     accepted, so a failed batch leaves them matching the bytes below.
 //   * seal(kDiskChunk, name) commits the chunk's extent map as a sealed
 //     object under Ns::kChunkMap — the durability point of the chunk.
 //     Every extent a committed map names was appended by a strictly
@@ -79,6 +82,11 @@ class ContainerBackend final : public StorageBackend {
 
   void put(Ns ns, const std::string& name, ByteSpan data) override;
   void append(Ns ns, const std::string& name, ByteSpan data) override;
+  /// Packs the pieces in order, with one inner call per container the
+  /// batch touches.
+  void append_all(Ns ns, const std::string& name,
+                  std::span<const ByteSpan> pieces,
+                  std::size_t* landed = nullptr) override;
   std::optional<ByteVec> get(Ns ns, const std::string& name) const override;
   std::optional<ByteVec> get_range(Ns ns, const std::string& name,
                                    std::uint64_t offset,
@@ -149,6 +157,10 @@ class ContainerBackend final : public StorageBackend {
   /// budget (it would evict everything and still not fit).
   void cache_insert(std::uint64_t id, ByteVec bytes) const;
   void roll_container();
+  /// Takes `parts`, which the inner backend accepted into the open
+  /// container, into its image, the chunk's `extents` and the fill.
+  /// Caller holds mu_.
+  void place(ExtentMap& extents, std::span<const ByteSpan> parts);
 
   StorageBackend& inner_;
   ContainerConfig cfg_;

@@ -8,8 +8,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
-#include <fstream>
 #include <memory_resource>
 #include <mutex>
 #include <string_view>
@@ -110,8 +110,10 @@ bool read_fully(int fd, std::uint64_t offset, MutByteSpan out) {
   return true;
 }
 
-/// Writes every byte of `iov` at `offset`, looping on short writes and
-/// EINTR. False (errno set) on an error.
+/// Writes every byte of `iov` at `offset`, looping on short writes, EINTR
+/// and batches of more than IOV_MAX entries. False (errno set) on an
+/// error; the entries written whole are then those of zero length left
+/// at the front of `iov`.
 bool write_fully(int fd, std::span<iovec> iov, std::uint64_t offset) {
   std::size_t first = 0;
   while (first < iov.size()) {
@@ -119,9 +121,10 @@ bool write_fully(int fd, std::span<iovec> iov, std::uint64_t offset) {
       ++first;
       continue;
     }
-    const ssize_t n = ::pwritev(fd, iov.data() + first,
-                                static_cast<int>(iov.size() - first),
-                                static_cast<off_t>(offset));
+    const ssize_t n = ::pwritev(
+        fd, iov.data() + first,
+        static_cast<int>(std::min<std::size_t>(iov.size() - first, IOV_MAX)),
+        static_cast<off_t>(offset));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       if (n == 0) errno = EIO;
@@ -152,19 +155,23 @@ bool write_record_at(int fd, std::uint64_t offset, Byte kind,
   return write_fully(fd, iov, offset);
 }
 
-/// Writes `data` and verifies both the write and the close took: a short
-/// write (ENOSPC, quota) must surface as an error, never as a silently
-/// truncated object.
-void write_all_or_throw(const fs::path& p, ByteSpan data,
-                        std::ios::openmode mode) {
-  std::ofstream out(p, std::ios::binary | mode);
-  if (!out) throw BackendIoError("FileBackend: cannot open " + p.string());
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  if (!out) throw BackendIoError("FileBackend: short write to " + p.string());
-  out.close();
-  if (out.fail()) {
-    throw BackendIoError("FileBackend: close failed for " + p.string());
+/// Writes `iov` at the end of `path`, opened write-only with O_CREAT and
+/// `flags`, then closes it. A short write (ENOSPC, quota) or a failed
+/// close surfaces as BackendIoError, never as a silently truncated object;
+/// the entries written whole are then those of zero length left at the
+/// front of `iov`.
+void write_to_end(const fs::path& path, int flags, std::span<iovec> iov) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC | flags, 0666);
+  if (fd < 0) throw BackendIoError("FileBackend: cannot open " + path.string());
+  const off_t end = ::lseek(fd, 0, SEEK_END);
+  const bool written =
+      end >= 0 && write_fully(fd, iov, static_cast<std::uint64_t>(end));
+  const std::string why = written ? "close failed" : std::strerror(errno);
+  const bool closed = ::close(fd) == 0;
+  if (!written || !closed) {
+    throw BackendIoError("FileBackend: writing " + path.string() +
+                         " failed: " + why);
   }
 }
 
@@ -824,14 +831,14 @@ fs::path FileBackend::path_for(Ns ns, const std::string& name) const {
 
 void write_file_atomically(const fs::path& p, ByteSpan data) {
   const fs::path tmp = p.string() + std::string(kTmpSuffix);
+  iovec iov{const_cast<Byte*>(data.data()), data.size()};
+  std::error_code ec;
   try {
-    write_all_or_throw(tmp, data, std::ios::trunc);
+    write_to_end(tmp, O_TRUNC, std::span<iovec>(&iov, 1));
   } catch (...) {
-    std::error_code ec;
     fs::remove(tmp, ec);
     throw;
   }
-  std::error_code ec;
   fs::rename(tmp, p, ec);
   if (ec) {
     fs::remove(tmp, ec);
@@ -858,9 +865,38 @@ void FileBackend::append(Ns ns, const std::string& name, ByteSpan data) {
     p->put(name, whole);
     return;
   }
-  // A failed append may have landed a prefix; the framing layer makes the
-  // partial tail detectable.
-  write_all_or_throw(path_for(ns, name), data, std::ios::app);
+  append_all(ns, name, std::span<const ByteSpan>(&data, 1));
+}
+
+void FileBackend::append_all(Ns ns, const std::string& name,
+                             std::span<const ByteSpan> pieces,
+                             std::size_t* landed) {
+  if (packs(ns) != nullptr || pieces.empty()) {
+    StorageBackend::append_all(ns, name, pieces, landed);
+    return;
+  }
+  // One open and one vectored write at the end of the file for the whole
+  // batch. A failed write may have landed a prefix; the framing layer
+  // makes the partial tail detectable.
+  std::vector<iovec> iov;
+  iov.reserve(pieces.size());
+  for (const ByteSpan piece : pieces) {
+    iov.push_back({const_cast<Byte*>(piece.data()), piece.size()});
+  }
+  const auto count_landed = [&] {
+    if (landed == nullptr) return;
+    *landed = static_cast<std::size_t>(
+        std::find_if(iov.begin(), iov.end(),
+                     [](const iovec& v) { return v.iov_len != 0; }) -
+        iov.begin());
+  };
+  try {
+    write_to_end(path_for(ns, name), 0, iov);
+  } catch (...) {
+    count_landed();
+    throw;
+  }
+  count_landed();
 }
 
 std::optional<ByteVec> FileBackend::get(Ns ns, const std::string& name) const {

@@ -58,6 +58,11 @@ class FileBackend final : public StorageBackend {
 
   void put(Ns ns, const std::string& name, ByteSpan data) override;
   void append(Ns ns, const std::string& name, ByteSpan data) override;
+  /// A stream batch is one open and one vectored write; a packed
+  /// namespace takes one append per piece.
+  void append_all(Ns ns, const std::string& name,
+                  std::span<const ByteSpan> pieces,
+                  std::size_t* landed = nullptr) override;
   std::optional<ByteVec> get(Ns ns, const std::string& name) const override;
   std::optional<ByteVec> get_range(Ns ns, const std::string& name,
                                    std::uint64_t offset,

@@ -65,28 +65,7 @@ void FramedBackend::put(Ns ns, const std::string& name, ByteSpan data) {
 
 void FramedBackend::append(Ns ns, const std::string& name, ByteSpan data) {
   if (is_stream(ns)) {
-    const ByteVec record = framing::frame_record(data);
-    std::lock_guard<std::mutex> lock(sizes_mu_);
-    bool created = false;
-    std::uint64_t& size = known_size(ns, name, &created);
-    auto building = building_.end();
-    if (ns == Ns::kDiskChunk) {
-      building = created ? building_.insert_or_assign(name, RecordTable{}).first
-                         : building_.find(name);
-    }
-    if (building == building_.end()) drop_table(ns, name);
-    try {
-      inner_.append(ns, name, record);
-    } catch (...) {
-      if (building != building_.end()) building_.erase(building);
-      throw;
-    }
-    if (building != building_.end()) {
-      RecordTable& table = building->second;
-      table.push_back(size + table.size() * framing::kHeaderBytes);
-    }
-    size += data.size();
-    bytes_[static_cast<int>(ns)] += data.size();
+    append_all(ns, name, std::span<const ByteSpan>(&data, 1));
     return;
   }
   // Sealed namespaces have no incremental framing; read-modify-write keeps
@@ -97,6 +76,74 @@ void FramedBackend::append(Ns ns, const std::string& name, ByteSpan data) {
   }
   mhd::append(combined, data);
   put(ns, name, combined);
+}
+
+std::size_t FramedBackend::frame_batch(std::span<const ByteSpan> pieces,
+                                       std::size_t first) {
+  if (batch_.capacity() < kBatchBytes) batch_.reserve(kBatchBytes);
+  batch_.clear();
+  std::size_t end = first;
+  do {
+    framing::append_record(batch_, pieces[end++]);
+  } while (end < pieces.size() &&
+           batch_.size() + framing::kHeaderBytes + pieces[end].size() <=
+               kBatchBytes);
+  records_.clear();
+  std::size_t at = 0;
+  for (std::size_t i = first; i < end; ++i) {
+    const std::size_t n = framing::kHeaderBytes + pieces[i].size();
+    records_.push_back(ByteSpan(batch_).subspan(at, n));
+    at += n;
+  }
+  return end;
+}
+
+void FramedBackend::append_all(Ns ns, const std::string& name,
+                               std::span<const ByteSpan> pieces,
+                               std::size_t* landed) {
+  if (!is_stream(ns) || pieces.empty()) {
+    StorageBackend::append_all(ns, name, pieces, landed);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(sizes_mu_);
+  bool created = false;
+  std::uint64_t& size = known_size(ns, name, &created);
+  auto building = building_.end();
+  if (ns == Ns::kDiskChunk) {
+    building = created ? building_.insert_or_assign(name, RecordTable{}).first
+                       : building_.find(name);
+  }
+  if (building == building_.end()) drop_table(ns, name);
+  // Counts pieces [done, end) as appended: their header offsets in the
+  // table being built, then their logical bytes.
+  std::size_t done = 0;
+  const auto count = [&](std::size_t end) {
+    for (; done < end; ++done) {
+      if (building != building_.end()) {
+        RecordTable& table = building->second;
+        table.push_back(size + table.size() * framing::kHeaderBytes);
+      }
+      size += pieces[done].size();
+      bytes_[static_cast<int>(ns)] += pieces[done].size();
+    }
+  };
+  std::size_t accepted = 0;  // by the inner call in flight
+  try {
+    while (done < pieces.size()) {
+      accepted = 0;
+      const std::size_t end = frame_batch(pieces, done);
+      inner_.append_all(ns, name, records_, &accepted);
+      count(end);
+    }
+  } catch (...) {
+    count(done + accepted);
+    if (building != building_.end()) building_.erase(building);
+    if (landed != nullptr) *landed = done;
+    if (batch_.capacity() > kBatchBytes) batch_ = ByteVec();
+    throw;
+  }
+  if (landed != nullptr) *landed = done;
+  if (batch_.capacity() > kBatchBytes) batch_ = ByteVec();
 }
 
 ByteVec FramedBackend::verified_get(Ns ns, const std::string& name,

@@ -19,6 +19,15 @@
 // the other namespaces are sealed whole objects. Appending to a sealed
 // stream or reading an unsealed one is a caller bug and reads as corrupt.
 //
+// A batch (append_all) of a record stream frames each piece as a record
+// of its own into one buffer this instance keeps, and hands the records
+// down in one inner append_all per kBatchBytes of them: the records, the
+// bytes and their order below are those of one append per piece. The
+// buffer stays kBatchBytes however large the batch; only a single record
+// larger than that gets a buffer of its size, freed after its call.
+// Pieces that landed before a failed inner call count as appended, as
+// they would one append at a time.
+//
 // Range reads of record streams (DiskChunks, containers) cost the bytes
 // they return. Each range read uses the stream's *record table*: the
 // physical offset of each record header, then of the seal (8 bytes per
@@ -77,6 +86,9 @@ class FramedBackend final : public StorageBackend {
 
   void put(Ns ns, const std::string& name, ByteSpan data) override;
   void append(Ns ns, const std::string& name, ByteSpan data) override;
+  void append_all(Ns ns, const std::string& name,
+                  std::span<const ByteSpan> pieces,
+                  std::size_t* landed = nullptr) override;
   std::optional<ByteVec> get(Ns ns, const std::string& name) const override;
   std::optional<ByteVec> get_range(Ns ns, const std::string& name,
                                    std::uint64_t offset,
@@ -108,6 +120,16 @@ class FramedBackend final : public StorageBackend {
   /// `name`. Called with sizes_mu_ held.
   std::uint64_t& known_size(Ns ns, const std::string& name,
                             bool* created = nullptr) const;
+
+  /// Bound on the framed bytes of one inner append_all: an SD-64 flush
+  /// group of 4 KiB chunks fits, and a larger group goes down in several
+  /// calls instead of growing the buffer.
+  static constexpr std::size_t kBatchBytes = std::size_t{512} << 10;
+
+  /// Frames pieces from `first` into batch_, as many as fit kBatchBytes
+  /// (at least one), and points records_ at them; returns the end of the
+  /// range framed. Called with sizes_mu_ held.
+  std::size_t frame_batch(std::span<const ByteSpan> pieces, std::size_t first);
 
   /// Bound on the record tables kept for range reads, in records: 8 MiB.
   /// The most recently used table is kept even when it alone is larger.
@@ -149,6 +171,10 @@ class FramedBackend final : public StorageBackend {
   /// Record tables of the DiskChunk streams this instance is writing, by
   /// name; guarded by sizes_mu_. Published into tables_ at seal.
   std::unordered_map<std::string, RecordTable> building_;
+  /// The framed records of the inner call in flight and their spans;
+  /// guarded by sizes_mu_.
+  ByteVec batch_;
+  std::vector<ByteSpan> records_;
 
   mutable std::mutex tables_mu_;
   /// Keyed by namespace byte + name, weighted by record count.

@@ -40,9 +40,13 @@ std::optional<ByteVec> unseal_object(ByteSpan framed) {
 ByteVec frame_record(ByteSpan payload) {
   ByteVec out;
   out.reserve(kHeaderBytes + payload.size());
+  append_record(out, payload);
+  return out;
+}
+
+void append_record(ByteVec& out, ByteSpan payload) {
   append_header(out, kRecordMagic, payload);
   append(out, payload);
-  return out;
 }
 
 ByteVec seal_record(std::uint64_t logical_length) {

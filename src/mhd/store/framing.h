@@ -54,6 +54,8 @@ std::optional<ByteVec> unseal_object(ByteSpan framed);
 
 /// One framed append: header + payload.
 ByteVec frame_record(ByteSpan payload);
+/// frame_record(payload) appended to `out`.
+void append_record(ByteVec& out, ByteSpan payload);
 
 /// The end-of-stream seal carrying the total logical length.
 ByteVec seal_record(std::uint64_t logical_length);

@@ -38,6 +38,16 @@ std::string to_string(const LayoutDamage& d) {
          " bytes)";
 }
 
+void StorageBackend::append_all(Ns ns, const std::string& name,
+                                std::span<const ByteSpan> pieces,
+                                std::size_t* landed) {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    if (landed != nullptr) *landed = i;
+    append(ns, name, pieces[i]);
+  }
+  if (landed != nullptr) *landed = pieces.size();
+}
+
 std::uint64_t StorageBackend::total_objects() const {
   std::uint64_t total = 0;
   for (int i = 0; i < static_cast<int>(Ns::kCount); ++i) {

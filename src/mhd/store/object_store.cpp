@@ -41,10 +41,19 @@ ChunkWriter::~ChunkWriter() {
   }
 }
 
-std::uint64_t ChunkWriter::write(ByteSpan data) {
-  store_->backend_.append(Ns::kDiskChunk, name_, data);
+std::uint64_t ChunkWriter::write_all(std::span<const ByteSpan> pieces) {
   const std::uint64_t offset = bytes_;
-  bytes_ += data.size();
+  std::size_t landed = 0;
+  const auto count = [&] {
+    for (std::size_t i = 0; i < landed; ++i) bytes_ += pieces[i].size();
+  };
+  try {
+    store_->backend_.append_all(Ns::kDiskChunk, name_, pieces, &landed);
+  } catch (...) {
+    count();
+    throw;
+  }
+  count();
   return offset;
 }
 

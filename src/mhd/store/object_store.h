@@ -39,7 +39,14 @@ class ChunkWriter {
   ~ChunkWriter();
 
   /// Appends `data`; returns the offset in the chunk it landed at.
-  std::uint64_t write(ByteSpan data);
+  std::uint64_t write(ByteSpan data) {
+    return write_all(std::span<const ByteSpan>(&data, 1));
+  }
+  /// Appends `pieces` in order with one backend call, each a record of its
+  /// own in a framed store; returns the offset the first landed at, the
+  /// rest following it. On a throw, the pieces that landed whole count as
+  /// written, as they would one write at a time.
+  std::uint64_t write_all(std::span<const ByteSpan> pieces);
   std::uint64_t bytes_written() const { return bytes_; }
   const std::string& name() const { return name_; }
 

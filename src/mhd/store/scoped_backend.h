@@ -56,6 +56,11 @@ class ScopedBackend : public StorageBackend {
   void append(Ns ns, const std::string& name, ByteSpan data) override {
     inner_.append(ns, prefix_ + name, data);
   }
+  void append_all(Ns ns, const std::string& name,
+                  std::span<const ByteSpan> pieces,
+                  std::size_t* landed = nullptr) override {
+    inner_.append_all(ns, prefix_ + name, pieces, landed);
+  }
   std::optional<ByteVec> get(Ns ns, const std::string& name) const override {
     return inner_.get(ns, prefix_ + name);
   }

@@ -40,6 +40,12 @@ class SyncBackend final : public StorageBackend {
     std::lock_guard<std::mutex> lock(mu_);
     inner_.append(ns, name, data);
   }
+  void append_all(Ns ns, const std::string& name,
+                  std::span<const ByteSpan> pieces,
+                  std::size_t* landed = nullptr) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    inner_.append_all(ns, name, pieces, landed);
+  }
   std::optional<ByteVec> get(Ns ns, const std::string& name) const override {
     std::lock_guard<std::mutex> lock(mu_);
     return inner_.get(ns, name);

@@ -1,9 +1,11 @@
 // CountingBackend — a backend that counts what its reads return, so a test
 // can bound what the layers above pull from storage: bytes overall, and
-// get/get_range calls per namespace. It counts the reads of its own
-// MemoryBackend, or of any backend it is given. raw() reaches the backend
-// underneath, to damage or remove an object behind a decorator's back.
-// Reads are safe from several threads at once.
+// get/get_range calls per namespace. It also counts the append calls it
+// receives per namespace, a batch (append_all) as one, and forwards a
+// batch whole. It counts the calls to its own MemoryBackend, or to any
+// backend it is given. raw() reaches the backend underneath, to damage or
+// remove an object behind a decorator's back. Reads are safe from several
+// threads at once.
 #pragma once
 
 #include <array>
@@ -22,7 +24,14 @@ class CountingBackend final : public StorageBackend {
     inner_.put(ns, name, data);
   }
   void append(Ns ns, const std::string& name, ByteSpan data) override {
+    ++appends_[static_cast<int>(ns)];
     inner_.append(ns, name, data);
+  }
+  void append_all(Ns ns, const std::string& name,
+                  std::span<const ByteSpan> pieces,
+                  std::size_t* landed = nullptr) override {
+    ++appends_[static_cast<int>(ns)];
+    inner_.append_all(ns, name, pieces, landed);
   }
   std::optional<ByteVec> get(Ns ns, const std::string& name) const override {
     return counted(ns, inner_.get(ns, name));
@@ -53,6 +62,8 @@ class CountingBackend final : public StorageBackend {
   void reset_read_bytes() { read_bytes_ = 0; }
   /// get and get_range calls on `ns`, found or not.
   std::uint64_t reads(Ns ns) const { return reads_[static_cast<int>(ns)]; }
+  /// append and append_all calls on `ns`.
+  std::uint64_t appends(Ns ns) const { return appends_[static_cast<int>(ns)]; }
 
  private:
   std::optional<ByteVec> counted(Ns ns, std::optional<ByteVec> bytes) const {
@@ -66,6 +77,8 @@ class CountingBackend final : public StorageBackend {
   mutable std::atomic<std::uint64_t> read_bytes_{0};
   mutable std::array<std::atomic<std::uint64_t>, static_cast<int>(Ns::kCount)>
       reads_{};
+  std::array<std::atomic<std::uint64_t>, static_cast<int>(Ns::kCount)>
+      appends_{};
 };
 
 }  // namespace mhd
